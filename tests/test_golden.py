@@ -1,0 +1,46 @@
+"""Byte-for-byte guard on the CLI's deterministic reports.
+
+Each case runs one command in both output formats and compares the report,
+and the exit code, with the files under tests/golden/.  A report is only
+meant to change on purpose; regenerate the files from the current code with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from canadaday.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MATRIX = GOLDEN / "matrix_3x3_rational.json"
+FORMATS = {"json": "json", "text": "txt"}
+
+# (golden file stem, argv without output flags, expected exit code)
+CASES = [
+    ("theorem_n4_trials3_seed7", ["verify-theorem", "--n", "4", "--trials", "3", "--seed", "7"], 0),
+    ("theorem_n3_trials4_asymmetric", ["verify-theorem", "--n", "3", "--trials", "4", "--asymmetric"], 0),
+    ("theorem_n5_k2_trials2", ["verify-theorem", "--n", "5", "--k", "2", "--trials", "2"], 0),
+    ("lemmas_n3", ["verify-lemmas", "--n", "3"], 0),
+    ("lemmas_n2_corrupt_sign", ["verify-lemmas", "--n", "2", "--corrupt-sign"], 1),
+    ("orbit_audit_n3_k2_seed9", ["orbit-audit", "--n", "3", "--k", "2", "--seed", "9"], 0),
+    ("orbit_audit_n3_k0", ["orbit-audit", "--n", "3", "--k", "0"], 0),
+    ("orbit_audit_n3_k2_matrix", ["orbit-audit", "--n", "3", "--k", "2", "--matrix", str(MATRIX)], 0),
+    ("lgv_audit_n4", ["lgv-audit", "--n", "4"], 0),
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("stem,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(stem, argv, code, fmt, tmp_path):
+    out = tmp_path / "report"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / f"{stem}.{FORMATS[fmt]}").read_bytes()
+
+
+if __name__ == "__main__":
+    for stem, argv, code in CASES:
+        for fmt, ext in FORMATS.items():
+            target = GOLDEN / f"{stem}.{ext}"
+            assert main(argv + ["--format", fmt, "--out", str(target)]) == code, stem
