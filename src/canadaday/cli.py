@@ -14,37 +14,26 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from .exact_linalg import (
+    DimensionError,
     ExactMatrix,
-    k_subsets,
     load_matrix,
     matrix_to_json_dict,
-    minor,
     random_matrix,
     random_symmetric,
-    t_matrix,
 )
-from .lgv import audit_table, build_network, count_disjoint_families
+from .lgv import audit_table
 from .matchings import (
     enumerate_matchings,
     flip,
-    partition_into_orbits,
-    sign,
+    orbit_sum_identity,
     sign_flip_law_check,
     weight,
 )
-from .minor_sums import (
-    interlacing_sum,
-    is_interlacing,
-    p_value,
-    sum_all_minors,
-    t_minor_formula,
-    verify_canada_day,
-)
+from .minor_sums import verify_canada_day
 from .peakon import DEFAULT_COLLISION_EPSILON, PeakonState, simulate, waveform
 
 __all__ = [
@@ -100,6 +89,8 @@ def run_theorem_campaign(
                     witnesses.append(
                         {"n": n, "k": kk, "trial": trial, "matrix": matrix_to_json_dict(mat)}
                     )
+    if not cells:
+        raise ValueError("no (n, k) cell to check: need n >= 1, trials >= 1 and 1 <= k <= n")
     return {
         "command": "verify-theorem",
         "config": {
@@ -118,18 +109,16 @@ def run_theorem_campaign(
     }
 
 
-def _render_theorem(doc: dict) -> str:
+def _render_theorem(doc: dict) -> list[str]:
     cfg = doc["config"]
     mode = "asymmetric (part (a) only)" if cfg["asymmetric"] else "symmetric"
-    lines = [
+    return [
         f"verify-theorem: n=1..{cfg['n_max']} k={cfg['k'] or 'all'} "
         f"trials={cfg['trials']} seed={cfg['seed']} bound={cfg['bound']} mode={mode}",
         f"  cells checked: {doc['cell_count']}",
         f"  all-minors inequality witnesses: {doc['part_b_inequality_count']}",
         f"  failures: {len(doc['witnesses'])}",
-        "PASS" if doc["passed"] else "FAIL",
     ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +127,9 @@ def _render_theorem(doc: dict) -> str:
 
 def _check_t_minor_three_way(n_max: int):
     for n in range(1, n_max + 1):
-        net = build_network(n)
-        big_t = t_matrix(n)
-        for k in range(1, n + 1):
-            for I in k_subsets(n, k):
-                for J in k_subsets(n, k):
-                    formula = t_minor_formula(I, J)
-                    det_value = minor(big_t, J, I)
-                    lgv_count = count_disjoint_families(net, J, I)
-                    if not formula == det_value == lgv_count:
-                        return False, {
-                            "n": n,
-                            "I": list(I.elems),
-                            "J": list(J.elems),
-                            "formula": str(formula),
-                            "det": str(det_value),
-                            "lgv": lgv_count,
-                        }
+        for row in audit_table(n):
+            if not row["agree"]:
+                return False, {"n": n, **row}
     return True, None
 
 
@@ -211,58 +186,26 @@ def _check_sign_flip_law(n_max: int, corrupt: bool):
     return True, None
 
 
-def _check_orbit_structure(n_max: int):
-    for n in range(1, n_max + 1):
-        for k in range(0, n + 1):
-            for o in partition_into_orbits(n, k):
-                rep = o.members[0]
-                p = p_value(rep.row_set(), rep.col_set())
-                signs = [sign(m) for m in o.members]
-                problems = []
-                if len(o.members) != 2**p:
-                    problems.append("orbit size != 2^p")
-                inter_count = sum(
-                    1 for m in o.members if is_interlacing(m.row_set(), m.col_set())
-                )
-                if o.classification == "interlacing":
-                    if len(set(signs)) > 1:
-                        problems.append("interlacing orbit with mixed signs")
-                    if inter_count != 1:
-                        problems.append("interlacing orbit without a unique interlacing member")
-                else:
-                    if sum(signs) != 0:
-                        problems.append("non-interlacing orbit not sign-balanced")
-                    if inter_count != 0:
-                        problems.append("non-interlacing orbit with an interlacing member")
-                if problems:
-                    return False, {
-                        "n": n,
-                        "k": k,
-                        "representative": rep.to_json_dict(),
-                        "problems": problems,
-                    }
-    return True, None
-
-
-def _check_grand_sum(n_max: int, seed: int, bound: int):
+def _check_orbit_sums(n_max: int, seed: int, bound: int):
+    """The orbit_structure and grand_matching_sum results, both read from one
+    orbit-sum report per (n, k)."""
+    structure = grand = (True, None)
     for n in range(1, n_max + 1):
         x = random_symmetric(n, _child_seed(seed, 2, n), bound)
-        for k in range(1, n + 1):
-            total = sum(
-                (sign(m) * weight(m, x) for m in enumerate_matchings(n, k)),
-                Fraction(0),
-            )
-            s = interlacing_sum(x, k)
-            a = sum_all_minors(x, k)
-            if not total == s == a:
-                return False, {
+        for k in range(0, n + 1):
+            rep = orbit_sum_identity(x, k)
+            if structure[0] and rep.failed_checks:
+                structure = False, {"n": n, "k": k, "failed": list(rep.failed_checks)}
+            partitioned = "orbits_partition_matchings" not in rep.failed_checks
+            if grand[0] and not (partitioned and rep.sums_equal):
+                grand = False, {
                     "n": n,
                     "k": k,
-                    "matching_sum": str(total),
-                    "interlacing_S": str(s),
-                    "all_minors": str(a),
+                    "matching_sum": str(rep.matching_sum),
+                    "interlacing_S": str(rep.interlacing_s),
+                    "all_minors": str(rep.all_minors),
                 }
-    return True, None
+    return structure, grand
 
 
 def run_lemma_suite(
@@ -271,17 +214,21 @@ def run_lemma_suite(
     """Exhaustive lemma checks up to the given n: the T-minor three-way
     agreement, matching counts, flip invariance of weights, the cluster-flip
     sign law, orbit structure, and the grand alternating sum."""
-    checks = []
-    for name, fn in [
-        ("t_minor_three_way", lambda: _check_t_minor_three_way(n_max)),
-        ("matching_count", lambda: _check_matching_counts(n_max)),
-        ("weight_flip_invariance", lambda: _check_weight_invariance(n_max, seed, bound)),
-        ("sign_flip_law", lambda: _check_sign_flip_law(n_max, corrupt_sign)),
-        ("orbit_structure", lambda: _check_orbit_structure(n_max)),
-        ("grand_matching_sum", lambda: _check_grand_sum(n_max, seed, bound)),
-    ]:
-        passed, witness = fn()
-        checks.append({"name": name, "passed": passed, "witness": witness})
+    if n_max < 1:
+        raise ValueError(f"nothing to check: need n >= 1, got {n_max}")
+    orbit_structure, grand_sum = _check_orbit_sums(n_max, seed, bound)
+    results = [
+        ("t_minor_three_way", _check_t_minor_three_way(n_max)),
+        ("matching_count", _check_matching_counts(n_max)),
+        ("weight_flip_invariance", _check_weight_invariance(n_max, seed, bound)),
+        ("sign_flip_law", _check_sign_flip_law(n_max, corrupt_sign)),
+        ("orbit_structure", orbit_structure),
+        ("grand_matching_sum", grand_sum),
+    ]
+    checks = [
+        {"name": name, "passed": passed, "witness": witness}
+        for name, (passed, witness) in results
+    ]
     return {
         "command": "verify-lemmas",
         "config": {"n_max": n_max, "seed": seed, "bound": bound, "corrupt_sign": corrupt_sign},
@@ -290,69 +237,49 @@ def run_lemma_suite(
     }
 
 
-def _render_lemmas(doc: dict) -> str:
+def _render_lemmas(doc: dict) -> list[str]:
     lines = [f"verify-lemmas: n<={doc['config']['n_max']}"]
     for c in doc["checks"]:
         lines.append(f"  {c['name']}: {'ok' if c['passed'] else 'FAILED ' + json.dumps(c['witness'])}")
-    lines.append("PASS" if doc["passed"] else "FAIL")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # orbit-audit
 
 
-def run_orbit_audit(n: int, k: int, x: ExactMatrix) -> dict:
-    """Dump every orbit of M_{n,k} with members, signs, weights and
-    classification, plus the running totals of the orbit-sum argument."""
-    orbits = partition_into_orbits(n, k)
-    orbit_dicts = []
-    total = Fraction(0)
-    inter_total = Fraction(0)
-    non_inter_total = Fraction(0)
-    for o in orbits:
-        contribution = sum(
-            (sign(m) * weight(m, x) for m in o.members), Fraction(0)
-        )
-        od = o.to_json_dict(x)
-        od["orbit_sum"] = str(contribution)
-        orbit_dicts.append(od)
-        total += contribution
-        if o.classification == "interlacing":
-            inter_total += contribution
-        else:
-            non_inter_total += contribution
-    if 1 <= k <= n:
-        s = interlacing_sum(x, k)
-        all_minors = sum_all_minors(x, k)
-    else:
-        s = Fraction(1)
-        all_minors = Fraction(1)
-    totals = {
-        "matching_sum": str(total),
-        "interlacing_orbit_sum": str(inter_total),
-        "non_interlacing_orbit_sum": str(non_inter_total),
-        "interlacing_S": str(s),
-        "all_minors_of_X": str(all_minors),
-    }
+def run_orbit_audit(x: ExactMatrix, k: int) -> dict:
+    """Render `orbit_sum_identity(x, k)`: every orbit of M_{n,k} with members,
+    signs, separations, weights and signed sum, then the totals of the
+    orbit-sum argument.  Passes when every orbit property holds and the grand
+    sum equals both S and the sum of all k x k minors of X."""
+    rep = orbit_sum_identity(x, k)
     return {
         "command": "orbit-audit",
-        "n": n,
+        "n": rep.n,
         "k": k,
         "matrix": matrix_to_json_dict(x),
-        "orbit_count": len(orbits),
-        "orbits": orbit_dicts,
-        "totals": totals,
-        "passed": total == s == all_minors and non_inter_total == 0,
+        "orbit_count": len(rep.orbits),
+        "orbits": [
+            {**o.to_json_dict(ws), "orbit_sum": str(total)}
+            for o, ws, total in zip(rep.orbits, rep.weights, rep.orbit_sums)
+        ],
+        "totals": {
+            "matching_sum": str(rep.matching_sum),
+            "interlacing_orbit_sum": str(rep.interlacing_orbit_sum),
+            "non_interlacing_orbit_sum": str(rep.non_interlacing_orbit_sum),
+            "interlacing_S": str(rep.interlacing_s),
+            "all_minors_of_X": str(rep.all_minors),
+        },
+        "passed": rep.all_checks_pass,
     }
 
 
-def _render_orbit_audit(doc: dict) -> str:
+def _render_orbit_audit(doc: dict) -> list[str]:
     lines = [f"orbit-audit: n={doc['n']} k={doc['k']} orbits={doc['orbit_count']}"]
     for key, value in doc["totals"].items():
         lines.append(f"  {key}: {value}")
-    lines.append("PASS" if doc["passed"] else "FAIL")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +297,11 @@ def run_lgv_audit(n: int) -> dict:
     }
 
 
-def _render_lgv_audit(doc: dict) -> str:
+def _render_lgv_audit(doc: dict) -> list[str]:
     disagreements = [row for row in doc["table"] if not row["agree"]]
-    lines = [
+    return [
         f"lgv-audit: n={doc['n']} pairs={doc['pair_count']} disagreements={len(disagreements)}",
-        "PASS" if doc["passed"] else "FAIL",
     ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +348,13 @@ def run_peakon(
     return doc
 
 
-def _render_peakon(doc: dict) -> str:
+def _render_peakon(doc: dict) -> list[str]:
     lines = [
         f"peakon: n={doc['n']} dt={doc['dt']} samples={len(doc['samples'])} status={doc['status']}",
     ]
     for k, d in enumerate(doc["max_rel_drift"], start=1):
         lines.append(f"  H_{k} max relative drift: {d:.3e}")
-    lines.append("PASS" if doc["passed"] else "FAIL")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +435,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, fmt: str, out: str | None, renderer) -> None:
+    """Write the report as JSON, or as the renderer's lines plus the verdict."""
     if fmt == "json":
         payload = json.dumps(doc, indent=2) + "\n"
     else:
-        payload = renderer(doc)
+        payload = "\n".join(renderer(doc) + ["PASS" if doc["passed"] else "FAIL"]) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(payload)
@@ -530,29 +455,29 @@ def main(argv=None) -> int:
             doc = run_theorem_campaign(
                 args.n, args.k, args.trials, args.seed, args.bound, args.asymmetric
             )
-            _emit(doc, args.format, args.out, _render_theorem)
-            return 0 if doc["passed"] else 1
+            renderer = _render_theorem
 
-        if args.command == "verify-lemmas":
+        elif args.command == "verify-lemmas":
             doc = run_lemma_suite(args.n, args.seed, args.bound, args.corrupt_sign)
-            _emit(doc, args.format, args.out, _render_lemmas)
-            return 0 if doc["passed"] else 1
+            renderer = _render_lemmas
 
-        if args.command == "orbit-audit":
+        elif args.command == "orbit-audit":
             if args.matrix is not None:
                 x = load_matrix(args.matrix)
+                if (x.rows, x.cols) != (args.n, args.n):
+                    raise DimensionError(
+                        f"--n {args.n} does not match the {x.rows}x{x.cols} matrix in {args.matrix}"
+                    )
             else:
                 x = random_symmetric(args.n, _child_seed(args.seed, args.n, 0), args.bound)
-            doc = run_orbit_audit(args.n, args.k, x)
-            _emit(doc, args.format, args.out, _render_orbit_audit)
-            return 0 if doc["passed"] else 1
+            doc = run_orbit_audit(x, args.k)
+            renderer = _render_orbit_audit
 
-        if args.command == "lgv-audit":
+        elif args.command == "lgv-audit":
             doc = run_lgv_audit(args.n)
-            _emit(doc, args.format, args.out, _render_lgv_audit)
-            return 0 if doc["passed"] else 1
+            renderer = _render_lgv_audit
 
-        if args.command == "peakon":
+        elif args.command == "peakon":
             state = load_state(args.state)
             doc = run_peakon(
                 state,
@@ -566,10 +491,9 @@ def main(argv=None) -> int:
             if args.wave_out:
                 grid = np.linspace(args.wave_min, args.wave_max, args.wave_points)
                 _write_wave_csv(args.wave_out, states, grid)
-            _emit(doc, args.format, args.out, _render_peakon)
-            return 0 if doc["passed"] else 1
+            renderer = _render_peakon
 
-        if args.command == "wave":
+        elif args.command == "wave":
             state = load_state(args.state)
             grid = np.linspace(args.x_min, args.x_max, args.points)
             with open(args.out, "w", newline="") as fh:
@@ -579,11 +503,14 @@ def main(argv=None) -> int:
                     writer.writerow([repr(float(xv)), repr(float(uv))])
             return 0
 
+        else:
+            raise AssertionError(f"unhandled command {args.command}")
+
+        _emit(doc, args.format, args.out, renderer)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    raise AssertionError(f"unhandled command {args.command}")
+    return 0 if doc["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -106,7 +106,7 @@ class ExactMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise DimensionError("ragged rows")
-        return ExactMatrix(r, c, tuple(Fraction(v) for row in rows for v in row))
+        return ExactMatrix(r, c, tuple(v for row in rows for v in row))
 
     @staticmethod
     def identity(n: int) -> ExactMatrix:
@@ -278,11 +278,17 @@ def matrix_to_json_dict(m: ExactMatrix) -> dict:
 
 
 def matrix_from_json_dict(d: dict) -> ExactMatrix:
+    """Inverse of `matrix_to_json_dict`.  Entries must be exact: integers or
+    strings such as "-3/4"; floats and booleans are refused."""
     rows, cols = d["rows"], d["cols"]
     entries = d["entries"]
     if len(entries) != rows or any(len(row) != cols for row in entries):
         raise DimensionError("entry grid does not match declared rows/cols")
-    return ExactMatrix.from_rows([[Fraction(v) for v in row] for row in entries])
+    for row in entries:
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise ValueError(f"matrix entries must be integers or exact strings, got {v!r}")
+    return ExactMatrix.from_rows(entries)
 
 
 def save_matrix(m: ExactMatrix, path) -> None:

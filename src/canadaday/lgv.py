@@ -145,23 +145,24 @@ def count_disjoint_families(net: LayeredNetwork, sources: IndexSet, sinks: Index
 
 def audit_table(n: int) -> list[dict]:
     """Three-way table over all index pairs: closed formula, determinant minor
-    of T (rows J, cols I), and the backtracking path-family count."""
+    of T (rows J, cols I), and the backtracking path-family count.  `agree`
+    compares the exact values; the table shows them as integers."""
     net = build_network(n)
     big_t = t_matrix(n)
     table = []
     for k in range(1, n + 1):
         for I in k_subsets(n, k):
             for J in k_subsets(n, k):
-                formula = int(t_minor_formula(I, J))
-                det_value = int(minor(big_t, J, I))
+                formula = t_minor_formula(I, J)
+                det_value = minor(big_t, J, I)
                 lgv_count = count_disjoint_families(net, J, I)
                 table.append(
                     {
                         "k": k,
                         "I": list(I.elems),
                         "J": list(J.elems),
-                        "formula_value": formula,
-                        "det_value": det_value,
+                        "formula_value": int(formula),
+                        "det_value": int(det_value),
                         "lgv_count": lgv_count,
                         "agree": formula == det_value == lgv_count,
                     }

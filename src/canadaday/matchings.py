@@ -15,10 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterator
+from math import comb, factorial
+from typing import Iterator, Sequence
 
 from .exact_linalg import DimensionError, ExactMatrix, IndexSet, Rational, k_subsets
-from .minor_sums import SIZE_GUARD, SymmetryError, interlacing_sum, is_interlacing
+from .minor_sums import (
+    SIZE_GUARD,
+    SymmetryError,
+    interlacing_sum,
+    is_interlacing,
+    p_value,
+    sum_all_minors,
+)
 
 __all__ = [
     "Cluster",
@@ -28,9 +36,7 @@ __all__ = [
     "Orbit",
     "OrbitSumReport",
     "canonical_involution",
-    "classify_orbit",
     "decompose_clusters",
-    "endpoint_separation",
     "enumerate_matchings",
     "flip",
     "minor_via_matchings",
@@ -218,16 +224,6 @@ def decompose_clusters(m: Matching) -> ClusterDecomposition:
     return ClusterDecomposition(m, tuple(clusters))
 
 
-def endpoint_separation(m: Matching, cluster: Cluster) -> int:
-    """Number of entries of the sorted multiset I + J (duplicates kept) lying
-    strictly between an open cluster's endpoint labels; 0 for closed clusters.
-    The cluster must belong to m."""
-    for c in decompose_clusters(m).clusters:
-        if set(c.edges) == set(cluster.edges):
-            return c.separation
-    raise ValueError("given cluster is not a cluster of the matching")
-
-
 def flip(m: Matching, i: int, j: int) -> Matching:
     """Generator f_ij of the flip group: if an open cluster contains the edge
     i -> j or j -> i, reverse every edge of that cluster; otherwise return m
@@ -255,7 +251,7 @@ class Orbit:
     classification: str  # "interlacing" or "non-interlacing"
     representative: Matching | None  # the unique interlacing member, when any
 
-    def to_json_dict(self, x: ExactMatrix | None = None) -> dict:
+    def to_json_dict(self, weights: Sequence[Rational] | None = None) -> dict:
         d = {
             "classification": self.classification,
             "members": [m.to_json_dict() for m in self.members],
@@ -265,8 +261,8 @@ class Orbit:
                 for m in self.members
             ],
         }
-        if x is not None:
-            d["weights"] = [str(weight(m, x)) for m in self.members]
+        if weights is not None:
+            d["weights"] = [str(w) for w in weights]
         return d
 
 
@@ -301,17 +297,6 @@ def orbit(m: Matching) -> Orbit:
     if interlacing_members:
         return Orbit(tuple(members), "interlacing", interlacing_members[0])
     return Orbit(tuple(members), "non-interlacing", None)
-
-
-def classify_orbit(o: Orbit) -> str:
-    """Re-derive the classification both ways (member scan vs even-separation
-    criterion on one member) and return it; raises if the two disagree."""
-    scan = any(is_interlacing(t.row_set(), t.col_set()) for t in o.members)
-    dec = decompose_clusters(o.members[0])
-    even = all(c.separation % 2 == 0 for c in dec.clusters)
-    if scan != even:
-        raise RuntimeError("member scan and separation-parity criterion disagree")
-    return "interlacing" if scan else "non-interlacing"
 
 
 @dataclass(frozen=True)
@@ -361,42 +346,35 @@ def canonical_involution(m: Matching) -> Matching:
 
 @dataclass(frozen=True)
 class OrbitSumReport:
-    """Orbit-by-orbit audit of the alternating matching sum for symmetric X."""
+    """Orbit-by-orbit audit of the alternating matching sum for symmetric X.
+
+    `weights` (one per member) and `orbit_sums` (signed sum of the members)
+    run parallel to `orbits`; `failed_checks` names the properties of the
+    orbit partition that do not hold.
+    """
 
     n: int
     k: int
-    orbit_count: int
-    weight_constant_on_orbits: bool
-    interlacing_orbits_uniform_sign: bool
-    non_interlacing_orbits_balanced: bool
-    matching_sum: Rational
+    orbits: tuple[Orbit, ...]
+    weights: tuple[tuple[Rational, ...], ...]
+    orbit_sums: tuple[Rational, ...]
+    failed_checks: tuple[str, ...]
+    interlacing_orbit_sum: Rational
+    non_interlacing_orbit_sum: Rational
     interlacing_s: Rational
+    all_minors: Rational
+
+    @property
+    def matching_sum(self) -> Rational:
+        return self.interlacing_orbit_sum + self.non_interlacing_orbit_sum
 
     @property
     def sums_equal(self) -> bool:
-        return self.matching_sum == self.interlacing_s
+        return self.matching_sum == self.interlacing_s == self.all_minors
 
     @property
     def all_checks_pass(self) -> bool:
-        return (
-            self.weight_constant_on_orbits
-            and self.interlacing_orbits_uniform_sign
-            and self.non_interlacing_orbits_balanced
-            and self.sums_equal
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "orbit_count": self.orbit_count,
-            "weight_constant_on_orbits": self.weight_constant_on_orbits,
-            "interlacing_orbits_uniform_sign": self.interlacing_orbits_uniform_sign,
-            "non_interlacing_orbits_balanced": self.non_interlacing_orbits_balanced,
-            "sums_equal": self.sums_equal,
-            "matching_sum": str(self.matching_sum),
-            "interlacing_S": str(self.interlacing_s),
-        }
+        return not self.failed_checks and self.sums_equal
 
 
 def partition_into_orbits(n: int, k: int) -> list[Orbit]:
@@ -416,9 +394,16 @@ def partition_into_orbits(n: int, k: int) -> list[Orbit]:
 
 
 def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
-    """Execute the orbit-sum proof on concrete data: partition M_{n,k} into
-    orbits and verify weight constancy, the two sign properties, and that the
-    grand alternating sum equals the interlacing sum S."""
+    """Execute the orbit-sum proof on concrete data.
+
+    Partitions M_{n,k} into flip orbits once and evaluates each member's sign
+    and weight once.  Checks that the orbits partition M_{n,k} (distinct
+    members, C(n,k)^2 * k! in total), that each orbit has 2^p(I,J) members and
+    constant weight, that interlacing orbits have a single sign and that
+    non-interlacing orbits are sign-balanced.  The grand alternating sum is
+    the sum of the orbit sums; it must equal S and the sum of all k x k minors
+    of X, both taken as 1 at k=0.
+    """
     if not x.is_square():
         raise DimensionError(f"need a square matrix, got {x.rows}x{x.cols}")
     if not x.is_symmetric():
@@ -426,34 +411,48 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
     n = x.rows
     orbits = partition_into_orbits(n, k)
     if k == 0:
-        s = Fraction(1)  # the single empty pair contributes the empty minor
+        s = all_minors = Fraction(1)  # the single empty pair contributes the empty minor
     else:
         s = interlacing_sum(x, k)
+        all_minors = sum_all_minors(x, k)
 
-    weight_constant = True
-    uniform_sign = True
-    balanced = True
-    total = Fraction(0)
+    weights = []
+    orbit_sums = []
+    class_sums = {"interlacing": Fraction(0), "non-interlacing": Fraction(0)}
+    sizes_match = weight_constant = uniform_sign = balanced = True
     for o in orbits:
-        weights = [weight(m, x) for m in o.members]
+        ws = tuple(weight(m, x) for m in o.members)
         signs = [sign(m) for m in o.members]
-        if len(set(weights)) > 1:
-            weight_constant = False
+        first = o.members[0]
+        sizes_match &= len(o.members) == 2 ** p_value(first.row_set(), first.col_set())
+        weight_constant &= len(set(ws)) == 1
         if o.classification == "interlacing":
-            if len(set(signs)) > 1:
-                uniform_sign = False
+            uniform_sign &= len(set(signs)) == 1
         else:
-            if sum(signs) != 0:
-                balanced = False
-        total += sum(s * w for s, w in zip(signs, weights))
+            balanced &= sum(signs) == 0
+        orbit_sum = sum((sg * w for sg, w in zip(signs, ws)), Fraction(0))
+        class_sums[o.classification] += orbit_sum
+        weights.append(ws)
+        orbit_sums.append(orbit_sum)
+    member_count = sum(len(o.members) for o in orbits)
+    distinct = {m.edges for o in orbits for m in o.members}
+    checks = {
+        "orbits_partition_matchings": len(distinct) == member_count == comb(n, k) ** 2 * factorial(k),
+        "orbit_sizes_match_p": sizes_match,
+        "weight_constant_on_orbits": weight_constant,
+        "interlacing_orbits_uniform_sign": uniform_sign,
+        "non_interlacing_orbits_balanced": balanced,
+    }
 
     return OrbitSumReport(
         n=n,
         k=k,
-        orbit_count=len(orbits),
-        weight_constant_on_orbits=weight_constant,
-        interlacing_orbits_uniform_sign=uniform_sign,
-        non_interlacing_orbits_balanced=balanced,
-        matching_sum=total,
+        orbits=tuple(orbits),
+        weights=tuple(weights),
+        orbit_sums=tuple(orbit_sums),
+        failed_checks=tuple(name for name, ok in checks.items() if not ok),
+        interlacing_orbit_sum=class_sums["interlacing"],
+        non_interlacing_orbit_sum=class_sums["non-interlacing"],
         interlacing_s=s,
+        all_minors=all_minors,
     )

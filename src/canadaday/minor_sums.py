@@ -27,10 +27,8 @@ from .exact_linalg import (
 __all__ = [
     "SIZE_GUARD",
     "CanadaDayReport",
-    "IndexPairClass",
     "SymmetryError",
     "cauchy_binet_check",
-    "classify_pair",
     "interlacing_sum",
     "is_interlacing",
     "p_value",
@@ -84,18 +82,6 @@ def p_value(I: IndexSet, J: IndexSet) -> int:
     """p(I, J) = k - |I intersect J|, the number of elements I and J do not share."""
     _check_pair(I, J)
     return len(I) - len(set(I.elems) & set(J.elems))
-
-
-@dataclass(frozen=True)
-class IndexPairClass:
-    I: IndexSet
-    J: IndexSet
-    p: int
-    interlacing: bool
-
-
-def classify_pair(I: IndexSet, J: IndexSet) -> IndexPairClass:
-    return IndexPairClass(I, J, p_value(I, J), is_interlacing(I, J))
 
 
 def t_minor_formula(I: IndexSet, J: IndexSet) -> Rational:

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from canadaday import lgv, matchings
 from canadaday.cli import (
     main,
     run_lemma_suite,
@@ -50,20 +52,47 @@ def test_lemma_suite_corrupt_sign_hook():
     assert failed[0]["witness"]["matching"]["edges"]
 
 
+def test_lemma_suite_t_minor_witness_is_failing_audit_row(monkeypatch):
+    real_minor = lgv.minor
+    monkeypatch.setattr(
+        lgv, "minor", lambda m, rows, cols: real_minor(m, rows, cols) + Fraction(1, 2)
+    )
+    doc = run_lemma_suite(n_max=2)
+    (check,) = [c for c in doc["checks"] if not c["passed"]]
+    assert check["name"] == "t_minor_three_way"
+    assert check["witness"] == {
+        "n": 1, "k": 1, "I": [1], "J": [1],
+        "formula_value": 1, "det_value": 1, "lgv_count": 1, "agree": False,
+    }
+
+
+def test_lemma_suite_orbit_witnesses(monkeypatch):
+    real = matchings.partition_into_orbits
+    monkeypatch.setattr(matchings, "partition_into_orbits", lambda n, k: real(n, k)[1:])
+    doc = run_lemma_suite(n_max=2)
+    failed = {c["name"]: c["witness"] for c in doc["checks"] if not c["passed"]}
+    assert failed == {
+        "orbit_structure": {"n": 1, "k": 0, "failed": ["orbits_partition_matchings"]},
+        "grand_matching_sum": {
+            "n": 1, "k": 0, "matching_sum": "0", "interlacing_S": "1", "all_minors": "1",
+        },
+    }
+
+
 def test_lemma_suite_full_n4():
     doc = run_lemma_suite(n_max=4)
     assert doc["passed"]
 
 
 def test_orbit_audit_n3_k2_partitions_all_matchings():
-    doc = run_orbit_audit(3, 2, random_symmetric(3, 2, 9))
+    doc = run_orbit_audit(random_symmetric(3, 2, 9), 2)
     assert doc["passed"]
     assert doc["orbit_count"] == 12
     assert sum(len(o["members"]) for o in doc["orbits"]) == 18
 
 
 def test_orbit_audit_n2_k2():
-    doc = run_orbit_audit(2, 2, random_symmetric(2, 1, 9))
+    doc = run_orbit_audit(random_symmetric(2, 1, 9), 2)
     assert doc["passed"]
     assert doc["orbit_count"] == 2
     members = [m for o in doc["orbits"] for m in o["members"]]
@@ -72,7 +101,7 @@ def test_orbit_audit_n2_k2():
 
 
 def test_orbit_audit_k0():
-    doc = run_orbit_audit(3, 0, random_symmetric(3, 1, 9))
+    doc = run_orbit_audit(random_symmetric(3, 1, 9), 0)
     assert doc["orbit_count"] == 1
     assert doc["orbits"][0]["members"] == [{"n": 3, "edges": []}]
     assert doc["passed"]
@@ -203,6 +232,40 @@ def test_main_orbit_audit_with_matrix_file(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["orbit_count"] == 12
     assert doc["totals"]["matching_sum"] == doc["totals"]["interlacing_S"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--n", "0"],
+        ["verify-theorem", "--trials", "0"],
+        ["verify-theorem", "--n", "3", "--k", "7"],
+        ["verify-lemmas", "--n", "0"],
+    ],
+)
+def test_main_vacuous_run_is_input_error(argv, capsys):
+    # a run that checks nothing must not report PASS
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "n,entries,message",
+    [
+        (2, [["1", "2"], ["3", "4"]], "symmetric"),  # asymmetric X
+        (2, [["1", "2", "3"], ["2", "4", "5"], ["3", "5", "6"]], "3x3"),  # --n 2, 3x3 X
+        (2, [[0.1, "2"], ["2", "3"]], "0.1"),  # float entry
+    ],
+)
+def test_main_orbit_audit_bad_matrix_is_input_error(tmp_path, capsys, n, entries, message):
+    mat = tmp_path / "x.json"
+    mat.write_text(json.dumps({"rows": len(entries), "cols": len(entries), "entries": entries}))
+    assert main(["orbit-audit", "--n", str(n), "--k", "1", "--matrix", str(mat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_json_output_is_deterministic(tmp_path):

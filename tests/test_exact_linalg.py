@@ -209,6 +209,17 @@ def test_json_rejects_bad_shape():
         matrix_from_json_dict({"rows": 2, "cols": 2, "entries": [["1", "2"]]})
 
 
+def test_json_accepts_ints_and_exact_strings():
+    d = {"rows": 1, "cols": 3, "entries": [[2, "-3/4", "0.1"]]}
+    assert matrix_from_json_dict(d).to_rows() == [[2, Fraction(-3, 4), Fraction(1, 10)]]
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, None, [1]])
+def test_json_rejects_inexact_entries(bad):
+    with pytest.raises(ValueError):
+        matrix_from_json_dict({"rows": 1, "cols": 2, "entries": [["1", bad]]})
+
+
 def test_save_and_load_matrix(tmp_path):
     m = random_symmetric(4, 9, 9)
     path = tmp_path / "m.json"

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from canadaday import lgv
 from canadaday.exact_linalg import ExactMatrix, IndexSet, k_subsets, minor, t_matrix
 from canadaday.lgv import (
     LayeredNetwork,
@@ -81,3 +84,20 @@ def test_audit_table():
     assert len(table) == sum(len(list(k_subsets(3, k))) ** 2 for k in (1, 2, 3))
     assert all(row["agree"] for row in table)
     assert {"k", "I", "J", "formula_value", "det_value", "lgv_count", "agree"} == set(table[0])
+
+
+def test_audit_table_compares_exact_values(monkeypatch):
+    # |T_{(2),(1)}| = 2; a determinant of 5/2 must not truncate into agreement
+    real_minor = lgv.minor
+
+    def fake_minor(m, rows, cols):
+        if (rows.elems, cols.elems) == ((2,), (1,)):
+            return Fraction(5, 2)
+        return real_minor(m, rows, cols)
+
+    monkeypatch.setattr(lgv, "minor", fake_minor)
+    bad = [row for row in audit_table(2) if not row["agree"]]
+    assert bad == [
+        {"k": 1, "I": [1], "J": [2], "formula_value": 2, "det_value": 2, "lgv_count": 2,
+         "agree": False}
+    ]

@@ -14,12 +14,11 @@ from canadaday.exact_linalg import (
     random_symmetric,
     t_matrix,
 )
+from canadaday import matchings
 from canadaday.matchings import (
     Matching,
     canonical_involution,
-    classify_orbit,
     decompose_clusters,
-    endpoint_separation,
     enumerate_matchings,
     flip,
     minor_via_matchings,
@@ -30,7 +29,13 @@ from canadaday.matchings import (
     sign_flip_law_check,
     weight,
 )
-from canadaday.minor_sums import SymmetryError, interlacing_sum, is_interlacing, p_value
+from canadaday.minor_sums import (
+    SymmetryError,
+    interlacing_sum,
+    is_interlacing,
+    p_value,
+    sum_all_minors,
+)
 
 # the n=8, k=7 worked matching used throughout the cluster examples
 TAU8 = Matching(8, ((1, 6), (2, 8), (3, 4), (4, 2), (5, 5), (6, 1), (8, 7)))
@@ -186,21 +191,14 @@ def test_open_cluster_count_equals_p():
 def test_endpoint_separation_worked_example():
     dec = decompose_clusters(TAU8)
     c1 = next(c for c in dec.clusters if c.kind == "open")
-    assert endpoint_separation(TAU8, c1) == 6
+    assert c1.separation == 6
     closed = next(c for c in dec.clusters if c.kind == "closed")
-    assert endpoint_separation(TAU8, closed) == 0
+    assert closed.separation == 0
 
 
 def test_endpoint_separation_small_edge():
-    m = Matching(3, ((1, 2),))
-    (c,) = decompose_clusters(m).clusters
-    assert endpoint_separation(m, c) == 0
-
-
-def test_endpoint_separation_rejects_foreign_cluster():
-    other = decompose_clusters(Matching(8, ((1, 2),))).clusters[0]
-    with pytest.raises(ValueError):
-        endpoint_separation(TAU8, other)
+    (c,) = decompose_clusters(Matching(3, ((1, 2),))).clusters
+    assert c.separation == 0
 
 
 def test_flip_worked_example():
@@ -265,16 +263,21 @@ def test_orbit_sizes_are_powers_of_two():
 
 
 def test_classify_orbit_examples():
-    assert classify_orbit(orbit(TAU8)) == "interlacing"
-    assert classify_orbit(orbit(Matching(3, ((1, 3),)))) == "interlacing"
-    assert classify_orbit(orbit(Matching(2, ((1, 2), (2, 1))))) == "interlacing"
-    assert classify_orbit(orbit(Matching(4, ((3, 1), (2, 4))))) == "non-interlacing"
+    assert orbit(TAU8).classification == "interlacing"
+    assert orbit(Matching(3, ((1, 3),))).classification == "interlacing"
+    assert orbit(Matching(2, ((1, 2), (2, 1)))).classification == "interlacing"
+    assert orbit(Matching(4, ((3, 1), (2, 4)))).classification == "non-interlacing"
 
 
 def test_classify_orbit_agrees_both_routes_exhaustively():
+    # member scan against the even-separation criterion on the first member
     for k in range(0, 4):
         for m in enumerate_matchings(3, k):
-            classify_orbit(orbit(m))  # raises on any disagreement
+            o = orbit(m)
+            scan = any(is_interlacing(t.row_set(), t.col_set()) for t in o.members)
+            even = all(c.separation % 2 == 0 for c in decompose_clusters(o.members[0]).clusters)
+            assert scan == even
+            assert o.classification == ("interlacing" if scan else "non-interlacing")
 
 
 def test_sign_flip_law_worked_example():
@@ -314,6 +317,57 @@ def test_orbit_sum_identity_random(n, k, seed):
     rep = orbit_sum_identity(random_symmetric(n, seed, 9), k)
     assert rep.all_checks_pass
     assert rep.matching_sum == rep.interlacing_s
+
+
+def test_orbit_sum_identity_report_matches_direct_enumeration():
+    x = random_symmetric(4, 54, 9)
+    rep = orbit_sum_identity(x, 2)
+    assert rep.failed_checks == ()
+    direct = sum((sign(m) * weight(m, x) for m in enumerate_matchings(4, 2)), Fraction(0))
+    assert rep.matching_sum == direct == sum(rep.orbit_sums)
+    assert rep.interlacing_orbit_sum == direct
+    assert rep.non_interlacing_orbit_sum == 0
+    assert rep.interlacing_s == interlacing_sum(x, 2)
+    assert rep.all_minors == sum_all_minors(x, 2)
+    assert rep.orbits == tuple(partition_into_orbits(4, 2))
+    for o, ws, total in zip(rep.orbits, rep.weights, rep.orbit_sums):
+        assert ws == tuple(weight(m, x) for m in o.members)
+        assert total == sum(sign(m) * w for m, w in zip(o.members, ws))
+
+
+def test_orbit_sum_identity_k0():
+    rep = orbit_sum_identity(random_symmetric(3, 55, 9), 0)
+    assert rep.matching_sum == rep.interlacing_s == rep.all_minors == 1
+    assert rep.all_checks_pass
+
+
+def test_orbit_sum_identity_detects_a_missing_orbit(monkeypatch):
+    real = matchings.partition_into_orbits
+    monkeypatch.setattr(matchings, "partition_into_orbits", lambda n, k: real(n, k)[1:])
+    rep = orbit_sum_identity(random_symmetric(3, 56, 9), 2)
+    assert rep.failed_checks == ("orbits_partition_matchings",)
+    assert not rep.all_checks_pass
+
+
+def test_orbit_sum_identity_detects_a_repeated_orbit(monkeypatch):
+    # swap one orbit for a copy of another of the same size: the member
+    # count still matches C(n,k)^2 k!, but the members are not distinct
+    real = matchings.partition_into_orbits
+
+    def repeated(n, k):
+        orbits = real(n, k)
+        twin = next(o for o in orbits[1:] if len(o.members) == len(orbits[0].members))
+        return [orbits[0] if o is twin else o for o in orbits]
+
+    monkeypatch.setattr(matchings, "partition_into_orbits", repeated)
+    rep = orbit_sum_identity(random_symmetric(3, 56, 9), 2)
+    assert "orbits_partition_matchings" in rep.failed_checks
+
+
+def test_orbit_sum_identity_checks_orbit_sizes(monkeypatch):
+    monkeypatch.setattr(matchings, "p_value", lambda I, J: p_value(I, J) + 1)
+    rep = orbit_sum_identity(random_symmetric(3, 57, 9), 2)
+    assert rep.failed_checks == ("orbit_sizes_match_p",)
 
 
 def test_orbit_sum_identity_rejects_asymmetric():

@@ -16,7 +16,6 @@ from canadaday.exact_linalg import (
 from canadaday.minor_sums import (
     SymmetryError,
     cauchy_binet_check,
-    classify_pair,
     interlacing_sum,
     is_interlacing,
     p_value,
@@ -83,8 +82,8 @@ def test_interlacing_iff_reduced_sets_strictly_interlace():
 
 
 def test_classify_pair_fields():
-    c = classify_pair(IndexSet(4, (1, 3)), IndexSet(4, (2, 4)))
-    assert (c.p, c.interlacing) == (2, True)
+    I, J = IndexSet(4, (1, 3)), IndexSet(4, (2, 4))
+    assert (p_value(I, J), is_interlacing(I, J)) == (2, True)
 
 
 def test_sum_principal_k1_is_trace():
