@@ -183,6 +183,8 @@ def _check_sign_flip_law(n_max: int, corrupt: bool):
                                 "j": j,
                                 "separation": chk.separation,
                             }
+    if corrupt_pending:
+        raise ValueError(f"--corrupt-sign has no flipped pair to corrupt at n <= {n_max}")
     return True, None
 
 

@@ -1,6 +1,7 @@
 """Exact rational linear algebra: dense matrices of arbitrary-precision
-rationals with fraction-free determinants, minors, and the structured
-lower-triangular matrix T with entries 1 + sgn(i - j).
+rationals with fraction-free determinants, minors, the table of all k x k
+minors of a matrix, and the structured lower-triangular matrix T with
+entries 1 + sgn(i - j).
 
 All public interfaces are 1-based in row/column indices, so worked examples
 from the literature transcribe directly.  Internal storage is 0-based
@@ -13,7 +14,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from math import lcm
 from typing import Iterator, Sequence
 
 # Matrix entries are stdlib Fractions: always in lowest terms, positive
@@ -24,6 +26,7 @@ __all__ = [
     "DimensionError",
     "ExactMatrix",
     "IndexSet",
+    "MinorLevel",
     "Rational",
     "determinant",
     "determinant_cofactor",
@@ -32,6 +35,7 @@ __all__ = [
     "matrix_from_json_dict",
     "matrix_to_json_dict",
     "minor",
+    "minor_levels",
     "random_matrix",
     "random_symmetric",
     "save_matrix",
@@ -133,7 +137,10 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and self == self.transpose()
+        if not self.is_square():
+            return False
+        n, e = self.rows, self.entries
+        return all(e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i + 1, n))
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if self.cols != other.rows:
@@ -236,6 +243,64 @@ def minor(m: ExactMatrix, rows: IndexSet, cols: IndexSet) -> Rational:
             f"minor needs equally many rows and columns, got {len(rows)} and {len(cols)}"
         )
     return determinant(submatrix(m, rows, cols))
+
+
+@dataclass(frozen=True, eq=False)
+class MinorLevel:
+    """Every k x k minor of an n x n matrix X over one common denominator.
+
+    `scaled[r][c] == scale * |X_{I_r, J_c}|` exactly, where I_r and J_c are
+    the r-th and c-th sets of `k_subsets(n, k)`.  `scale` is d**k for d the
+    lcm of the denominators of X, so every `scaled` entry is an int.
+    """
+
+    n: int
+    k: int
+    scale: int
+    scaled: tuple[tuple[int, ...], ...]
+
+
+def minor_levels(m: ExactMatrix) -> Iterator[MinorLevel]:
+    """Yield all k x k minors of the square matrix m for k = 1, 2, ..., n.
+
+    Level k is built from level k - 1 by Laplace expansion of each minor
+    along its last row (Aitken's compound-matrix recursion):
+
+        |X_{I,J}| = sum_t (-1)^(k-1+t) x_{i_k, j_t} |X_{I - i_k, J - j_t}|
+
+    m is first scaled to integers by the lcm d of its denominators, so all
+    arithmetic is in Python ints and level k is exact over d**k.  A level is
+    built only when the caller asks for it, and only the level before it is
+    kept to build it.
+    """
+    if not m.is_square():
+        raise DimensionError(f"minor table needs a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    d = lcm(*(v.denominator for v in m.entries))
+    a = [[v.numerator * (d // v.denominator) for v in row] for row in m.to_rows()]
+    prev_rank: dict[tuple[int, ...], int] = {(): 0}
+    prev: tuple[tuple[int, ...], ...] = ((1,),)
+    for k in range(1, n + 1):
+        subsets = list(combinations(range(n), k))
+        # For each column set J: (j_t, rank of J - j_t, sign of the term).
+        expansion = [
+            [
+                (j, prev_rank[J[:t] + J[t + 1 :]], -1 if (k - 1 - t) % 2 else 1)
+                for t, j in enumerate(J)
+            ]
+            for J in subsets
+        ]
+        level = []
+        # Row sets come in runs sharing I - i_k, hence the same smaller minors.
+        for head, row_sets in groupby(subsets, key=lambda s: s[:-1]):
+            above = prev[prev_rank[head]]
+            cofactors = [[(j, sign * above[c]) for j, c, sign in terms] for terms in expansion]
+            for I in row_sets:
+                row = a[I[-1]]
+                level.append(tuple(sum(row[j] * w for j, w in cof) for cof in cofactors))
+        prev = tuple(level)
+        prev_rank = {s: r for r, s in enumerate(subsets)}
+        yield MinorLevel(n, k, d**k, prev)
 
 
 def random_symmetric(n: int, seed: int, entry_bound: int) -> ExactMatrix:

@@ -4,23 +4,32 @@ predicates.
 For an n x n matrix X and 1 <= k <= n the theorem asserts that three sums
 agree: the principal k x k minors of T@X, all k x k minors of X (needs X
 symmetric), and the interlacing-pair sum S = sum over I <= J of
-2^p(I,J) * |X_IJ|.  Everything here is brute-force enumeration over exact
-rationals; that is the point, these sums are the oracle the rest of the
-package is checked against.
+2^p(I,J) * |X_IJ|.  Each sum is an exact reduction over level k of the
+matrix's minor table (`exact_linalg.minor_levels`), with the interlacing
+pairs generated directly.  The table of a matrix is built once and extended
+level by level as larger k are asked for; the table of the matrix used
+last is kept.  Bareiss `minor` stays the independent route the tests
+check the table against.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
+from typing import Iterator, NamedTuple
 
 from .exact_linalg import (
     DimensionError,
     ExactMatrix,
     IndexSet,
+    MinorLevel,
     Rational,
     k_subsets,
     minor,
+    minor_levels,
     t_matrix,
 )
 
@@ -38,9 +47,16 @@ __all__ = [
     "verify_canada_day",
 ]
 
-# The sums enumerate C(n,k)^2 minors; beyond this n they stop being
-# desk-scale, so refuse unless explicitly overridden.
+# Level k of the minor table holds C(n,k)^2 minors (853,776 at n=12,
+# k=6), and the orbit and path audits enumerate as many matchings and path
+# families; beyond this n they stop being desk-scale, so refuse unless
+# explicitly overridden.
 SIZE_GUARD = 12
+
+# Minor tables kept, keyed by matrix; each keeps the table of its T@X.  The
+# callers here walk k = 1..n on one matrix at a time, so one suffices, and a
+# kept table holds a whole level (about 35 MB at n=12, k=6).
+_TABLE_MEMO = 1
 
 
 class SymmetryError(ValueError):
@@ -92,35 +108,84 @@ def t_minor_formula(I: IndexSet, J: IndexSet) -> Rational:
     return Fraction(0)
 
 
-def sum_principal_minors(m: ExactMatrix, k: int, *, allow_large: bool = False) -> Rational:
+def _interlacing_pairs(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every interlacing pair (I, J) of k-subsets of range(n) with p(I, J).
+
+    For each I, j_t ranges over [i_t, i_(t+1)] (j_k over [i_k, n-1]); of
+    those choices, J must still strictly increase.
+    """
+    for I in combinations(range(n), k):
+        spans = (range(lo, hi + 1) for lo, hi in zip(I, I[1:] + (n - 1,)))
+        for J in product(*spans):
+            if all(a < b for a, b in zip(J, J[1:])):
+                yield I, J, k - len(set(I).intersection(J))
+
+
+class _Sums(NamedTuple):
+    principal: Rational
+    all: Rational
+    interlacing: Rational
+
+
+def _reduce(level: MinorLevel) -> _Sums:
+    scaled = level.scaled
+    rank = {s: r for r, s in enumerate(combinations(range(level.n), level.k))}
+    principal = sum(row[r] for r, row in enumerate(scaled))
+    everything = sum(map(sum, scaled))
+    interlacing = sum(
+        scaled[rank[I]][rank[J]] << p for I, J, p in _interlacing_pairs(level.n, level.k)
+    )
+    return _Sums(*(Fraction(v, level.scale) for v in (principal, everything, interlacing)))
+
+
+class _MinorTable:
+    """The three sums of one square matrix for k = 1, 2, ..., extended from
+    its `minor_levels` only as far as callers ask."""
+
+    def __init__(self, m: ExactMatrix) -> None:
+        self._matrix = m
+        self._sums: list[_Sums] = []
+        self._levels = minor_levels(m)
+        self._tx: _MinorTable | None = None
+        self._lock = threading.Lock()
+
+    def at(self, k: int) -> _Sums:
+        with self._lock:
+            while len(self._sums) < k:
+                self._sums.append(_reduce(next(self._levels)))
+            return self._sums[k - 1]
+
+    def of_tx(self) -> _MinorTable:
+        """The table of T@X, formed once per matrix X."""
+        with self._lock:
+            if self._tx is None:
+                self._tx = _MinorTable(t_matrix(self._matrix.rows) @ self._matrix)
+            return self._tx
+
+
+@lru_cache(maxsize=_TABLE_MEMO)
+def _table(m: ExactMatrix) -> _MinorTable:
+    return _MinorTable(m)
+
+
+def _checked_table(m: ExactMatrix, k: int, allow_large: bool) -> _MinorTable:
     if not m.is_square():
         raise DimensionError(f"need a square matrix, got {m.rows}x{m.cols}")
     _check_size(m.rows, k, allow_large)
-    return sum((minor(m, J, J) for J in k_subsets(m.rows, k)), Fraction(0))
+    return _table(m)
+
+
+def sum_principal_minors(m: ExactMatrix, k: int, *, allow_large: bool = False) -> Rational:
+    return _checked_table(m, k, allow_large).at(k).principal
 
 
 def sum_all_minors(m: ExactMatrix, k: int, *, allow_large: bool = False) -> Rational:
-    if not m.is_square():
-        raise DimensionError(f"need a square matrix, got {m.rows}x{m.cols}")
-    _check_size(m.rows, k, allow_large)
-    total = Fraction(0)
-    for I in k_subsets(m.rows, k):
-        for J in k_subsets(m.rows, k):
-            total += minor(m, I, J)
-    return total
+    return _checked_table(m, k, allow_large).at(k).all
 
 
 def interlacing_sum(m: ExactMatrix, k: int, *, allow_large: bool = False) -> Rational:
     """S = sum over interlacing pairs I <= J of 2^p(I,J) * |X_IJ|."""
-    if not m.is_square():
-        raise DimensionError(f"need a square matrix, got {m.rows}x{m.cols}")
-    _check_size(m.rows, k, allow_large)
-    total = Fraction(0)
-    for I in k_subsets(m.rows, k):
-        for J in k_subsets(m.rows, k):
-            if is_interlacing(I, J):
-                total += Fraction(2) ** p_value(I, J) * minor(m, I, J)
-    return total
+    return _checked_table(m, k, allow_large).at(k).interlacing
 
 
 def cauchy_binet_check(
@@ -173,23 +238,18 @@ def verify_canada_day(
     all-minors identity presumes symmetry; the principal-of-TX vs S equality
     holds regardless and is exposed as `part_a_equal` on the report.
     """
-    if not m.is_square():
-        raise DimensionError(f"need a square matrix, got {m.rows}x{m.cols}")
-    _check_size(m.rows, k, allow_large)
+    table = _checked_table(m, k, allow_large)
     if not m.is_symmetric() and not allow_asymmetric:
         raise SymmetryError(
             "matrix is not symmetric; pass allow_asymmetric=True to evaluate anyway"
         )
-    n = m.rows
-    tx = t_matrix(n) @ m
-    principal = sum_principal_minors(tx, k, allow_large=True)
-    all_minors = sum_all_minors(m, k, allow_large=True)
-    s = interlacing_sum(m, k, allow_large=True)
+    sums = table.at(k)
+    principal = table.of_tx().at(k).principal
     return CanadaDayReport(
-        n=n,
+        n=m.rows,
         k=k,
         principal_of_tx=principal,
-        all_of_x=all_minors,
-        interlacing_s=s,
-        all_equal=principal == all_minors == s,
+        all_of_x=sums.all,
+        interlacing_s=sums.interlacing,
+        all_equal=principal == sums.all == sums.interlacing,
     )

@@ -228,6 +228,8 @@ def simulate(
                 if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
                     status = "numerical failure"
                     break
+                # t0 + step*dt, not the sum of the steps, which drifts.
+                s = PeakonState(s0.t + step * dt, s.x, s.m)
                 samples.append({"t": s.t, "H": h.tolist(), "c": c.tolist()})
                 states.append(s)
             if step < steps:

@@ -113,6 +113,17 @@ def test_lgv_audit():
     assert doc["pair_count"] == 69  # sum over k of C(4,k)^2
 
 
+def test_main_lgv_audit_size_guard(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("built a network past the size guard")
+
+    monkeypatch.setattr(lgv, "build_network", refuse)
+    assert main(["lgv-audit", "--n", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the guard 12" in captured.err
+
+
 def test_main_verify_theorem_exit_zero(tmp_path):
     out = tmp_path / "r.json"
     rc = main(
@@ -241,6 +252,7 @@ def test_main_orbit_audit_with_matrix_file(tmp_path):
         ["verify-theorem", "--trials", "0"],
         ["verify-theorem", "--n", "3", "--k", "7"],
         ["verify-lemmas", "--n", "0"],
+        ["verify-lemmas", "--n", "1", "--corrupt-sign"],  # no flipped pair to corrupt
     ],
 )
 def test_main_vacuous_run_is_input_error(argv, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from canadaday.exact_linalg import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     minor,
+    minor_levels,
     random_matrix,
     random_symmetric,
     save_matrix,
@@ -105,6 +107,44 @@ def test_determinant_of_transpose(n):
         assert determinant(m) == determinant(m.transpose())
 
 
+def _rational_matrix(n, seed):
+    """Asymmetric n x n matrix of p/q entries, at least one not an integer."""
+    rng = random.Random(seed)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+    rows[0][n - 1] = Fraction(1, 2)
+    return ExactMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("kind", ["integer symmetric", "integer asymmetric", "rational"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minor_levels_match_bareiss_on_every_pair(kind, n):
+    m = {
+        "integer symmetric": lambda: random_symmetric(n, 1100 + n, 9),
+        "integer asymmetric": lambda: random_matrix(n, 1200 + n, 9),
+        "rational": lambda: _rational_matrix(n, 1300 + n),
+    }[kind]()
+    levels = list(minor_levels(m))
+    assert [level.k for level in levels] == list(range(1, n + 1))
+    for level in levels:
+        subsets = list(k_subsets(n, level.k))
+        assert len(level.scaled) == len(subsets)
+        for r, I in enumerate(subsets):
+            assert len(level.scaled[r]) == len(subsets)
+            for c, J in enumerate(subsets):
+                assert Fraction(level.scaled[r][c], level.scale) == minor(m, I, J)
+
+
+def test_minor_levels_scale_is_power_of_common_denominator():
+    m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
+    assert [level.scale for level in minor_levels(m)] == [210, 210**2]
+    assert [level.scale for level in minor_levels(t_matrix(3))] == [1, 1, 1]
+
+
+def test_minor_levels_rejects_nonsquare():
+    with pytest.raises(DimensionError):
+        next(minor_levels(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])))
+
+
 def test_submatrix_of_t4():
     m = submatrix(t_matrix(4), IndexSet(4, (2, 4)), IndexSet(4, (1, 3)))
     assert m.to_rows() == [[2, 0], [2, 2]]
@@ -155,6 +195,15 @@ def test_random_symmetric_is_symmetric_and_deterministic():
         m = random_symmetric(5, seed, 9)
         assert m == m.transpose()
         assert m == random_symmetric(5, seed, 9)
+
+
+def test_is_symmetric_compares_mirrored_entries():
+    assert ExactMatrix.from_rows([[Fraction(1, 2), 3], ["6/2", 0]]).is_symmetric()
+    assert not ExactMatrix.from_rows([[1, 2], [Fraction(5, 2), 1]]).is_symmetric()
+    assert not ExactMatrix.from_rows([[1, 2], [2, 1], [0, 0]]).is_symmetric()
+    for seed in range(5):
+        for m in (random_symmetric(4, seed, 9), random_matrix(4, seed, 9)):
+            assert m.is_symmetric() == (m == m.transpose())
 
 
 def test_random_symmetric_bound_zero():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from canadaday import minor_sums
 from canadaday.exact_linalg import (
     DimensionError,
     ExactMatrix,
@@ -9,6 +10,7 @@ from canadaday.exact_linalg import (
     determinant,
     k_subsets,
     minor,
+    minor_levels,
     random_matrix,
     random_symmetric,
     t_matrix,
@@ -124,11 +126,52 @@ def test_k_out_of_range():
             sum_all_minors(m, bad_k)
 
 
-def test_size_guard_and_override():
+def test_size_guard_and_override(monkeypatch):
+    built = []
+
+    def counting_levels(m):
+        for level in minor_levels(m):
+            built.append(level.k)
+            yield level
+
+    monkeypatch.setattr(minor_sums, "minor_levels", counting_levels)
+    minor_sums._table.cache_clear()
     m = ExactMatrix.identity(13)
     with pytest.raises(ValueError):
         sum_principal_minors(m, 1)
     assert sum_principal_minors(m, 1, allow_large=True) == 13
+    assert built == [1]  # only the level asked for is built
+
+
+def _bareiss_sums(m, k):
+    """Principal of TX, all of X and S, one Bareiss minor per index pair."""
+    n = m.rows
+    tx = t_matrix(n) @ m
+    pairs = [(I, J) for I in k_subsets(n, k) for J in k_subsets(n, k)]
+    return (
+        sum((minor(tx, J, J) for J in k_subsets(n, k)), Fraction(0)),
+        sum((minor(m, I, J) for I, J in pairs), Fraction(0)),
+        sum(
+            (2 ** p_value(I, J) * minor(m, I, J) for I, J in pairs if is_interlacing(I, J)),
+            Fraction(0),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "ks", [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [3, 5, 1, 4, 2]], ids=["up", "down", "mixed"]
+)
+def test_sums_match_bareiss_in_any_k_order(ks):
+    # one rational symmetric X; the memoised table is dropped first so that
+    # each order builds it afresh and extends it as k grows
+    rows = [[Fraction(i + j - 3, 1 + (i * j) % 4) for j in range(5)] for i in range(5)]
+    m = ExactMatrix.from_rows(rows)
+    assert m.is_symmetric() and any(v.denominator > 1 for v in m.entries)
+    minor_sums._table.cache_clear()
+    for k in ks:
+        r = verify_canada_day(m, k)
+        assert (r.principal_of_tx, r.all_of_x, r.interlacing_s) == _bareiss_sums(m, k)
+        assert r.all_equal
 
 
 def test_interlacing_sum_equals_all_minors_when_symmetric():

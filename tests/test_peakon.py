@@ -159,6 +159,14 @@ def test_simulate_drift_shrinks_sixteenfold():
     assert 8 <= coarse / fine <= 32
 
 
+def test_simulate_sample_times_are_exact_multiples():
+    dt = 1e-3
+    r = simulate(PeakonState(0.5, [-1.0, 1.0], [1.0, 2.0]), dt, 1.0, sample_every=100)
+    expected = [0.5 + step * dt for step in range(0, 1001, 100)]
+    assert [row["t"] for row in r.samples] == expected
+    assert [s.t for s in r.sampled_states] == expected
+
+
 def test_simulate_flags_near_collision():
     r = simulate(PeakonState(0.0, [0.0, 5e-7], [1.0, 1.0]), 1e-3, 1.0)
     assert r.status == "collision"
