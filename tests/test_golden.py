@@ -1,12 +1,16 @@
 """Byte-for-byte guard on the CLI's deterministic reports.
 
 Each case runs one command in both output formats and compares the report,
-and the exit code, with the files under tests/golden/.  A report is only
-meant to change on purpose; regenerate the files from the current code with
+and the exit code, with the files under tests/golden/; the CSV cases do the
+same for the `wave` and `peakon --wave-out` files.  The peakon figures are
+floats, so their golden files hold for one numpy/BLAS build.  A report is
+only meant to change on purpose; regenerate the files from the current code
+with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,7 @@ from canadaday.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 MATRIX = GOLDEN / "matrix_3x3_rational.json"
+STATE = GOLDEN / "state_6peakons.json"
 FORMATS = {"json": "json", "text": "txt"}
 
 # (golden file stem, argv without output flags, expected exit code)
@@ -28,6 +33,22 @@ CASES = [
     ("orbit_audit_n3_k0", ["orbit-audit", "--n", "3", "--k", "0"], 0),
     ("orbit_audit_n3_k2_matrix", ["orbit-audit", "--n", "3", "--k", "2", "--matrix", str(MATRIX)], 0),
     ("lgv_audit_n4", ["lgv-audit", "--n", "4"], 0),
+    ("peakon_n6", ["peakon", "--state", str(STATE), "--t-end", "0.5", "--sample-every", "50"], 0),
+    (
+        "peakon_n6_dt1e-2_tol1e-12",
+        ["peakon", "--state", str(STATE), "--dt", "1e-2", "--t-end", "1", "--tol", "1e-12"],
+        1,
+    ),
+]
+
+# (golden CSV stem, argv that writes the CSV to the path appended to it)
+CSV_CASES = [
+    ("wave_n6", ["wave", "--state", str(STATE), "--points", "21", "--out"]),
+    (
+        "peakon_n6_wave",
+        ["peakon", "--state", str(STATE), "--t-end", "0.5", "--sample-every", "250",
+         "--wave-points", "11", "--out", os.devnull, "--wave-out"],
+    ),
 ]
 
 
@@ -39,8 +60,17 @@ def test_report_matches_golden(stem, argv, code, fmt, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{stem}.{FORMATS[fmt]}").read_bytes()
 
 
+@pytest.mark.parametrize("stem,argv", CSV_CASES, ids=[c[0] for c in CSV_CASES])
+def test_csv_matches_golden(stem, argv, tmp_path):
+    out = tmp_path / "wave.csv"
+    assert main(argv + [str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()
+
+
 if __name__ == "__main__":
     for stem, argv, code in CASES:
         for fmt, ext in FORMATS.items():
             target = GOLDEN / f"{stem}.{ext}"
             assert main(argv + ["--format", fmt, "--out", str(target)]) == code, stem
+    for stem, argv in CSV_CASES:
+        assert main(argv + [str(GOLDEN / f"{stem}.csv")]) == 0, stem
