@@ -33,7 +33,7 @@ from .matchings import (
     sign_flip_law_check,
     weight,
 )
-from .minor_sums import verify_canada_day
+from .minor_sums import SIZE_GUARD, verify_canada_day
 from .peakon import DEFAULT_COLLISION_EPSILON, PeakonState, simulate, waveform
 
 __all__ = [
@@ -53,6 +53,13 @@ def _child_seed(seed: int, *parts: int) -> int:
     return out
 
 
+def _check_guard(n_max: int) -> None:
+    """Refuse a run past SIZE_GUARD before any of its work, not at its
+    first oversized matrix."""
+    if n_max > SIZE_GUARD:
+        raise ValueError(f"n={n_max} exceeds the guard {SIZE_GUARD}")
+
+
 # ---------------------------------------------------------------------------
 # verify-theorem
 
@@ -69,6 +76,7 @@ def run_theorem_campaign(
     matrices.  In asymmetric mode only the principal-of-TX vs S equality is
     required to hold; the all-minors sum is reported so witnesses of its
     failure are visible."""
+    _check_guard(n_max)
     cells = []
     witnesses = []
     passed = True
@@ -218,6 +226,7 @@ def run_lemma_suite(
     sign law, orbit structure, and the grand alternating sum."""
     if n_max < 1:
         raise ValueError(f"nothing to check: need n >= 1, got {n_max}")
+    _check_guard(n_max)
     orbit_structure, grand_sum = _check_orbit_sums(n_max, seed, bound)
     results = [
         ("t_minor_three_way", _check_t_minor_three_way(n_max)),
@@ -310,14 +319,39 @@ def _render_lgv_audit(doc: dict) -> list[str]:
 # peakon / wave
 
 
+def _state_number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is out of float range") from None
+
+
 def load_state(path: str) -> PeakonState:
     """Read {"x": [...], "m": [...], "t": optional} and validate it as an
-    initial state (positions strictly increasing, amplitudes positive)."""
+    initial state (finite numbers, positions strictly increasing, amplitudes
+    positive)."""
     with open(path) as fh:
         d = json.load(fh)
-    state = PeakonState(float(d.get("t", 0.0)), d["x"], d["m"])
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected a JSON object with x and m")
+    arrays = []
+    for key in ("x", "m"):
+        if not isinstance(d.get(key), list):
+            raise ValueError(f"{path}: {key} must be a list of numbers")
+        arrays.append([_state_number(v, f"{path}: {key}[{i}]") for i, v in enumerate(d[key])])
+    state = PeakonState(_state_number(d.get("t", 0.0), f"{path}: t"), *arrays)
     state.validate_initial()
     return state
+
+
+def _grid(lo: float, hi: float, points: int) -> np.ndarray:
+    if points < 1:
+        raise ValueError(f"the wave grid needs at least one point, got {points}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"the wave grid bounds must be finite, got {lo} and {hi}")
+    return np.linspace(lo, hi, points)
 
 
 def _write_wave_csv(path: str, states, grid: np.ndarray) -> None:
@@ -338,6 +372,8 @@ def run_peakon(
     tol: float,
     collision_epsilon: float = DEFAULT_COLLISION_EPSILON,
 ) -> dict:
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     report = simulate(
         state, dt, t_end, sample_every=sample_every, collision_epsilon=collision_epsilon
     )
@@ -481,6 +517,7 @@ def main(argv=None) -> int:
 
         elif args.command == "peakon":
             state = load_state(args.state)
+            grid = _grid(args.wave_min, args.wave_max, args.wave_points) if args.wave_out else None
             doc = run_peakon(
                 state,
                 args.dt,
@@ -490,14 +527,13 @@ def main(argv=None) -> int:
                 args.collision_epsilon,
             )
             states = doc.pop("_states")
-            if args.wave_out:
-                grid = np.linspace(args.wave_min, args.wave_max, args.wave_points)
+            if grid is not None:
                 _write_wave_csv(args.wave_out, states, grid)
             renderer = _render_peakon
 
         elif args.command == "wave":
             state = load_state(args.state)
-            grid = np.linspace(args.x_min, args.x_max, args.points)
+            grid = _grid(args.x_min, args.x_max, args.points)
             with open(args.out, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["x", "u"])

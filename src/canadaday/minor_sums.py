@@ -123,14 +123,16 @@ def _interlacing_pairs(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[
 
 class _Sums(NamedTuple):
     principal: Rational
-    all: Rational
-    interlacing: Rational
+    all: Rational | None  # None where only the principal sum is read
+    interlacing: Rational | None
 
 
-def _reduce(level: MinorLevel) -> _Sums:
+def _reduce(level: MinorLevel, principal_only: bool) -> _Sums:
     scaled = level.scaled
-    rank = {s: r for r, s in enumerate(combinations(range(level.n), level.k))}
     principal = sum(row[r] for r, row in enumerate(scaled))
+    if principal_only:
+        return _Sums(Fraction(principal, level.scale), None, None)
+    rank = {s: r for r, s in enumerate(combinations(range(level.n), level.k))}
     everything = sum(map(sum, scaled))
     interlacing = sum(
         scaled[rank[I]][rank[J]] << p for I, J, p in _interlacing_pairs(level.n, level.k)
@@ -140,10 +142,12 @@ def _reduce(level: MinorLevel) -> _Sums:
 
 class _MinorTable:
     """The three sums of one square matrix for k = 1, 2, ..., extended from
-    its `minor_levels` only as far as callers ask."""
+    its `minor_levels` only as far as callers ask; with principal_only, just
+    the principal sums."""
 
-    def __init__(self, m: ExactMatrix) -> None:
+    def __init__(self, m: ExactMatrix, principal_only: bool = False) -> None:
         self._matrix = m
+        self._principal_only = principal_only
         self._sums: list[_Sums] = []
         self._levels = minor_levels(m)
         self._tx: _MinorTable | None = None
@@ -152,14 +156,16 @@ class _MinorTable:
     def at(self, k: int) -> _Sums:
         with self._lock:
             while len(self._sums) < k:
-                self._sums.append(_reduce(next(self._levels)))
+                self._sums.append(_reduce(next(self._levels), self._principal_only))
             return self._sums[k - 1]
 
     def of_tx(self) -> _MinorTable:
-        """The table of T@X, formed once per matrix X."""
+        """The table of T@X, formed once per matrix X.  Only its principal
+        sums are read, so only they are reduced."""
         with self._lock:
             if self._tx is None:
-                self._tx = _MinorTable(t_matrix(self._matrix.rows) @ self._matrix)
+                tx = t_matrix(self._matrix.rows) @ self._matrix
+                self._tx = _MinorTable(tx, principal_only=True)
             return self._tx
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from canadaday import lgv, matchings
 from canadaday.cli import (
+    load_state,
     main,
     run_lemma_suite,
     run_lgv_audit,
@@ -124,6 +125,28 @@ def test_main_lgv_audit_size_guard(monkeypatch, capsys):
     assert "exceeds the guard 12" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,heavy",
+    [
+        (["verify-theorem", "--n", "13", "--trials", "1"],
+         ["random_symmetric", "random_matrix", "verify_canada_day"]),
+        (["verify-lemmas", "--n", "13"],
+         ["random_symmetric", "orbit_sum_identity", "audit_table", "enumerate_matchings"]),
+    ],
+    ids=["verify-theorem", "verify-lemmas"],
+)
+def test_main_campaign_size_guard_checked_first(monkeypatch, capsys, argv, heavy):
+    def refuse(*args, **kwargs):
+        raise AssertionError("did work before checking the size guard")
+
+    for name in heavy:
+        monkeypatch.setattr(f"canadaday.cli.{name}", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the guard 12" in captured.err
+
+
 def test_main_verify_theorem_exit_zero(tmp_path):
     out = tmp_path / "r.json"
     rc = main(
@@ -210,6 +233,55 @@ def test_main_peakon_unsorted_positions_is_input_error(tmp_path):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"x": [1.0, -1.0], "m": [1.0, 2.0]}))
     assert main(["peakon", "--state", str(state)]) == 2
+
+
+GOOD_STATE = '{"x": [-1.0, 1.0], "m": [1.0, 2.0]}'
+
+
+@pytest.mark.parametrize(
+    "state,argv",
+    [
+        ('{"x": [0.0, Infinity], "m": [1.0, 1.0]}', ["peakon"]),
+        ('{"x": [0.0, 1.0], "m": [1.0, Infinity]}', ["peakon"]),
+        ('{"t": NaN, "x": [0.0, 1.0], "m": [1.0, 1.0]}', ["peakon"]),
+        ("[[0.0, 1.0], [1.0, 1.0]]", ["peakon"]),
+        ('{"x": [0.0, 1.0], "m": [true, 1.0]}', ["peakon"]),
+        ('{"x": [0.0, "1"], "m": [1.0, 1.0]}', ["peakon"]),
+        ('{"x": [0.0, 1.0], "m": [1.0, 1' + "0" * 400 + ']}', ["peakon"]),
+        (GOOD_STATE, ["peakon", "--t-end", "inf"]),
+        (GOOD_STATE, ["peakon", "--dt", "1e-320"]),
+        (GOOD_STATE, ["peakon", "--dt", "inf"]),
+        (GOOD_STATE, ["peakon", "--dt", "nan"]),
+        (GOOD_STATE, ["peakon", "--tol", "nan"]),
+        (GOOD_STATE, ["peakon", "--collision-epsilon", "nan"]),
+        (GOOD_STATE, ["peakon", "--wave-points", "0", "--wave-out", "WAVE"]),
+        (GOOD_STATE, ["peakon", "--wave-min", "nan", "--wave-out", "WAVE"]),
+        (GOOD_STATE, ["wave", "--points", "0"]),
+    ],
+    ids=[
+        "x-infinity", "m-infinity", "t-nan", "top-level-list", "bool-entry", "string-entry",
+        "int-overflow", "t-end-inf", "dt-underflow", "dt-inf", "dt-nan", "tol-nan",
+        "collision-epsilon-nan", "wave-points-0", "wave-min-nan", "wave-0-points",
+    ],
+)
+def test_main_peakon_bad_input_is_input_error(tmp_path, capsys, state, argv):
+    # bad input exits 2 with a one-line error, before anything is written
+    path = tmp_path / "state.json"
+    path.write_text(state)
+    out, wave = tmp_path / "out", tmp_path / "wave.csv"
+    argv = [str(wave) if a == "WAVE" else a for a in argv]
+    assert main(argv + ["--state", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists() and not wave.exists()
+
+
+def test_load_state_accepts_int_entries(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text('{"t": 1, "x": [-1, 2], "m": [3, 1]}')
+    s = load_state(str(path))
+    assert (s.t, s.x.tolist(), s.m.tolist()) == (1.0, [-1.0, 2.0], [3.0, 1.0])
 
 
 def test_main_missing_state_file_is_input_error(tmp_path):

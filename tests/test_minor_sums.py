@@ -174,6 +174,24 @@ def test_sums_match_bareiss_in_any_k_order(ks):
         assert r.all_equal
 
 
+def test_tx_table_reduces_only_principal_sums(monkeypatch):
+    # verify_canada_day reads only the principal sums of T@X, so walking
+    # k = 1..n reduces interlacing pairs for the n levels of X alone
+    calls = []
+    real = minor_sums._interlacing_pairs
+
+    def counting_pairs(n, k):
+        calls.append(k)
+        return real(n, k)
+
+    monkeypatch.setattr(minor_sums, "_interlacing_pairs", counting_pairs)
+    minor_sums._table.cache_clear()
+    m = random_symmetric(4, 41, 9)
+    for k in range(1, 5):
+        assert verify_canada_day(m, k).all_equal
+    assert calls == [1, 2, 3, 4]
+
+
 def test_interlacing_sum_equals_all_minors_when_symmetric():
     for seed in range(5):
         m = random_symmetric(3, 300 + seed, 9)

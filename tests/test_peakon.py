@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -203,3 +204,69 @@ def test_state_validation():
         PeakonState(0.0, [0.0, 1.0], [1.0])
     with pytest.raises(ValueError):
         PeakonState(0.0, [], [])
+
+
+# --- oracles: the scalar formulas the vectorised code must reproduce bit for bit
+
+
+def _scalar_sum_all_minors(mat, k):
+    """One np.ix_ gather and one scalar determinant per (rows, cols) pair,
+    summed one at a time in enumeration order."""
+    subsets = list(combinations(range(mat.shape[0]), k))
+    total = 0.0
+    for rows in subsets:
+        for cols in subsets:
+            sub = mat[np.ix_(rows, cols)]
+            total += sub[0, 0] if k == 1 else float(np.linalg.det(sub))
+    return total
+
+
+def _scalar_constants(s):
+    mats = build_matrices(s)
+    pep = mats.P @ mats.E @ mats.P
+    return [_scalar_sum_all_minors(pep, k) for k in range(1, s.n + 1)]
+
+
+def _formula_rhs(x, m):
+    diffs = x[:, None] - x[None, :]
+    e = np.exp(-np.abs(diffs))
+    u = e @ m
+    slope = (np.sign(diffs) * e) @ m
+    return u**2, m * u * slope
+
+
+def _formula_rk4(s, dt):
+    kx1, km1 = _formula_rhs(s.x, s.m)
+    kx2, km2 = _formula_rhs(s.x + 0.5 * dt * kx1, s.m + 0.5 * dt * km1)
+    kx3, km3 = _formula_rhs(s.x + 0.5 * dt * kx2, s.m + 0.5 * dt * km2)
+    kx4, km4 = _formula_rhs(s.x + dt * kx3, s.m + dt * km3)
+    return (
+        s.t + dt,
+        s.x + dt / 6.0 * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4),
+        s.m + dt / 6.0 * (km1 + 2.0 * km2 + 2.0 * km3 + km4),
+    )
+
+
+def _random_ordered_states(n, count=3):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(count):
+        x = np.cumsum(rng.uniform(0.2, 2.5, n)) - 1.2 * n
+        yield PeakonState(0.0, x, rng.uniform(0.3, 2.0, n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_constants_equal_scalar_oracle_exactly(n):
+    for s in _random_ordered_states(n):
+        assert constants_of_motion(s).tolist() == _scalar_constants(s)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rhs_and_rk4_step_equal_formulas_exactly(n):
+    for s in _random_ordered_states(n):
+        dx, dm = ode_rhs(s)
+        fx, fm = _formula_rhs(s.x, s.m)
+        assert np.array_equal(dx, fx) and np.array_equal(dm, fm)
+        for dt in (1e-3, -2.5e-2):
+            nxt = rk4_step(s, dt)
+            t, x, m = _formula_rk4(s, dt)
+            assert nxt.t == t and np.array_equal(nxt.x, x) and np.array_equal(nxt.m, m)
