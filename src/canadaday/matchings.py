@@ -12,8 +12,10 @@ sign-balanced and cancel, interlacing orbits contribute 2^p equal terms.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import comb, factorial
 from typing import Iterator, Sequence
@@ -71,6 +73,12 @@ class Matching:
     def k(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _clusters(self) -> tuple[Cluster, ...]:
+        # cached_property writes the instance __dict__, past the frozen
+        # __setattr__; dataclass eq, hash and repr see only the fields.
+        return _trace_clusters(self)
+
     def row_set(self) -> IndexSet:
         return IndexSet(self.n, tuple(i for i, _ in self.edges))
 
@@ -118,10 +126,12 @@ def weight(m: Matching, x: ExactMatrix) -> Rational:
     """Product of the matrix entries along the matching's edges."""
     if m.n > x.rows or m.n > x.cols:
         raise DimensionError(f"matching on n={m.n} does not fit a {x.rows}x{x.cols} matrix")
-    total = Fraction(1)
+    num = den = 1
     for i, j in m.edges:
-        total *= x.entry(i, j)
-    return total
+        e = x.entry(i, j)
+        num *= e.numerator
+        den *= e.denominator
+    return Fraction(num, den)
 
 
 def minor_via_matchings(x: ExactMatrix, I: IndexSet, J: IndexSet) -> Rational:
@@ -162,66 +172,49 @@ class ClusterDecomposition:
         return tuple(c for c in self.clusters if c.kind == "open")
 
 
-def _separation(I: tuple[int, ...], J: tuple[int, ...], a: int, b: int) -> int:
-    lo, hi = min(a, b), max(a, b)
-    return sum(1 for v in list(I) + list(J) if lo < v < hi)
-
-
 def decompose_clusters(m: Matching) -> ClusterDecomposition:
     """Partition the edges into clusters: connected components after
     temporarily adding auxiliary edges r -> r for every r in both I and J.
 
-    Components are found by union-find over the left/right node pairs; a
-    component is open exactly when it touches a node of degree one, i.e. a
-    left node outside J or a right node outside I.
+    With those links the matching is the partial permutation tau of the node
+    labels, so each open cluster is the path that starts at a left node in
+    I - J and follows tau through I & J until it reaches a node of J - I,
+    and each closed cluster is a cycle of tau on I & J.  The clusters are
+    traced once per Matching instance, one step per edge, and kept on it.
     """
-    I = tuple(i for i, _ in m.edges)
-    J = tuple(sorted(j for _, j in m.edges))
-    common = set(I) & set(J)
+    return ClusterDecomposition(m, m._clusters)
 
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+def _trace_clusters(m: Matching) -> tuple[Cluster, ...]:
+    tau = dict(m.edges)
+    I = tuple(tau)  # sorted, as the edges are
+    J = tuple(sorted(tau.values()))
+    targets = set(J)
+    todo = set(I)
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i in I:
-        parent[("L", i)] = ("L", i)
-    for j in J:
-        parent[("R", j)] = ("R", j)
-    for i, j in m.edges:
-        union(("L", i), ("R", j))
-    for r in common:
-        union(("L", r), ("R", r))
-
-    groups: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for e in m.edges:
-        groups.setdefault(find(("L", e[0])), []).append(e)
+    def walk(i: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        """Follow tau from left node i to where it leaves I or returns to i."""
+        edges = []
+        while i in todo:
+            todo.remove(i)
+            edges.append((i, tau[i]))
+            i = tau[i]
+        return tuple(sorted(edges)), i
 
     clusters = []
-    for edges in groups.values():
-        lefts = {i for i, _ in edges}
-        rights = {j for _, j in edges}
-        open_left = sorted(lefts - common)
-        open_right = sorted(rights - common)
-        if open_left or open_right:
-            if len(open_left) != 1 or len(open_right) != 1:
-                raise RuntimeError(f"open component with endpoints {open_left}/{open_right}")
-            a, b = open_left[0], open_right[0]
-            clusters.append(
-                Cluster(tuple(edges), "open", (a, b), _separation(I, J, a, b))
+    for a in I:
+        if a not in targets:
+            edges, b = walk(a)
+            lo, hi = min(a, b), max(a, b)
+            separation = (
+                bisect_left(I, hi) - bisect_right(I, lo) + bisect_left(J, hi) - bisect_right(J, lo)
             )
-        else:
-            clusters.append(Cluster(tuple(edges), "closed", None, 0))
+            clusters.append(Cluster(edges, "open", (a, b), separation))
+    for r in I:
+        if r in todo:
+            clusters.append(Cluster(walk(r)[0], "closed", None, 0))
     clusters.sort(key=lambda c: c.edges)
-    return ClusterDecomposition(m, tuple(clusters))
+    return tuple(clusters)
 
 
 def flip(m: Matching, i: int, j: int) -> Matching:

@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "H_GUARD",
+    "MAX_STEPS",
     "ConservationReport",
     "PeakonMatrices",
     "PeakonState",
@@ -41,6 +42,10 @@ __all__ = [
 # call; at n=8 that is 12,869 minors per sample, and the minor count grows
 # about 4x per step in n past it.
 H_GUARD = 8
+
+# simulate refuses more RK4 steps than this; one step at n=6 takes about
+# 43 us, so the cap is about seven minutes of stepping there.
+MAX_STEPS = 10**7
 
 DEFAULT_COLLISION_EPSILON = 1e-6
 
@@ -225,7 +230,7 @@ def simulate(
     Aborts with a flagged partial report if positions get within
     collision_epsilon of each other (the smooth-ODE regime ends there) or if
     the state stops being finite.  Raises ValueError on a non-finite or
-    non-positive dt or t_end, a step count that overflows, a negative or
+    non-positive dt or t_end, more than MAX_STEPS steps, a negative or
     non-finite collision_epsilon, or an initial state that fails
     `validate_initial`.
     """
@@ -234,8 +239,8 @@ def simulate(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if not t_end / dt < math.inf:
-        raise ValueError(f"t_end / dt = {t_end} / {dt} is not a finite step count")
+    if not t_end / dt <= MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end} / {dt} exceeds {MAX_STEPS} steps")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if not 0 <= collision_epsilon < math.inf:

@@ -250,6 +250,7 @@ GOOD_STATE = '{"x": [-1.0, 1.0], "m": [1.0, 2.0]}'
         ('{"x": [0.0, 1.0], "m": [1.0, 1' + "0" * 400 + ']}', ["peakon"]),
         (GOOD_STATE, ["peakon", "--t-end", "inf"]),
         (GOOD_STATE, ["peakon", "--dt", "1e-320"]),
+        (GOOD_STATE, ["peakon", "--dt", "1e-300"]),
         (GOOD_STATE, ["peakon", "--dt", "inf"]),
         (GOOD_STATE, ["peakon", "--dt", "nan"]),
         (GOOD_STATE, ["peakon", "--tol", "nan"]),
@@ -260,7 +261,7 @@ GOOD_STATE = '{"x": [-1.0, 1.0], "m": [1.0, 2.0]}'
     ],
     ids=[
         "x-infinity", "m-infinity", "t-nan", "top-level-list", "bool-entry", "string-entry",
-        "int-overflow", "t-end-inf", "dt-underflow", "dt-inf", "dt-nan", "tol-nan",
+        "int-overflow", "t-end-inf", "dt-underflow", "dt-step-cap", "dt-inf", "dt-nan", "tol-nan",
         "collision-epsilon-nan", "wave-points-0", "wave-min-nan", "wave-0-points",
     ],
 )

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,10 @@ from canadaday.exact_linalg import (
     t_matrix,
 )
 from canadaday import matchings
+from canadaday.cli import _check_sign_flip_law
 from canadaday.matchings import (
+    Cluster,
+    ClusterDecomposition,
     Matching,
     canonical_involution,
     decompose_clusters,
@@ -39,6 +42,15 @@ from canadaday.minor_sums import (
 
 # the n=8, k=7 worked matching used throughout the cluster examples
 TAU8 = Matching(8, ((1, 6), (2, 8), (3, 4), (4, 2), (5, 5), (6, 1), (8, 7)))
+
+
+@st.composite
+def _matchings(draw, max_n=10):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    k = draw(st.integers(min_value=0, max_value=n))
+    rows = draw(st.permutations(range(1, n + 1)))[:k]
+    cols = draw(st.permutations(range(1, n + 1)))[:k]
+    return Matching(n, tuple(zip(rows, cols)))
 
 
 def _perm_parity_sign(m: Matching) -> int:
@@ -119,6 +131,31 @@ def test_weight_single_edge_is_entry():
     assert weight(Matching(3, ((2, 3),)), x) == x.entry(2, 3)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    m=_matchings(max_n=6),
+    entries=st.lists(
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)), min_size=36, max_size=36
+    ),
+)
+def test_weight_equals_running_fraction_product(m, entries):
+    # entries p/q with |p|, q <= 9: negative, zero and non-integer values
+    x = ExactMatrix.from_rows([entries[6 * r : 6 * r + 6] for r in range(6)])
+    expected = Fraction(1)
+    for i, j in m.edges:
+        expected *= x.entry(i, j)
+    w = weight(m, x)
+    assert isinstance(w, Fraction) and w == expected
+    assert w.denominator > 0 and gcd(w.numerator, w.denominator) == 1
+
+
+def test_weight_zero_and_negative_entries():
+    x = ExactMatrix.from_rows([[Fraction(-2, 3), 0], [Fraction(3, 4), Fraction(-5, 6)]])
+    assert weight(Matching(2, ((1, 1), (2, 2))), x) == Fraction(5, 9)
+    zero = weight(Matching(2, ((1, 2), (2, 1))), x)
+    assert (zero.numerator, zero.denominator) == (0, 1)
+
+
 def test_minor_via_matchings_k1():
     x = random_symmetric(3, 3, 9)
     assert minor_via_matchings(x, IndexSet(3, (2,)), IndexSet(3, (3,))) == x.entry(2, 3)
@@ -153,6 +190,94 @@ def test_minor_via_matchings_random(rows, I, J):
     J_set = IndexSet(4, tuple(sorted(J))[:k])
     x = ExactMatrix.from_rows(rows)
     assert minor_via_matchings(x, I_set, J_set) == minor(x, I_set, J_set)
+
+
+def _union_find_clusters(m: Matching) -> tuple[Cluster, ...]:
+    """Oracle for the cluster tracer: connected components of the matching
+    plus the auxiliary r -> r links, found by union-find over left/right
+    nodes; a component is open when it touches a node of degree one."""
+    I = tuple(i for i, _ in m.edges)
+    J = tuple(sorted(j for _, j in m.edges))
+    common = set(I) & set(J)
+    parent = {("L", i): ("L", i) for i in I} | {("R", j): ("R", j) for j in J}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for i, j in m.edges:
+        union(("L", i), ("R", j))
+    for r in common:
+        union(("L", r), ("R", r))
+
+    groups = {}
+    for e in m.edges:
+        groups.setdefault(find(("L", e[0])), []).append(e)
+
+    clusters = []
+    for edges in groups.values():
+        open_left = sorted({i for i, _ in edges} - common)
+        open_right = sorted({j for _, j in edges} - common)
+        if open_left or open_right:
+            assert len(open_left) == len(open_right) == 1
+            a, b = open_left[0], open_right[0]
+            lo, hi = min(a, b), max(a, b)
+            separation = sum(1 for v in I + J if lo < v < hi)
+            clusters.append(Cluster(tuple(edges), "open", (a, b), separation))
+        else:
+            clusters.append(Cluster(tuple(edges), "closed", None, 0))
+    clusters.sort(key=lambda c: c.edges)
+    return tuple(clusters)
+
+
+def test_traced_clusters_equal_union_find_exhaustively():
+    for n in range(0, 6):
+        for k in range(0, n + 1):
+            for m in enumerate_matchings(n, k):
+                assert decompose_clusters(m) == ClusterDecomposition(m, _union_find_clusters(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_matchings())
+def test_traced_clusters_equal_union_find_random(m):
+    assert decompose_clusters(m).clusters == _union_find_clusters(m)
+
+
+def _count_traces(monkeypatch) -> list[Matching]:
+    traced = []
+    real = matchings._trace_clusters
+
+    def counting(m):
+        traced.append(m)
+        return real(m)
+
+    monkeypatch.setattr(matchings, "_trace_clusters", counting)
+    return traced
+
+
+def test_clusters_traced_once_per_instance(monkeypatch):
+    traced = _count_traces(monkeypatch)
+    m = Matching(8, TAU8.edges)
+    first = decompose_clusters(m)
+    assert decompose_clusters(m) == first
+    assert len(traced) == 1
+    twin = Matching(8, TAU8.edges)
+    assert twin == m and decompose_clusters(twin) == first
+    assert len(traced) == 2
+
+
+def test_sign_flip_law_suite_traces_each_instance_at_most_once(monkeypatch):
+    traced = _count_traces(monkeypatch)
+    assert _check_sign_flip_law(3, False) == (True, None)
+    # the list keeps every traced instance alive, so ids are not reused
+    assert traced and len({id(m) for m in traced}) == len(traced)
 
 
 def test_cluster_decomposition_worked_example():
