@@ -27,6 +27,7 @@ CASES = [
     ("theorem_n4_trials3_seed7", ["verify-theorem", "--n", "4", "--trials", "3", "--seed", "7"], 0),
     ("theorem_n3_trials4_asymmetric", ["verify-theorem", "--n", "3", "--trials", "4", "--asymmetric"], 0),
     ("theorem_n5_k2_trials2", ["verify-theorem", "--n", "5", "--k", "2", "--trials", "2"], 0),
+    ("theorem_n6_trials1_seed5", ["verify-theorem", "--n", "6", "--trials", "1", "--seed", "5"], 0),
     ("lemmas_n3", ["verify-lemmas", "--n", "3"], 0),
     ("lemmas_n2_corrupt_sign", ["verify-lemmas", "--n", "2", "--corrupt-sign"], 1),
     ("orbit_audit_n3_k2_seed9", ["orbit-audit", "--n", "3", "--k", "2", "--seed", "9"], 0),
