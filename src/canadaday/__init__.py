@@ -36,7 +36,6 @@ from .matchings import (
 from .minor_sums import (
     CanadaDayReport,
     SymmetryError,
-    cauchy_binet_check,
     interlacing_sum,
     is_interlacing,
     p_value,
@@ -57,7 +56,6 @@ __all__ = [
     "Rational",
     "SymmetryError",
     "build_network",
-    "cauchy_binet_check",
     "char_poly_coefficients",
     "constants_of_motion",
     "count_disjoint_families",

@@ -4,12 +4,12 @@ predicates.
 For an n x n matrix X and 1 <= k <= n the theorem asserts that three sums
 agree: the principal k x k minors of T@X, all k x k minors of X (needs X
 symmetric), and the interlacing-pair sum S = sum over I <= J of
-2^p(I,J) * |X_IJ|.  Each sum is an exact reduction over level k of the
-matrix's minor table (`exact_linalg.minor_levels`), with the interlacing
-pairs generated directly.  The table of a matrix is built once and extended
-level by level as larger k are asked for; the table of the matrix used
-last is kept.  Bareiss `minor` stays the independent route the tests
-check the table against.
+2^p(I,J) * |X_IJ|.  The last two are exact reductions over level k of X's
+minor table (`exact_linalg.minor_levels`), built once per matrix and
+extended as larger k are asked for, over interlacing pairs built once per
+(n, k).  The principal sums of T@X are (-1)^k c_k(TX), from its Berkowitz
+characteristic polynomial, so a fault in the table cannot make all three
+agree.  Bareiss `minor` stays the independent route the tests check both.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterator, NamedTuple
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations, product
+from operator import add
+from typing import NamedTuple
 
 from .exact_linalg import (
     DimensionError,
@@ -27,17 +28,15 @@ from .exact_linalg import (
     IndexSet,
     MinorLevel,
     Rational,
-    k_subsets,
-    minor,
+    integer_char_poly,
     minor_levels,
-    t_matrix,
+    scaled_to_integers,
 )
 
 __all__ = [
     "SIZE_GUARD",
     "CanadaDayReport",
     "SymmetryError",
-    "cauchy_binet_check",
     "interlacing_sum",
     "is_interlacing",
     "p_value",
@@ -53,9 +52,9 @@ __all__ = [
 # explicitly overridden.
 SIZE_GUARD = 12
 
-# Minor tables kept, keyed by matrix; each keeps the table of its T@X.  The
-# callers here walk k = 1..n on one matrix at a time, so one suffices, and a
-# kept table holds a whole level (about 35 MB at n=12, k=6).
+# Minor tables kept, keyed by matrix; each keeps the char poly of its T@X.
+# The callers here walk k = 1..n on one matrix at a time, so one suffices,
+# and a kept table holds a whole level (about 35 MB at n=12, k=6).
 _TABLE_MEMO = 1
 
 
@@ -108,65 +107,64 @@ def t_minor_formula(I: IndexSet, J: IndexSet) -> Rational:
     return Fraction(0)
 
 
-def _interlacing_pairs(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Every interlacing pair (I, J) of k-subsets of range(n) with p(I, J).
+# Every (n, k) under the guard; all k at n=12 hold about 20 MB.
+@lru_cache(maxsize=SIZE_GUARD * (SIZE_GUARD + 1) // 2)
+def _interlacing_ranks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """Every interlacing pair (I, J) of k-subsets of range(n), as (rank of I,
+    rank of J, p(I, J)) with ranks in `combinations` order.
 
     For each I, j_t ranges over [i_t, i_(t+1)] (j_k over [i_k, n-1]); of
     those choices, J must still strictly increase.
     """
-    for I in combinations(range(n), k):
-        spans = (range(lo, hi + 1) for lo, hi in zip(I, I[1:] + (n - 1,)))
-        for J in product(*spans):
-            if all(a < b for a, b in zip(J, J[1:])):
-                yield I, J, k - len(set(I).intersection(J))
+    subsets = list(combinations(range(n), k))
+    rank = {s: r for r, s in enumerate(subsets)}
+    return tuple(
+        (rank[I], rank[J], k - len(set(I).intersection(J)))
+        for I in subsets
+        for J in product(*(range(lo, hi + 1) for lo, hi in zip(I, I[1:] + (n - 1,))))
+        if all(a < b for a, b in zip(J, J[1:]))
+    )
 
 
 class _Sums(NamedTuple):
     principal: Rational
-    all: Rational | None  # None where only the principal sum is read
-    interlacing: Rational | None
+    all: Rational
+    interlacing: Rational
 
 
-def _reduce(level: MinorLevel, principal_only: bool) -> _Sums:
+def _reduce(level: MinorLevel) -> _Sums:
     scaled = level.scaled
     principal = sum(row[r] for r, row in enumerate(scaled))
-    if principal_only:
-        return _Sums(Fraction(principal, level.scale), None, None)
-    rank = {s: r for r, s in enumerate(combinations(range(level.n), level.k))}
     everything = sum(map(sum, scaled))
-    interlacing = sum(
-        scaled[rank[I]][rank[J]] << p for I, J, p in _interlacing_pairs(level.n, level.k)
-    )
+    interlacing = sum(scaled[i][j] << p for i, j, p in _interlacing_ranks(level.n, level.k))
     return _Sums(*(Fraction(v, level.scale) for v in (principal, everything, interlacing)))
 
 
 class _MinorTable:
-    """The three sums of one square matrix for k = 1, 2, ..., extended from
-    its `minor_levels` only as far as callers ask; with principal_only, just
-    the principal sums."""
+    """The three sums of one square matrix X for k = 1, 2, ..., extended from
+    its `minor_levels` only as far as callers ask, and the principal sums of
+    TX from its char poly."""
 
-    def __init__(self, m: ExactMatrix, principal_only: bool = False) -> None:
+    def __init__(self, m: ExactMatrix) -> None:
         self._matrix = m
-        self._principal_only = principal_only
         self._sums: list[_Sums] = []
         self._levels = minor_levels(m)
-        self._tx: _MinorTable | None = None
         self._lock = threading.Lock()
 
     def at(self, k: int) -> _Sums:
         with self._lock:
             while len(self._sums) < k:
-                self._sums.append(_reduce(next(self._levels), self._principal_only))
+                self._sums.append(_reduce(next(self._levels)))
             return self._sums[k - 1]
 
-    def of_tx(self) -> _MinorTable:
-        """The table of T@X, formed once per matrix X.  Only its principal
-        sums are read, so only they are reduced."""
-        with self._lock:
-            if self._tx is None:
-                tx = t_matrix(self._matrix.rows) @ self._matrix
-                self._tx = _MinorTable(tx, principal_only=True)
-            return self._tx
+    @cached_property
+    def principal_of_tx(self) -> list[Rational]:
+        """(-1)^k c_k(TX) for k = 0..n, in integers: row i of d*TX is
+        s_(i-1) + s_i, for s_i the sum of rows 0..i of d*X."""
+        d, rows = scaled_to_integers(self._matrix)
+        s = list(accumulate(rows, lambda u, v: list(map(add, u, v))))
+        tx = [list(map(add, u, v)) for u, v in zip([[0] * len(rows)] + s, s)]
+        return [Fraction(-c if k % 2 else c, d**k) for k, c in enumerate(integer_char_poly(tx))]
 
 
 @lru_cache(maxsize=_TABLE_MEMO)
@@ -192,20 +190,6 @@ def sum_all_minors(m: ExactMatrix, k: int, *, allow_large: bool = False) -> Rati
 def interlacing_sum(m: ExactMatrix, k: int, *, allow_large: bool = False) -> Rational:
     """S = sum over interlacing pairs I <= J of 2^p(I,J) * |X_IJ|."""
     return _checked_table(m, k, allow_large).at(k).interlacing
-
-
-def cauchy_binet_check(
-    A: ExactMatrix, B: ExactMatrix, rows: IndexSet, cols: IndexSet
-) -> bool:
-    """Check |(AB)_rows,cols| == sum over I of |A_rows,I| * |B_I,cols|."""
-    if not (A.is_square() and B.is_square() and A.rows == B.rows):
-        raise DimensionError("A and B must be square of equal size")
-    if len(rows) != len(cols):
-        raise DimensionError("rows and cols must have equal cardinality")
-    n, k = A.rows, len(rows)
-    lhs = minor(A @ B, rows, cols)
-    rhs = sum((minor(A, rows, I) * minor(B, I, cols) for I in k_subsets(n, k)), Fraction(0))
-    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -250,7 +234,7 @@ def verify_canada_day(
             "matrix is not symmetric; pass allow_asymmetric=True to evaluate anyway"
         )
     sums = table.at(k)
-    principal = table.of_tx().at(k).principal
+    principal = table.principal_of_tx[k]
     return CanadaDayReport(
         n=m.rows,
         k=k,

@@ -10,8 +10,10 @@ from canadaday.exact_linalg import (
     DimensionError,
     ExactMatrix,
     IndexSet,
+    char_poly,
     determinant,
     determinant_cofactor,
+    integer_char_poly,
     k_subsets,
     load_matrix,
     matrix_from_json_dict,
@@ -143,6 +145,73 @@ def test_minor_levels_scale_is_power_of_common_denominator():
 def test_minor_levels_rejects_nonsquare():
     with pytest.raises(DimensionError):
         next(minor_levels(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])))
+
+
+def _principal_sums_bareiss(m):
+    n = m.rows
+    return [
+        sum((minor(m, I, I) for I in k_subsets(n, k)), Fraction(0)) for k in range(n + 1)
+    ]
+
+
+def _signed(coeffs):
+    return [-c if k % 2 else c for k, c in enumerate(coeffs)]
+
+
+@pytest.mark.parametrize("kind", ["integer symmetric", "integer asymmetric", "rational"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_char_poly_matches_principal_minor_sums(kind, n):
+    m = {
+        "integer symmetric": lambda: random_symmetric(n, 1400 + n, 9),
+        "integer asymmetric": lambda: random_matrix(n, 1500 + n, 9),
+        "rational": lambda: _rational_matrix(n, 1600 + n),
+    }[kind]()
+    signed = _signed(char_poly(m))
+    assert signed == _principal_sums_bareiss(m)
+    table = [
+        Fraction(sum(row[r] for r, row in enumerate(level.scaled)), level.scale)
+        for level in minor_levels(m)
+    ]
+    assert signed == [1] + table
+
+
+def test_char_poly_small_cases():
+    empty = ExactMatrix(0, 0, ())
+    assert char_poly(empty) == [1] == _principal_sums_bareiss(empty)
+    assert char_poly(ExactMatrix.from_rows([[Fraction(-3, 4)]])) == [1, Fraction(3, 4)]
+    # lambda^2 - 5 lambda - 2 for [[1, 2], [3, 4]]
+    assert char_poly(ExactMatrix.from_rows([[1, 2], [3, 4]])) == [1, -5, -2]
+    assert integer_char_poly([[0, 1], [-1, 0]]) == [1, 0, 1]
+
+
+def test_char_poly_rejects_nonsquare():
+    with pytest.raises(DimensionError):
+        char_poly(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                min_size=n, max_size=n,
+            ),
+            min_size=n, max_size=n,
+        )
+    )
+)
+def test_char_poly_property_on_rationals(rows):
+    m = ExactMatrix.from_rows(rows)
+    coeffs = char_poly(m)
+    assert _signed(coeffs) == _principal_sums_bareiss(m)
+    # det(lambda*I - m) by Bareiss at a few points, against the polynomial
+    n = m.rows
+    for lam in (Fraction(0), Fraction(1), Fraction(-7, 3)):
+        shifted = ExactMatrix.from_rows(
+            [[(lam if i == j else 0) - m.entry(i + 1, j + 1) for j in range(n)] for i in range(n)]
+        )
+        assert determinant(shifted) == sum(c * lam ** (n - k) for k, c in enumerate(coeffs))
 
 
 def test_submatrix_of_t4():

@@ -1,12 +1,15 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from canadaday import minor_sums
+from canadaday.cli import main
 from canadaday.exact_linalg import (
     DimensionError,
     ExactMatrix,
     IndexSet,
+    MinorLevel,
     determinant,
     k_subsets,
     minor,
@@ -17,7 +20,6 @@ from canadaday.exact_linalg import (
 )
 from canadaday.minor_sums import (
     SymmetryError,
-    cauchy_binet_check,
     interlacing_sum,
     is_interlacing,
     p_value,
@@ -174,22 +176,59 @@ def test_sums_match_bareiss_in_any_k_order(ks):
         assert r.all_equal
 
 
-def test_tx_table_reduces_only_principal_sums(monkeypatch):
-    # verify_canada_day reads only the principal sums of T@X, so walking
-    # k = 1..n reduces interlacing pairs for the n levels of X alone
-    calls = []
-    real = minor_sums._interlacing_pairs
+def test_walking_k_builds_only_the_table_of_x(monkeypatch):
+    # the principal sums of TX come from its char poly, so walking k = 1..n
+    # on one matrix builds one minor table, X's, and no table of T@X
+    built = []
+    real = minor_sums.minor_levels
 
-    def counting_pairs(n, k):
-        calls.append(k)
-        return real(n, k)
+    def counting_levels(m):
+        built.append(m)
+        return real(m)
 
-    monkeypatch.setattr(minor_sums, "_interlacing_pairs", counting_pairs)
+    monkeypatch.setattr(minor_sums, "minor_levels", counting_levels)
     minor_sums._table.cache_clear()
     m = random_symmetric(4, 41, 9)
     for k in range(1, 5):
         assert verify_canada_day(m, k).all_equal
-    assert calls == [1, 2, 3, 4]
+    assert built == [m]
+
+
+@pytest.fixture
+def odd_levels_negated(monkeypatch):
+    """`minor_levels` with every odd level negated: a sign fault in the one
+    minor engine, which an identity read off that engine alone cannot see."""
+    real = minor_sums.minor_levels
+
+    def negated(m):
+        for level in real(m):
+            if level.k % 2:
+                rows = tuple(tuple(-v for v in row) for row in level.scaled)
+                level = MinorLevel(level.n, level.k, level.scale, rows)
+            yield level
+
+    monkeypatch.setattr(minor_sums, "minor_levels", negated)
+    minor_sums._table.cache_clear()
+    yield
+    minor_sums._table.cache_clear()
+
+
+def test_negated_odd_levels_fail_verify_canada_day(odd_levels_negated):
+    m = random_symmetric(4, 41, 9)
+    assert sum(m.entries) != 0  # the trace of TX, its principal sum at k = 1
+    r = verify_canada_day(m, 1)
+    assert r.principal_of_tx == sum(m.entries) == -r.all_of_x == -r.interlacing_s
+    assert not r.all_equal
+
+
+def test_negated_odd_levels_fail_verify_theorem(odd_levels_negated, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["verify-theorem", "--n", "4", "--trials", "1", "--format", "json", "--out", str(out)]
+    assert main(argv) == 1
+    doc = json.loads(out.read_text())
+    assert not doc["passed"]
+    # only the odd levels are wrong, so only odd k may fail
+    assert doc["witnesses"] and all(w["k"] % 2 for w in doc["witnesses"])
 
 
 def test_interlacing_sum_equals_all_minors_when_symmetric():
@@ -205,6 +244,18 @@ def test_interlacing_sum_kn_is_determinant():
 
 def test_interlacing_sum_identity_k1():
     assert interlacing_sum(ExactMatrix.identity(5), 1) == 5
+
+
+def cauchy_binet_check(A, B, rows, cols):
+    """Check |(AB)_rows,cols| == sum over I of |A_rows,I| * |B_I,cols|."""
+    if not (A.is_square() and B.is_square() and A.rows == B.rows):
+        raise DimensionError("A and B must be square of equal size")
+    if len(rows) != len(cols):
+        raise DimensionError("rows and cols must have equal cardinality")
+    n, k = A.rows, len(rows)
+    lhs = minor(A @ B, rows, cols)
+    rhs = sum((minor(A, rows, I) * minor(B, I, cols) for I in k_subsets(n, k)), Fraction(0))
+    return lhs == rhs
 
 
 def test_cauchy_binet_identity_matrices():

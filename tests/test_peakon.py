@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from canadaday.exact_linalg import ExactMatrix, char_poly
 from canadaday.peakon import (
     PeakonState,
     build_matrices,
@@ -270,3 +272,21 @@ def test_rhs_and_rk4_step_equal_formulas_exactly(n):
             nxt = rk4_step(s, dt)
             t, x, m = _formula_rk4(s, dt)
             assert nxt.t == t and np.array_equal(nxt.x, x) and np.array_equal(nxt.m, m)
+
+
+# Faddeev-LeVerrier loses digits as n grows: on the third n = 8 state its
+# c_8 is off by 5.1e-7 relative, so that case fails until the float route
+# is replaced by a stable one.
+UNSTABLE_N8 = pytest.mark.xfail(strict=True, reason="Faddeev-LeVerrier c_8 error 5.1e-7")
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=UNSTABLE_N8)])
+def test_char_poly_coefficients_match_exact_char_poly(n):
+    # the float route against Berkowitz in exact arithmetic on the very
+    # floats of T P E P, each of which ExactMatrix holds as an exact Fraction
+    for s in _random_ordered_states(n):
+        mats = build_matrices(s)
+        exact = char_poly(ExactMatrix.from_rows((mats.T @ mats.P @ mats.E @ mats.P).tolist()))
+        got = char_poly_coefficients(s)
+        for c, e in zip(got.tolist(), exact, strict=True):
+            assert abs(Fraction(c) - e) <= Fraction(1e-7) * abs(e)
