@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from canadaday import lgv, matchings
+from canadaday import cli, lgv, matchings
 from canadaday.cli import (
     load_state,
     main,
@@ -76,6 +76,66 @@ def test_lemma_suite_orbit_witnesses(monkeypatch):
         "orbit_structure": {"n": 1, "k": 0, "failed": ["orbits_partition_matchings"]},
         "grand_matching_sum": {
             "n": 1, "k": 0, "matching_sum": "0", "interlacing_S": "1", "all_minors": "1",
+        },
+    }
+
+
+def _failed_witnesses(doc):
+    return {c["name"]: c["witness"] for c in doc["checks"] if not c["passed"]}
+
+
+def test_lemma_suite_matching_count_witness(monkeypatch):
+    real = cli.enumerate_matchings
+
+    def dropping(n, k):
+        it = real(n, k)
+        if (n, k) == (2, 1):
+            next(it)  # lose the first of the four matchings of M_{2,1}
+        return it
+
+    monkeypatch.setattr(cli, "enumerate_matchings", dropping)
+    assert _failed_witnesses(run_lemma_suite(n_max=3)) == {
+        "matching_count": {"n": 2, "k": 1, "count": 3, "expected": 4},
+    }
+
+
+def test_lemma_suite_weight_invariance_witness(monkeypatch):
+    real = cli.weight
+    # adds the column of the first edge, which a flip moves
+    monkeypatch.setattr(cli, "weight", lambda m, x: real(m, x) + m.edges[0][1])
+    assert _failed_witnesses(run_lemma_suite(n_max=3)) == {
+        "weight_flip_invariance": {
+            "n": 2, "matching": {"n": 2, "edges": [[1, 2]]}, "i": 1, "j": 2,
+        },
+    }
+
+
+def test_lemma_suite_sign_flip_law_witness(monkeypatch):
+    # a sign that ignores crossings breaks the law first at an odd separation
+    monkeypatch.setattr(matchings, "sign", lambda m: 1)
+    assert _failed_witnesses(run_lemma_suite(n_max=4)) == {
+        "sign_flip_law": {
+            "n": 4, "matching": {"n": 4, "edges": [[1, 3], [2, 4]]}, "i": 1, "j": 3,
+            "separation": 1,
+        },
+        "orbit_structure": {"n": 4, "k": 2, "failed": ["non_interlacing_orbits_balanced"]},
+        "grand_matching_sum": {
+            "n": 2, "k": 2, "matching_sum": "12", "interlacing_S": "4", "all_minors": "4",
+        },
+    }
+
+
+def test_lemma_suite_weight_fault_and_corrupt_sign_keep_own_witnesses(monkeypatch):
+    real = cli.weight
+    monkeypatch.setattr(
+        cli, "weight", lambda m, x: real(m, x) + (m.edges[0][1] if m.k == 2 else 0)
+    )
+    assert _failed_witnesses(run_lemma_suite(n_max=3, corrupt_sign=True)) == {
+        "weight_flip_invariance": {
+            "n": 3, "matching": {"n": 3, "edges": [[1, 3], [2, 1]]}, "i": 1, "j": 2,
+        },
+        "sign_flip_law": {
+            "n": 2, "matching": {"n": 2, "edges": [[1, 2]]}, "i": 1, "j": 2, "separation": 0,
         },
     }
 

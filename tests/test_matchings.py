@@ -387,6 +387,15 @@ def test_orbit_sizes_are_powers_of_two():
                 assert len(o.members) == 2 ** p_value(rep.row_set(), rep.col_set())
 
 
+def test_partition_into_orbits_size_guard_checked_first(monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("enumerated matchings past the size guard")
+
+    monkeypatch.setattr(matchings, "enumerate_matchings", refuse)
+    with pytest.raises(ValueError, match="exceeds the guard 12"):
+        partition_into_orbits(13, 1)
+
+
 def test_classify_orbit_examples():
     assert orbit(TAU8).classification == "interlacing"
     assert orbit(Matching(3, ((1, 3),))).classification == "interlacing"
