@@ -15,12 +15,10 @@ from .exact_linalg import (
     IndexSet,
     Rational,
     determinant,
-    determinant_cofactor,
     k_subsets,
     load_matrix,
     minor,
     random_symmetric,
-    save_matrix,
     submatrix,
     t_matrix,
 )
@@ -29,7 +27,6 @@ from .matchings import (
     Matching,
     decompose_clusters,
     enumerate_matchings,
-    minor_via_matchings,
     orbit,
     orbit_sum_identity,
 )
@@ -61,20 +58,17 @@ __all__ = [
     "count_disjoint_families",
     "decompose_clusters",
     "determinant",
-    "determinant_cofactor",
     "enumerate_matchings",
     "interlacing_sum",
     "is_interlacing",
     "k_subsets",
     "load_matrix",
     "minor",
-    "minor_via_matchings",
     "orbit",
     "orbit_sum_identity",
     "p_value",
     "path_matrix",
     "random_symmetric",
-    "save_matrix",
     "simulate",
     "submatrix",
     "sum_all_minors",

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -26,14 +27,8 @@ from .exact_linalg import (
     random_symmetric,
 )
 from .lgv import audit_table
-from .matchings import (
-    enumerate_matchings,
-    flip,
-    orbit_sum_identity,
-    sign_flip_law_check,
-    weight,
-)
-from .minor_sums import SIZE_GUARD, verify_canada_day
+from .matchings import enumerate_matchings, orbit_sum_identity, sign_flip_law_check, weight
+from .minor_sums import check_size_guard, verify_canada_day
 from .peakon import DEFAULT_COLLISION_EPSILON, PeakonState, simulate, waveform
 
 __all__ = [
@@ -53,13 +48,6 @@ def _child_seed(seed: int, *parts: int) -> int:
     return out
 
 
-def _check_guard(n_max: int) -> None:
-    """Refuse a run past SIZE_GUARD before any of its work, not at its
-    first oversized matrix."""
-    if n_max > SIZE_GUARD:
-        raise ValueError(f"n={n_max} exceeds the guard {SIZE_GUARD}")
-
-
 # ---------------------------------------------------------------------------
 # verify-theorem
 
@@ -76,7 +64,7 @@ def run_theorem_campaign(
     matrices.  In asymmetric mode only the principal-of-TX vs S equality is
     required to hold; the all-minors sum is reported so witnesses of its
     failure are visible."""
-    _check_guard(n_max)
+    check_size_guard(n_max)
     cells = []
     witnesses = []
     passed = True
@@ -141,59 +129,47 @@ def _check_t_minor_three_way(n_max: int):
     return True, None
 
 
-def _check_matching_counts(n_max: int):
-    for n in range(1, n_max + 1):
-        for k in range(0, n + 1):
-            count = sum(1 for _ in enumerate_matchings(n, k))
-            expected = math.comb(n, k) ** 2 * math.factorial(k)
-            if count != expected:
-                return False, {"n": n, "k": k, "count": count, "expected": expected}
-    return True, None
-
-
-def _check_weight_invariance(n_max: int, seed: int, bound: int):
-    for n in range(1, n_max + 1):
-        x = random_symmetric(n, _child_seed(seed, 1, n), bound)
-        for k in range(1, n + 1):
-            for m in enumerate_matchings(n, k):
-                w = weight(m, x)
-                for i in range(1, n + 1):
-                    for j in range(i + 1, n + 1):
-                        if weight(flip(m, i, j), x) != w:
-                            return False, {
-                                "n": n,
-                                "matching": m.to_json_dict(),
-                                "i": i,
-                                "j": j,
-                            }
-    return True, None
-
-
-def _check_sign_flip_law(n_max: int, corrupt: bool):
+def _check_matchings(n_max: int, seed: int, bound: int, corrupt: bool):
+    """The matching_count, weight_flip_invariance and sign_flip_law results
+    from one walk over each M_{n,k}: each generator f_ij acts once per
+    matching, in `sign_flip_law_check`, and the weight check reads its image.
+    Each check keeps its own first witness."""
+    count_ok = weight_ok = sign_ok = (True, None)
     corrupt_pending = corrupt
     for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
+        x = random_symmetric(n, _child_seed(seed, 1, n), bound)
+        generators = list(combinations(range(1, n + 1), 2))
+        for k in range(0, n + 1):
+            count = 0
             for m in enumerate_matchings(n, k):
-                for i in range(1, n + 1):
-                    for j in range(i + 1, n + 1):
-                        chk = sign_flip_law_check(m, i, j)
-                        holds = chk.holds
-                        if chk.flipped and corrupt_pending:
-                            # Self-test hook: falsify one result to prove the
-                            # harness surfaces a witness.
-                            holds = not holds
-                            corrupt_pending = False
-                        if not holds:
-                            return False, {
-                                "n": n,
-                                "matching": m.to_json_dict(),
-                                "i": i,
-                                "j": j,
-                                "separation": chk.separation,
-                            }
+                count += 1
+                if k == 0:
+                    continue
+                w = weight(m, x)
+                for i, j in generators:
+                    chk = sign_flip_law_check(m, i, j)
+                    if weight_ok[0] and chk.flipped and weight(chk.image, x) != w:
+                        weight_ok = False, {"n": n, "matching": m.to_json_dict(), "i": i, "j": j}
+                    holds = chk.holds
+                    if chk.flipped and corrupt_pending:
+                        # Self-test hook: falsify one result to prove the
+                        # harness surfaces a witness.
+                        holds = not holds
+                        corrupt_pending = False
+                    if sign_ok[0] and not holds:
+                        sign_ok = False, {
+                            "n": n,
+                            "matching": m.to_json_dict(),
+                            "i": i,
+                            "j": j,
+                            "separation": chk.separation,
+                        }
+            expected = math.comb(n, k) ** 2 * math.factorial(k)
+            if count_ok[0] and count != expected:
+                count_ok = False, {"n": n, "k": k, "count": count, "expected": expected}
     if corrupt_pending:
         raise ValueError(f"--corrupt-sign has no flipped pair to corrupt at n <= {n_max}")
-    return True, None
+    return count_ok, weight_ok, sign_ok
 
 
 def _check_orbit_sums(n_max: int, seed: int, bound: int):
@@ -226,13 +202,16 @@ def run_lemma_suite(
     sign law, orbit structure, and the grand alternating sum."""
     if n_max < 1:
         raise ValueError(f"nothing to check: need n >= 1, got {n_max}")
-    _check_guard(n_max)
+    check_size_guard(n_max)
     orbit_structure, grand_sum = _check_orbit_sums(n_max, seed, bound)
+    matching_count, weight_invariance, sign_law = _check_matchings(
+        n_max, seed, bound, corrupt_sign
+    )
     results = [
         ("t_minor_three_way", _check_t_minor_three_way(n_max)),
-        ("matching_count", _check_matching_counts(n_max)),
-        ("weight_flip_invariance", _check_weight_invariance(n_max, seed, bound)),
-        ("sign_flip_law", _check_sign_flip_law(n_max, corrupt_sign)),
+        ("matching_count", matching_count),
+        ("weight_flip_invariance", weight_invariance),
+        ("sign_flip_law", sign_law),
         ("orbit_structure", orbit_structure),
         ("grand_matching_sum", grand_sum),
     ]

@@ -31,7 +31,6 @@ __all__ = [
     "Rational",
     "char_poly",
     "determinant",
-    "determinant_cofactor",
     "integer_char_poly",
     "k_subsets",
     "load_matrix",
@@ -41,7 +40,6 @@ __all__ = [
     "minor_levels",
     "random_matrix",
     "random_symmetric",
-    "save_matrix",
     "scaled_to_integers",
     "submatrix",
     "t_matrix",
@@ -205,32 +203,6 @@ def determinant(m: ExactMatrix) -> Rational:
     return sign * a[n - 1][n - 1]
 
 
-def determinant_cofactor(m: ExactMatrix) -> Rational:
-    """Determinant by cofactor expansion along the first row.
-
-    Independent oracle for `determinant`; exponential, intended for n <= 4.
-    """
-    if not m.is_square():
-        raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-
-    def expand(rows: list[list[Rational]]) -> Rational:
-        if not rows:
-            return Fraction(1)
-        if len(rows) == 1:
-            return rows[0][0]
-        total = Fraction(0)
-        head, rest = rows[0], rows[1:]
-        for j, v in enumerate(head):
-            if v == 0:
-                continue
-            sub = [r[:j] + r[j + 1 :] for r in rest]
-            term = v * expand(sub)
-            total += term if j % 2 == 0 else -term
-        return total
-
-    return expand(m.to_rows())
-
-
 def submatrix(m: ExactMatrix, rows: IndexSet, cols: IndexSet) -> ExactMatrix:
     """Order-preserving slice of m by 1-based row and column index sets."""
     if rows.elems and rows.elems[-1] > m.rows:
@@ -387,12 +359,6 @@ def matrix_from_json_dict(d: dict) -> ExactMatrix:
             if isinstance(v, bool) or not isinstance(v, (int, str)):
                 raise ValueError(f"matrix entries must be integers or exact strings, got {v!r}")
     return ExactMatrix.from_rows(entries)
-
-
-def save_matrix(m: ExactMatrix, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json_dict(m), fh, indent=2)
-        fh.write("\n")
 
 
 def load_matrix(path) -> ExactMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .exact_linalg import DimensionError, ExactMatrix, IndexSet, k_subsets, minor, t_matrix
-from .minor_sums import SIZE_GUARD, t_minor_formula
+from .minor_sums import check_size_guard, t_minor_formula
 
 __all__ = [
     "LayeredNetwork",
@@ -147,8 +147,7 @@ def audit_table(n: int) -> list[dict]:
     """Three-way table over all index pairs: closed formula, determinant minor
     of T (rows J, cols I), and the backtracking path-family count.  `agree`
     compares the exact values; the table shows them as integers."""
-    if n > SIZE_GUARD:
-        raise ValueError(f"n={n} exceeds the guard {SIZE_GUARD}")
+    check_size_guard(n)
     net = build_network(n)
     big_t = t_matrix(n)
     table = []

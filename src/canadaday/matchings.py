@@ -22,8 +22,8 @@ from typing import Iterator, Sequence
 
 from .exact_linalg import DimensionError, ExactMatrix, IndexSet, Rational, k_subsets
 from .minor_sums import (
-    SIZE_GUARD,
     SymmetryError,
+    check_size_guard,
     interlacing_sum,
     is_interlacing,
     p_value,
@@ -41,7 +41,6 @@ __all__ = [
     "decompose_clusters",
     "enumerate_matchings",
     "flip",
-    "minor_via_matchings",
     "orbit",
     "orbit_sum_identity",
     "partition_into_orbits",
@@ -134,19 +133,6 @@ def weight(m: Matching, x: ExactMatrix) -> Rational:
     return Fraction(num, den)
 
 
-def minor_via_matchings(x: ExactMatrix, I: IndexSet, J: IndexSet) -> Rational:
-    """|X_IJ| as the signed sum over all bijections I -> J; determinant-free
-    oracle for `exact_linalg.minor`."""
-    if len(I) != len(J):
-        raise DimensionError("index sets must have equal cardinality")
-    n = max(I.n, J.n)
-    total = Fraction(0)
-    for assignment in permutations(J.elems):
-        m = Matching(n, tuple(zip(I.elems, assignment)))
-        total += sign(m) * weight(m, x)
-    return total
-
-
 @dataclass(frozen=True)
 class Cluster:
     """One block of a matching's cluster decomposition.
@@ -217,16 +203,22 @@ def _trace_clusters(m: Matching) -> tuple[Cluster, ...]:
     return tuple(clusters)
 
 
-def flip(m: Matching, i: int, j: int) -> Matching:
-    """Generator f_ij of the flip group: if an open cluster contains the edge
-    i -> j or j -> i, reverse every edge of that cluster; otherwise return m
-    unchanged."""
+def _open_cluster_at(m: Matching, i: int, j: int) -> Cluster | None:
+    """The open cluster of m that holds the edge i -> j or j -> i, if any."""
     if not 1 <= i < j <= m.n:
         raise ValueError(f"flip generators need 1 <= i < j <= n, got ({i}, {j})")
     for c in decompose_clusters(m).open_clusters:
         if (i, j) in c.edges or (j, i) in c.edges:
-            return _flip_cluster(m, c)
-    return m
+            return c
+    return None
+
+
+def flip(m: Matching, i: int, j: int) -> Matching:
+    """Generator f_ij of the flip group: if an open cluster contains the edge
+    i -> j or j -> i, reverse every edge of that cluster; otherwise return m
+    unchanged."""
+    c = _open_cluster_at(m, i, j)
+    return m if c is None else _flip_cluster(m, c)
 
 
 def _flip_cluster(m: Matching, cluster: Cluster) -> Matching:
@@ -244,8 +236,8 @@ class Orbit:
     classification: str  # "interlacing" or "non-interlacing"
     representative: Matching | None  # the unique interlacing member, when any
 
-    def to_json_dict(self, weights: Sequence[Rational] | None = None) -> dict:
-        d = {
+    def to_json_dict(self, weights: Sequence[Rational]) -> dict:
+        return {
             "classification": self.classification,
             "members": [m.to_json_dict() for m in self.members],
             "signs": [sign(m) for m in self.members],
@@ -253,10 +245,8 @@ class Orbit:
                 [c.separation for c in decompose_clusters(m).clusters]
                 for m in self.members
             ],
+            "weights": [str(w) for w in weights],
         }
-        if weights is not None:
-            d["weights"] = [str(w) for w in weights]
-        return d
 
 
 def orbit(m: Matching) -> Orbit:
@@ -294,22 +284,22 @@ def orbit(m: Matching) -> Orbit:
 
 @dataclass(frozen=True)
 class FlipSignCheck:
-    """Outcome of checking sign(f_ij . tau) == (-1)^separation * sign(tau)."""
+    """Outcome of checking sign(f_ij . tau) == (-1)^separation * sign(tau);
+    `image` is f_ij . tau, which is tau itself when nothing flips."""
 
     flipped: bool
     holds: bool
     separation: int | None
+    image: Matching
 
 
 def sign_flip_law_check(m: Matching, i: int, j: int) -> FlipSignCheck:
-    if not 1 <= i < j <= m.n:
-        raise ValueError(f"flip generators need 1 <= i < j <= n, got ({i}, {j})")
-    for c in decompose_clusters(m).open_clusters:
-        if (i, j) in c.edges or (j, i) in c.edges:
-            flipped = _flip_cluster(m, c)
-            expected = sign(m) * (-1 if c.separation % 2 else 1)
-            return FlipSignCheck(True, sign(flipped) == expected, c.separation)
-    return FlipSignCheck(False, True, None)
+    c = _open_cluster_at(m, i, j)
+    if c is None:
+        return FlipSignCheck(False, True, None, m)
+    image = _flip_cluster(m, c)
+    expected = sign(m) * (-1 if c.separation % 2 else 1)
+    return FlipSignCheck(True, sign(image) == expected, c.separation, image)
 
 
 def canonical_involution(m: Matching) -> Matching:
@@ -372,8 +362,7 @@ class OrbitSumReport:
 
 def partition_into_orbits(n: int, k: int) -> list[Orbit]:
     """All of M_{n,k} grouped into flip-group orbits, in canonical order."""
-    if n > SIZE_GUARD:
-        raise ValueError(f"n={n} exceeds the guard {SIZE_GUARD}")
+    check_size_guard(n)
     seen: set[tuple[tuple[int, int], ...]] = set()
     orbits = []
     for m in enumerate_matchings(n, k):

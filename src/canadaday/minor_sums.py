@@ -37,6 +37,7 @@ __all__ = [
     "SIZE_GUARD",
     "CanadaDayReport",
     "SymmetryError",
+    "check_size_guard",
     "interlacing_sum",
     "is_interlacing",
     "p_value",
@@ -71,14 +72,11 @@ def _check_pair(I: IndexSet, J: IndexSet) -> None:
         raise DimensionError(f"index sets have different ambient sizes {I.n} and {J.n}")
 
 
-def _check_size(n: int, k: int, allow_large: bool) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+def check_size_guard(n: int, allow_large: bool = False) -> None:
+    """Refuse work at size n past SIZE_GUARD, unless allow_large is set.
+    Every exhaustive route calls this before any of its work."""
     if n > SIZE_GUARD and not allow_large:
-        raise ValueError(
-            f"n={n} exceeds the guard {SIZE_GUARD} (C(n,k)^2 minors); "
-            "pass allow_large=True to override"
-        )
+        raise ValueError(f"n={n} exceeds the guard {SIZE_GUARD}")
 
 
 def is_interlacing(I: IndexSet, J: IndexSet) -> bool:
@@ -175,7 +173,9 @@ def _table(m: ExactMatrix) -> _MinorTable:
 def _checked_table(m: ExactMatrix, k: int, allow_large: bool) -> _MinorTable:
     if not m.is_square():
         raise DimensionError(f"need a square matrix, got {m.rows}x{m.cols}")
-    _check_size(m.rows, k, allow_large)
+    if not 1 <= k <= m.rows:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={m.rows}")
+    check_size_guard(m.rows, allow_large)
     return _table(m)
 
 

@@ -100,7 +100,9 @@ def build_matrices(s: PeakonState) -> PeakonMatrices:
     return PeakonMatrices(P=np.diag(s.m), E=e, T=t)
 
 
-def _rhs(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ode_rhs(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side (dx, dm) of the peakon system at positions x and
+    amplitudes m."""
     diffs = x[:, None] - x[None, :]
     e = np.exp(-np.abs(diffs))
     u = e @ m
@@ -108,19 +110,14 @@ def _rhs(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u**2, m * u * slope
 
 
-def ode_rhs(s: PeakonState) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dx, dm) of the peakon system."""
-    return _rhs(s.x, s.m)
-
-
 def rk4_step(s: PeakonState, dt: float) -> PeakonState:
     """One classical 4th-order Runge-Kutta step; dt may be negative to step
     backwards."""
     x, m = s.x, s.m
-    kx1, km1 = _rhs(x, m)
-    kx2, km2 = _rhs(x + 0.5 * dt * kx1, m + 0.5 * dt * km1)
-    kx3, km3 = _rhs(x + 0.5 * dt * kx2, m + 0.5 * dt * km2)
-    kx4, km4 = _rhs(x + dt * kx3, m + dt * km3)
+    kx1, km1 = ode_rhs(x, m)
+    kx2, km2 = ode_rhs(x + 0.5 * dt * kx1, m + 0.5 * dt * km1)
+    kx3, km3 = ode_rhs(x + 0.5 * dt * kx2, m + 0.5 * dt * km2)
+    kx4, km4 = ode_rhs(x + dt * kx3, m + dt * km3)
     return PeakonState(
         s.t + dt,
         x + dt / 6.0 * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4),

@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -14,7 +16,7 @@ from canadaday.cli import (
     run_orbit_audit,
     run_theorem_campaign,
 )
-from canadaday.exact_linalg import random_symmetric, save_matrix
+from canadaday.exact_linalg import matrix_to_json_dict, random_symmetric
 
 
 def test_theorem_campaign_passes():
@@ -138,6 +140,37 @@ def test_lemma_suite_weight_fault_and_corrupt_sign_keep_own_witnesses(monkeypatc
             "n": 2, "matching": {"n": 2, "edges": [[1, 2]]}, "i": 1, "j": 2, "separation": 0,
         },
     }
+
+
+def test_lemma_suite_walks_each_matching_set_once(monkeypatch):
+    walked = Counter()
+    real_enumerate = cli.enumerate_matchings
+
+    def counting_enumerate(n, k):
+        walked[n, k] += 1
+        return real_enumerate(n, k)
+
+    checked = Counter()
+    real_check = cli.sign_flip_law_check
+
+    def counting_check(m, i, j):
+        checked[m.edges, m.n, i, j] += 1
+        return real_check(m, i, j)
+
+    def refuse(*args):
+        raise AssertionError("the lemma suite flipped outside sign_flip_law_check")
+
+    monkeypatch.setattr(cli, "enumerate_matchings", counting_enumerate)
+    monkeypatch.setattr(cli, "sign_flip_law_check", counting_check)
+    monkeypatch.setattr(matchings, "flip", refuse)
+    monkeypatch.setattr(cli, "flip", refuse, raising=False)
+    assert run_lemma_suite(n_max=3)["passed"]
+    assert walked == Counter({(n, k): 1 for n in range(1, 4) for k in range(n + 1)})
+    assert set(checked.values()) == {1}
+    # one check per generator i < j of each k-edge matching, k >= 1
+    assert len(checked) == sum(
+        comb(n, k) ** 2 * factorial(k) * comb(n, 2) for n in range(1, 4) for k in range(1, n + 1)
+    )
 
 
 def test_lemma_suite_full_n4():
@@ -367,7 +400,7 @@ def test_main_wave_csv(tmp_path):
 
 def test_main_orbit_audit_with_matrix_file(tmp_path):
     mat = tmp_path / "x.json"
-    save_matrix(random_symmetric(3, 5, 9), mat)
+    mat.write_text(json.dumps(matrix_to_json_dict(random_symmetric(3, 5, 9))))
     out = tmp_path / "audit.json"
     rc = main(
         ["orbit-audit", "--n", "3", "--k", "2", "--matrix", str(mat), "--format", "json", "--out", str(out)]

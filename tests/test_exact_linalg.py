@@ -12,7 +12,6 @@ from canadaday.exact_linalg import (
     IndexSet,
     char_poly,
     determinant,
-    determinant_cofactor,
     integer_char_poly,
     k_subsets,
     load_matrix,
@@ -22,10 +21,10 @@ from canadaday.exact_linalg import (
     minor_levels,
     random_matrix,
     random_symmetric,
-    save_matrix,
     submatrix,
     t_matrix,
 )
+from oracles import minor_via_matchings
 
 
 def test_t_matrix_n3_matches_worked_example():
@@ -72,10 +71,15 @@ def test_determinant_rejects_nonsquare():
         determinant(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
+def _leibniz_determinant(m):
+    full = IndexSet(m.rows, tuple(range(1, m.rows + 1)))
+    return minor_via_matchings(m, full, full)
+
+
 def test_determinant_zero_pivot_needs_swap():
     m = ExactMatrix.from_rows([[0, 1], [1, 0]])
     assert determinant(m) == -1
-    assert determinant_cofactor(m) == -1
+    assert determinant(m) == _leibniz_determinant(m)
 
 
 def test_determinant_singular():
@@ -97,9 +101,9 @@ def test_determinant_fractional_entries():
         )
     )
 )
-def test_bareiss_agrees_with_cofactor_oracle(rows):
+def test_bareiss_agrees_with_leibniz_oracle(rows):
     m = ExactMatrix.from_rows(rows)
-    assert determinant(m) == determinant_cofactor(m)
+    assert determinant(m) == _leibniz_determinant(m)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -341,5 +345,5 @@ def test_json_rejects_inexact_entries(bad):
 def test_save_and_load_matrix(tmp_path):
     m = random_symmetric(4, 9, 9)
     path = tmp_path / "m.json"
-    save_matrix(m, path)
+    path.write_text(json.dumps(matrix_to_json_dict(m)))
     assert load_matrix(path) == m

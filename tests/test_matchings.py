@@ -14,8 +14,7 @@ from canadaday.exact_linalg import (
     random_symmetric,
     t_matrix,
 )
-from canadaday import matchings
-from canadaday.cli import _check_sign_flip_law
+from canadaday import cli, matchings
 from canadaday.matchings import (
     Cluster,
     ClusterDecomposition,
@@ -24,7 +23,6 @@ from canadaday.matchings import (
     decompose_clusters,
     enumerate_matchings,
     flip,
-    minor_via_matchings,
     orbit,
     orbit_sum_identity,
     partition_into_orbits,
@@ -39,6 +37,7 @@ from canadaday.minor_sums import (
     p_value,
     sum_all_minors,
 )
+from oracles import minor_via_matchings
 
 # the n=8, k=7 worked matching used throughout the cluster examples
 TAU8 = Matching(8, ((1, 6), (2, 8), (3, 4), (4, 2), (5, 5), (6, 1), (8, 7)))
@@ -275,7 +274,7 @@ def test_clusters_traced_once_per_instance(monkeypatch):
 
 def test_sign_flip_law_suite_traces_each_instance_at_most_once(monkeypatch):
     traced = _count_traces(monkeypatch)
-    assert _check_sign_flip_law(3, False) == (True, None)
+    assert cli._check_matchings(3, 42, 9, False) == ((True, None),) * 3
     # the list keeps every traced instance alive, so ids are not reused
     assert traced and len({id(m) for m in traced}) == len(traced)
 
@@ -436,6 +435,16 @@ def test_sign_flip_law_two_edge_case():
 def test_sign_flip_law_vacuous_flag():
     chk = sign_flip_law_check(TAU8, 1, 6)  # closed cluster: no flip happens
     assert not chk.flipped and chk.holds and chk.separation is None
+    assert chk.image is TAU8
+
+
+def test_sign_flip_law_image_is_flip_exhaustively():
+    for k in range(0, 5):
+        for m in enumerate_matchings(4, k):
+            for i, j in combinations(range(1, 5), 2):
+                chk = sign_flip_law_check(m, i, j)
+                assert chk.image == flip(m, i, j)
+                assert chk.flipped == (chk.image != m)
 
 
 def test_orbit_sum_identity_n2_hand_value():
