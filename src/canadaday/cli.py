@@ -325,9 +325,15 @@ def load_state(path: str) -> PeakonState:
     return state
 
 
+# A wave CSV row per grid point and sampled state; `waveform` holds
+# points x n floats at once, so the grid is refused past this before any
+# allocation.
+MAX_WAVE_POINTS = 10**6
+
+
 def _grid(lo: float, hi: float, points: int) -> np.ndarray:
-    if points < 1:
-        raise ValueError(f"the wave grid needs at least one point, got {points}")
+    if not 1 <= points <= MAX_WAVE_POINTS:
+        raise ValueError(f"the wave grid needs 1 to {MAX_WAVE_POINTS} points, got {points}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"the wave grid bounds must be finite, got {lo} and {hi}")
     return np.linspace(lo, hi, points)
@@ -358,8 +364,10 @@ def run_peakon(
     )
     doc = report.to_json_dict()
     doc["tol"] = tol
-    doc["passed"] = report.status == "ok" and all(
-        d <= tol for d in report.max_rel_drift
+    doc["passed"] = (
+        report.status == "ok"
+        and all(d <= tol for d in report.max_rel_drift)
+        and all(row["identity_gap"] <= tol for row in report.samples)
     )
     doc["_states"] = report.sampled_states  # stripped before serialization
     return doc
@@ -371,6 +379,9 @@ def _render_peakon(doc: dict) -> list[str]:
     ]
     for k, d in enumerate(doc["max_rel_drift"], start=1):
         lines.append(f"  H_{k} max relative drift: {d:.3e}")
+    if doc["samples"]:
+        gap = max(row["identity_gap"] for row in doc["samples"])
+        lines.append(f"  max relative gap |c_k| vs H_k: {gap:.3e}")
     return lines
 
 
@@ -433,7 +444,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--dt", type=float, default=1e-3)
     pk.add_argument("--t-end", type=float, default=2.0)
     pk.add_argument("--sample-every", type=int, default=10)
-    pk.add_argument("--tol", type=float, default=1e-7, help="max allowed relative drift of any H_k")
+    pk.add_argument(
+        "--tol",
+        type=float,
+        default=1e-7,
+        help="max allowed relative drift of any H_k, and relative gap between |c_k| and H_k",
+    )
     pk.add_argument("--collision-epsilon", type=float, default=DEFAULT_COLLISION_EPSILON)
     pk.add_argument("--wave-out", default=None, help="CSV of u(x, t) at every sample")
     pk.add_argument("--wave-min", type=float, default=-10.0)

@@ -7,8 +7,9 @@ from math import comb, factorial
 
 import pytest
 
-from canadaday import cli, lgv, matchings
+from canadaday import cli, lgv, matchings, peakon
 from canadaday.cli import (
+    MAX_WAVE_POINTS,
     load_state,
     main,
     run_lemma_suite,
@@ -322,6 +323,22 @@ def test_main_peakon_drift_breach_exits_one(tmp_path):
     assert json.loads(out.read_text())["passed"] is False  # report retained
 
 
+def test_main_peakon_identity_gap_breach_exits_one(tmp_path, monkeypatch):
+    # coefficients off by 1e-6 relative leave the drift alone but open the
+    # gap between |c_k| and H_k past --tol
+    exact = peakon.char_poly_coefficients
+    monkeypatch.setattr(peakon, "char_poly_coefficients", lambda s: exact(s) * (1 + 1e-6))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"x": [-1.0, 1.0], "m": [1.0, 2.0]}))
+    out = tmp_path / "report.json"
+    argv = ["peakon", "--state", str(state), "--t-end", "0.1", "--format", "json", "--out", str(out)]
+    assert main(argv) == 1
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "ok" and max(doc["max_rel_drift"]) <= doc["tol"]
+    assert doc["passed"] is False
+    assert all(1e-7 < row["identity_gap"] < 2e-6 for row in doc["samples"])
+
+
 def test_main_peakon_unsorted_positions_is_input_error(tmp_path):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"x": [1.0, -1.0], "m": [1.0, 2.0]}))
@@ -351,11 +368,14 @@ GOOD_STATE = '{"x": [-1.0, 1.0], "m": [1.0, 2.0]}'
         (GOOD_STATE, ["peakon", "--wave-points", "0", "--wave-out", "WAVE"]),
         (GOOD_STATE, ["peakon", "--wave-min", "nan", "--wave-out", "WAVE"]),
         (GOOD_STATE, ["wave", "--points", "0"]),
+        (GOOD_STATE, ["peakon", "--wave-points", str(MAX_WAVE_POINTS + 1), "--wave-out", "WAVE"]),
+        (GOOD_STATE, ["wave", "--points", str(MAX_WAVE_POINTS + 1)]),
     ],
     ids=[
         "x-infinity", "m-infinity", "t-nan", "top-level-list", "bool-entry", "string-entry",
         "int-overflow", "t-end-inf", "dt-underflow", "dt-step-cap", "dt-inf", "dt-nan", "tol-nan",
         "collision-epsilon-nan", "wave-points-0", "wave-min-nan", "wave-0-points",
+        "wave-points-cap", "wave-cap-points",
     ],
 )
 def test_main_peakon_bad_input_is_input_error(tmp_path, capsys, state, argv):
@@ -369,6 +389,17 @@ def test_main_peakon_bad_input_is_input_error(tmp_path, capsys, state, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists() and not wave.exists()
+
+
+def test_main_wave_grid_cap_refused_before_allocation(tmp_path, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    path = tmp_path / "state.json"
+    path.write_text(GOOD_STATE)
+    argv = ["wave", "--state", str(path), "--points", str(MAX_WAVE_POINTS + 1)]
+    assert main(argv + ["--out", str(tmp_path / "wave.csv")]) == 2
 
 
 def test_load_state_accepts_int_entries(tmp_path):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from oracles import sum_all_minors_float
 
 from canadaday.exact_linalg import ExactMatrix, char_poly
 from canadaday.peakon import (
@@ -98,9 +99,18 @@ def test_constants_two_peakons_hand_values():
     assert h[1] == pytest.approx(1 - E1**2, rel=1e-14)
 
 
-def test_constants_guard():
-    with pytest.raises(ValueError):
-        constants_of_motion(PeakonState(0.0, list(range(9)), [1.0] * 9))
+def test_constants_n20_run_passes_identity_gap():
+    rng = np.random.default_rng(20)
+    s = PeakonState(0.0, np.cumsum(rng.uniform(0.5, 1.5, 20)) - 20.0, rng.uniform(0.5, 2.0, 20))
+    r = simulate(s, 1e-3, 0.05, sample_every=10)
+    assert r.status == "ok" and len(r.samples) == 6
+    assert max(row["identity_gap"] for row in r.samples) <= 1e-10
+    assert max(r.max_rel_drift) <= 1e-7
+
+
+def test_constants_refuse_unordered_positions():
+    with pytest.raises(ValueError, match="non-decreasing"):
+        constants_of_motion(PeakonState(0.0, [0.0, 2.0, 1.0], [1.0, 1.0, 1.0]))
 
 
 def test_char_poly_single_peakon():
@@ -197,7 +207,7 @@ def test_report_json_schema():
     r = simulate(PeakonState(0.0, [0.0], [1.0]), 1e-2, 0.1)
     d = r.to_json_dict()
     assert set(d) == {"n", "dt", "samples", "max_rel_drift", "status"}
-    assert set(d["samples"][0]) == {"t", "H", "c"}
+    assert set(d["samples"][0]) == {"t", "H", "c", "identity_gap"}
     assert d["status"] == "ok"
 
 
@@ -223,10 +233,9 @@ def _scalar_sum_all_minors(mat, k):
     return total
 
 
-def _scalar_constants(s):
+def _pep(s):
     mats = build_matrices(s)
-    pep = mats.P @ mats.E @ mats.P
-    return [_scalar_sum_all_minors(pep, k) for k in range(1, s.n + 1)]
+    return mats.P @ mats.E @ mats.P
 
 
 def _formula_rhs(x, m):
@@ -258,8 +267,36 @@ def _random_ordered_states(n, count=3):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_constants_equal_scalar_oracle_exactly(n):
+    # the batched oracle of constants_of_motion against the plain loop
     for s in _random_ordered_states(n):
-        assert constants_of_motion(s).tolist() == _scalar_constants(s)
+        pep = _pep(s)
+        for k in range(1, n + 1):
+            assert sum_all_minors_float(pep, k) == _scalar_sum_all_minors(pep, k)
+
+
+def _oracle_states(n):
+    """The seeded states, each also with every other amplitude zero and with
+    its first two positions made equal."""
+    for s in _random_ordered_states(n):
+        yield s, False
+        yield PeakonState(0.0, s.x, np.where(np.arange(n) % 2 == 0, 0.0, s.m)), False
+        if n > 1:
+            yield PeakonState(0.0, np.concatenate(([s.x[0]], s.x[:-1])), s.m), True
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_constants_match_batched_det_oracle(n):
+    for s, coincident in _oracle_states(n):
+        got = constants_of_motion(s)
+        want = [sum_all_minors_float(_pep(s), k) for k in range(1, n + 1)]
+        if coincident:
+            # two equal rows make P E P singular: the chain sum gives H_n = 0
+            # exactly, where the determinants leave roundoff, each minor
+            # below H_1^n in absolute value.
+            assert got[-1] == 0.0 and abs(want[-1]) <= 1e-13 * want[0] ** n
+            got, want = got[:-1], want[:-1]
+        for g, w in zip(got.tolist(), want, strict=True):
+            assert abs(g - w) <= 1e-13 * abs(w)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -274,13 +311,55 @@ def test_rhs_and_rk4_step_equal_formulas_exactly(n):
             assert nxt.t == t and np.array_equal(nxt.x, x) and np.array_equal(nxt.m, m)
 
 
-# Faddeev-LeVerrier loses digits as n grows: on the third n = 8 state its
-# c_8 is off by 5.1e-7 relative, so that case fails until the float route
-# is replaced by a stable one.
-UNSTABLE_N8 = pytest.mark.xfail(strict=True, reason="Faddeev-LeVerrier c_8 error 5.1e-7")
+def _formula_states(s, dt, count):
+    """The first count states of a loop of _formula_rk4 from s."""
+    states = [(s.t, s.x, s.m)]
+    while len(states) < count:
+        states.append(_formula_rk4(PeakonState(*states[-1]), dt))
+    return states
 
 
-@pytest.mark.parametrize("n", [*range(1, 8), pytest.param(8, marks=UNSTABLE_N8)])
+def _assert_sampled_states_follow_formula(r, s, dt):
+    # simulate stamps t0 + step*dt, the formula loop sums the steps
+    for step, (got, (_, x, m)) in enumerate(
+        zip(r.sampled_states, _formula_states(s, dt, len(r.sampled_states)), strict=True)
+    ):
+        assert got.t == s.t + step * dt
+        assert np.array_equal(got.x, x) and np.array_equal(got.m, m), step
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_simulate_states_equal_formula_rk4_loop(n):
+    for s in _random_ordered_states(n):
+        r = simulate(s, 1e-2, 3.0, sample_every=1)
+        assert r.status == "ok" and len(r.sampled_states) == 301
+        _assert_sampled_states_follow_formula(r, s, 1e-2)
+
+
+def test_simulate_stops_where_formula_loop_collides():
+    s = PeakonState(0.0, [0.0, 0.6], [2.0, 0.3])
+    r = simulate(s, 1e-3, 1.0, sample_every=1, collision_epsilon=0.5)
+    assert r.status == "collision" and len(r.sampled_states) == 40
+    _assert_sampled_states_follow_formula(r, s, 1e-3)
+    gaps = [x[1] - x[0] for _, x, _ in _formula_states(s, 1e-3, 41)]
+    assert min(gaps[:40]) >= 0.5 > gaps[40]
+
+
+def test_simulate_stops_where_formula_loop_overflows():
+    s = PeakonState(0.0, [0.0, 1.0], [1.0, 1e70])
+    r = simulate(s, 1e-3, 1.0, sample_every=1)
+    assert r.status == "numerical failure" and len(r.sampled_states) == 1
+    _assert_sampled_states_follow_formula(r, s, 1e-3)
+    t, x, m = _formula_states(s, 1e-3, 2)[1]
+    assert np.isfinite(x).all() and np.isfinite(m).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(constants_of_motion(PeakonState(t, x, m))).all()
+    # 1e200 overflows H at the initial state: nothing is sampled
+    r = simulate(PeakonState(0.0, [0.0, 1.0], [1e200, 1e200]), 1e-3, 1.0, sample_every=1)
+    assert r.status == "numerical failure" and r.sampled_states == []
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_char_poly_coefficients_match_exact_char_poly(n):
     # the float route against Berkowitz in exact arithmetic on the very
     # floats of T P E P, each of which ExactMatrix holds as an exact Fraction
