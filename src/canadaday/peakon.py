@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
+    "MAX_PEAKONS",
     "MAX_STEPS",
     "ConservationReport",
     "PeakonMatrices",
@@ -36,9 +37,14 @@ __all__ = [
     "waveform",
 ]
 
-# simulate refuses more RK4 steps than this; one step at n=6 takes about
-# 30 us, so the cap is about five minutes of stepping there.
+# simulate refuses more RK4 steps than this; one step at n=6 took 46 us on
+# a shared 2-vCPU Xeon VM, so the cap is about eight minutes of stepping.
 MAX_STEPS = 10**7
+
+# simulate refuses more peakons than this: the stepper and each sample hold
+# several n x n float arrays, 8 MB apiece at the cap, and a state file of
+# 10^5 positions would ask for hundreds of GB.
+MAX_PEAKONS = 1000
 
 DEFAULT_COLLISION_EPSILON = 1e-6
 
@@ -274,9 +280,9 @@ def simulate(
     Aborts with a flagged partial report if positions get within
     collision_epsilon of each other (the smooth-ODE regime ends there) or if
     the state stops being finite.  Raises ValueError on a non-finite or
-    non-positive dt or t_end, more than MAX_STEPS steps, a negative or
-    non-finite collision_epsilon, or an initial state that fails
-    `validate_initial`.
+    non-positive dt or t_end, more than MAX_STEPS steps, more than
+    MAX_PEAKONS peakons, a negative or non-finite collision_epsilon, or an
+    initial state that fails `validate_initial`.
     """
     # Written so that NaN fails every check.
     if not 0 < dt < math.inf:
@@ -285,6 +291,8 @@ def simulate(
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not t_end / dt <= MAX_STEPS:
         raise ValueError(f"t_end / dt = {t_end} / {dt} exceeds {MAX_STEPS} steps")
+    if s0.n > MAX_PEAKONS:
+        raise ValueError(f"n={s0.n} peakons exceeds {MAX_PEAKONS}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if not 0 <= collision_epsilon < math.inf:

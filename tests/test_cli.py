@@ -18,6 +18,7 @@ from canadaday.cli import (
     run_theorem_campaign,
 )
 from canadaday.exact_linalg import matrix_to_json_dict, random_symmetric
+from canadaday.peakon import MAX_PEAKONS
 
 
 def test_theorem_campaign_passes():
@@ -370,12 +371,13 @@ GOOD_STATE = '{"x": [-1.0, 1.0], "m": [1.0, 2.0]}'
         (GOOD_STATE, ["wave", "--points", "0"]),
         (GOOD_STATE, ["peakon", "--wave-points", str(MAX_WAVE_POINTS + 1), "--wave-out", "WAVE"]),
         (GOOD_STATE, ["wave", "--points", str(MAX_WAVE_POINTS + 1)]),
+        (json.dumps({"x": list(range(MAX_PEAKONS + 1)), "m": [1] * (MAX_PEAKONS + 1)}), ["peakon"]),
     ],
     ids=[
         "x-infinity", "m-infinity", "t-nan", "top-level-list", "bool-entry", "string-entry",
         "int-overflow", "t-end-inf", "dt-underflow", "dt-step-cap", "dt-inf", "dt-nan", "tol-nan",
         "collision-epsilon-nan", "wave-points-0", "wave-min-nan", "wave-0-points",
-        "wave-points-cap", "wave-cap-points",
+        "wave-points-cap", "wave-cap-points", "peakon-count-cap",
     ],
 )
 def test_main_peakon_bad_input_is_input_error(tmp_path, capsys, state, argv):

@@ -8,6 +8,7 @@ from oracles import sum_all_minors_float
 
 from canadaday.exact_linalg import ExactMatrix, char_poly
 from canadaday.peakon import (
+    MAX_PEAKONS,
     PeakonState,
     build_matrices,
     char_poly_coefficients,
@@ -201,6 +202,8 @@ def test_simulate_validates_inputs():
         simulate(PeakonState(0.0, [1.0, 0.0], [1.0, 1.0]), 1e-3, 1.0)
     with pytest.raises(ValueError):
         simulate(PeakonState(0.0, [0.0, 1.0], [1.0, -1.0]), 1e-3, 1.0)
+    with pytest.raises(ValueError):
+        simulate(PeakonState(0.0, np.arange(MAX_PEAKONS + 1.0), np.ones(MAX_PEAKONS + 1)), 1e-3, 1.0)
 
 
 def test_report_json_schema():
