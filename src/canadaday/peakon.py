@@ -320,9 +320,8 @@ def simulate(
                 if not (np.isfinite(h).all() and np.isfinite(c).all()):
                     status = "numerical failure"
                     break
-                samples.append(
-                    {"t": s.t, "H": h.tolist(), "c": c.tolist(), "identity_gap": _identity_gap(h, c)}
-                )
+                gap = _identity_gap(h, c)
+                samples.append({"t": s.t, "H": h.tolist(), "c": c.tolist(), "identity_gap": gap})
                 states.append(s)
             if step < steps:
                 step_y()

@@ -332,8 +332,8 @@ def test_main_peakon_identity_gap_breach_exits_one(tmp_path, monkeypatch):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"x": [-1.0, 1.0], "m": [1.0, 2.0]}))
     out = tmp_path / "report.json"
-    argv = ["peakon", "--state", str(state), "--t-end", "0.1", "--format", "json", "--out", str(out)]
-    assert main(argv) == 1
+    argv = ["peakon", "--state", str(state), "--t-end", "0.1", "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert doc["status"] == "ok" and max(doc["max_rel_drift"]) <= doc["tol"]
     assert doc["passed"] is False

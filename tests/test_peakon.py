@@ -203,7 +203,8 @@ def test_simulate_validates_inputs():
     with pytest.raises(ValueError):
         simulate(PeakonState(0.0, [0.0, 1.0], [1.0, -1.0]), 1e-3, 1.0)
     with pytest.raises(ValueError):
-        simulate(PeakonState(0.0, np.arange(MAX_PEAKONS + 1.0), np.ones(MAX_PEAKONS + 1)), 1e-3, 1.0)
+        too_many = MAX_PEAKONS + 1
+        simulate(PeakonState(0.0, np.arange(too_many), np.ones(too_many)), 1e-3, 1.0)
 
 
 def test_report_json_schema():
