@@ -30,9 +30,12 @@ CASES = [
     ("theorem_n6_trials1_seed5", ["verify-theorem", "--n", "6", "--trials", "1", "--seed", "5"], 0),
     ("lemmas_n3", ["verify-lemmas", "--n", "3"], 0),
     ("lemmas_n2_corrupt_sign", ["verify-lemmas", "--n", "2", "--corrupt-sign"], 1),
+    ("lemmas_n4", ["verify-lemmas", "--n", "4"], 0),
     ("orbit_audit_n3_k2_seed9", ["orbit-audit", "--n", "3", "--k", "2", "--seed", "9"], 0),
     ("orbit_audit_n3_k0", ["orbit-audit", "--n", "3", "--k", "0"], 0),
     ("orbit_audit_n3_k2_matrix", ["orbit-audit", "--n", "3", "--k", "2", "--matrix", str(MATRIX)], 0),
+    # p = 2 orbits: members reached by two composed flips
+    ("orbit_audit_n5_k3_seed4", ["orbit-audit", "--n", "5", "--k", "3", "--seed", "4"], 0),
     ("lgv_audit_n4", ["lgv-audit", "--n", "4"], 0),
     ("peakon_n6", ["peakon", "--state", str(STATE), "--t-end", "0.5", "--sample-every", "50"], 0),
     (
