@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, groupby
 from math import lcm
 from operator import mul
@@ -105,6 +106,17 @@ class ExactMatrix:
             raise DimensionError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # The dataclass hash of the fields, taken once per instance: it
+        # hashes n^2 Fractions, and a matrix is a cache key (minor_sums).
+        # cached_property writes the instance __dict__, past the frozen
+        # __setattr__; dataclass eq and repr see only the fields.
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> ExactMatrix:

@@ -35,6 +35,20 @@ def test_t_matrix_n3_matches_worked_example():
     ]
 
 
+def test_matrix_hash_is_the_field_hash_taken_once(monkeypatch):
+    hashed = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda f: hashed.append(f) or real(f))
+    m = random_symmetric(3, 4, 9)
+    assert hash(m) == hash((3, 3, m.entries))
+    assert len(hashed) == 2 * 9  # once for m, once for the field tuple
+    assert hash(m) == hash(m)
+    assert len(hashed) == 2 * 9
+    twin = ExactMatrix(3, 3, m.entries)
+    assert twin == m and hash(twin) == hash(m)
+    assert twin != ExactMatrix(3, 3, m.entries[:-1] + (m.entries[-1] + 1,))
+
+
 def test_t_matrix_n1():
     assert t_matrix(1).to_rows() == [[1]]
 
