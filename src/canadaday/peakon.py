@@ -48,6 +48,13 @@ MAX_PEAKONS = 1000
 
 DEFAULT_COLLISION_EPSILON = 1e-6
 
+# waveform evaluates at most this many exponentials at once (8 MB of
+# floats), in row blocks of a multiple of 64 grid points.  With BLAS on one
+# thread the blocked products keep the bits of the one-shot product; with
+# more threads the one-shot product's own bits change with the thread count
+# at large sizes.
+_WAVE_BLOCK_FLOATS = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class PeakonState:
@@ -241,7 +248,12 @@ def char_poly_coefficients(s: PeakonState) -> np.ndarray:
 def waveform(s: PeakonState, grid: np.ndarray) -> np.ndarray:
     """u(x) = sum_i m_i exp(-|x - x_i|) evaluated on the given grid."""
     grid = np.asarray(grid, dtype=float)
-    return np.exp(-np.abs(grid[:, None] - s.x[None, :])) @ s.m
+    rows = max(64, _WAVE_BLOCK_FLOATS // max(s.n, 1) // 64 * 64)
+    u = np.empty(len(grid))
+    for lo in range(0, len(grid), rows):
+        block = grid[lo : lo + rows]
+        u[lo : lo + rows] = np.exp(-np.abs(block[:, None] - s.x[None, :])) @ s.m
+    return u
 
 
 @dataclass

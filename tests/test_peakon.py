@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import sum_all_minors_float
 
+from canadaday import peakon
 from canadaday.exact_linalg import ExactMatrix, char_poly
 from canadaday.peakon import (
     MAX_PEAKONS,
@@ -139,6 +140,21 @@ def test_waveform_peak_values():
     assert u[0] == pytest.approx(1.0 + 3.0 * math.exp(-2.0), rel=1e-15)
     assert u[1] == pytest.approx(math.exp(-2.0) + 3.0, rel=1e-15)
     assert u[2] == pytest.approx(math.exp(-10.0) + 3.0 * math.exp(-8.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n,block_floats,points",
+    [(6, 6 * 64, 1001), (40, peakon._WAVE_BLOCK_FLOATS, 60_001)],
+    ids=["64-row blocks", "default blocks"],
+)
+def test_waveform_blocks_keep_the_one_shot_bits(monkeypatch, n, block_floats, points):
+    rng = np.random.default_rng(n)
+    s = PeakonState(0.0, sorted(rng.uniform(-9, 9, n)), list(rng.uniform(0.5, 2, n)))
+    monkeypatch.setattr(peakon, "_WAVE_BLOCK_FLOATS", block_floats)
+    grid = np.linspace(-10, 10, points)
+    assert points > 2 * block_floats // n  # several blocks, the last one partial
+    one_shot = np.exp(-np.abs(grid[:, None] - s.x[None, :])) @ s.m
+    assert waveform(s, grid).tobytes() == one_shot.tobytes()
 
 
 def test_simulate_single_peakon_zero_drift():
