@@ -14,7 +14,8 @@ import csv
 import json
 import math
 import sys
-from itertools import combinations
+
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,7 +28,14 @@ from .exact_linalg import (
     random_symmetric,
 )
 from .lgv import audit_table
-from .matchings import enumerate_matchings, orbit_sum_identity, sign_flip_law_check, weight
+from .matchings import (
+    Matching,
+    decompose_clusters,
+    enumerate_matchings,
+    orbit_sum_identity,
+    sign_flip_law_check,
+    weight,
+)
 from .minor_sums import check_size_guard, verify_canada_day
 from .peakon import DEFAULT_COLLISION_EPSILON, PeakonState, simulate, waveform
 
@@ -129,16 +137,25 @@ def _check_t_minor_three_way(n_max: int):
     return True, None
 
 
+def _acting_generators(m: Matching) -> list[tuple[int, int]]:
+    """The generators f_ij (i < j) that flip something in m, in generator
+    order: those whose edge i -> j or j -> i lies in an open cluster.  Every
+    other generator leaves m unchanged, so its sign-law check holds
+    trivially."""
+    return sorted(
+        (min(e), max(e)) for c in decompose_clusters(m).open_clusters for e in c.edges
+    )
+
+
 def _check_matchings(n_max: int, seed: int, bound: int, corrupt: bool):
     """The matching_count, weight_flip_invariance and sign_flip_law results
-    from one walk over each M_{n,k}: each generator f_ij acts once per
-    matching, in `sign_flip_law_check`, and the weight check reads its image.
-    Each check keeps its own first witness."""
+    from one walk over each M_{n,k}: each acting generator f_ij is checked
+    once per matching, in `sign_flip_law_check`, and the weight check reads
+    its image.  Each check keeps its own first witness."""
     count_ok = weight_ok = sign_ok = (True, None)
     corrupt_pending = corrupt
     for n in range(1, n_max + 1):
         x = random_symmetric(n, _child_seed(seed, 1, n), bound)
-        generators = list(combinations(range(1, n + 1), 2))
         for k in range(0, n + 1):
             count = 0
             for m in enumerate_matchings(n, k):
@@ -146,7 +163,7 @@ def _check_matchings(n_max: int, seed: int, bound: int, corrupt: bool):
                 if k == 0:
                     continue
                 w = weight(m, x)
-                for i, j in generators:
+                for i, j in _acting_generators(m):
                     chk = sign_flip_law_check(m, i, j)
                     if weight_ok[0] and chk.flipped and weight(chk.image, x) != w:
                         weight_ok = False, {"n": n, "matching": m.to_json_dict(), "i": i, "j": j}
@@ -251,8 +268,8 @@ def run_orbit_audit(x: ExactMatrix, k: int) -> dict:
         "matrix": matrix_to_json_dict(x),
         "orbit_count": len(rep.orbits),
         "orbits": [
-            {**o.to_json_dict(ws), "orbit_sum": str(total)}
-            for o, ws, total in zip(rep.orbits, rep.weights, rep.orbit_sums)
+            {**o.to_json_dict(sgs, ws), "orbit_sum": str(total)}
+            for o, sgs, ws, total in zip(rep.orbits, rep.signs, rep.weights, rep.orbit_sums)
         ],
         "totals": {
             "matching_sum": str(rep.matching_sum),
@@ -325,9 +342,8 @@ def load_state(path: str) -> PeakonState:
     return state
 
 
-# A wave CSV row per grid point and sampled state; `waveform` holds
-# points x n floats at once, so the grid is refused past this before any
-# allocation.
+# A wave CSV row per grid point and sampled state, so the grid is refused
+# past this before any work; `waveform` itself runs in bounded row blocks.
 MAX_WAVE_POINTS = 10**6
 
 
@@ -467,10 +483,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(o, indent: str = "") -> str:
+    """`json.dumps(o, indent=2)`, byte for byte, in one recursive pass.
+
+    With `indent` set, `json.dumps` runs the pure-Python encoder.  This
+    renderer dispatches on the exact type, joins each container's rendered
+    items with `str.join` and encodes strings with the C
+    `encode_basestring_ascii`.  Ints and finite floats are their repr, as in
+    `json.dumps`, and bool and None their JSON words; other scalars go to
+    `json.dumps` itself, whose compact form of one scalar is the same."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int or (t is float and -math.inf < o < math.inf):
+        return repr(o)
+    if t is bool:
+        return "true" if o else "false"
+    if o is None:
+        return "null"
+    if t is not dict and t is not list and t is not tuple:
+        if isinstance(o, dict):
+            t = dict
+        elif not isinstance(o, (list, tuple)):
+            return json.dumps(o)
+    if not o:
+        return "{}" if t is dict else "[]"
+    inner = indent + "  "
+    if t is dict:
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in o.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    items = [_json_text(v, inner) for v in o]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _json_key(k) -> str:
+    """A dict key as `json.dumps` writes it: str as is; int, float, bool and
+    None by their JSON text, then quoted."""
+    if not isinstance(k, str):
+        if k is not None and not isinstance(k, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = json.dumps(k)
+    return encode_basestring_ascii(k)
+
+
 def _emit(doc: dict, fmt: str, out: str | None, renderer) -> None:
     """Write the report as JSON, or as the renderer's lines plus the verdict."""
     if fmt == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = _json_text(doc) + "\n"
     else:
         payload = "\n".join(renderer(doc) + ["PASS" if doc["passed"] else "FAIL"]) + "\n"
     if out:

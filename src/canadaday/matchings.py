@@ -37,7 +37,6 @@ __all__ = [
     "Matching",
     "Orbit",
     "OrbitSumReport",
-    "canonical_involution",
     "decompose_clusters",
     "enumerate_matchings",
     "flip",
@@ -98,12 +97,19 @@ class Matching:
 def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
     """All k-edge matchings of K_{n,n}, each exactly once, in lexicographic
     (I, J, assignment) order; there are C(n,k)^2 * k! of them."""
+    for edges in _edge_tuples(n, k):
+        yield Matching(n, edges)
+
+
+def _edge_tuples(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The edges of each matching of `enumerate_matchings`, in its order and
+    already sorted by left node, without building the Matching."""
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
     for I in k_subsets(n, k):
         for J in k_subsets(n, k):
             for assignment in permutations(J.elems):
-                yield Matching(n, tuple(zip(I.elems, assignment)))
+                yield tuple(zip(I.elems, assignment))
 
 
 def sign(m: Matching) -> int:
@@ -199,7 +205,7 @@ def _trace_clusters(m: Matching) -> tuple[Cluster, ...]:
     for r in I:
         if r in todo:
             clusters.append(Cluster(walk(r)[0], "closed", None, 0))
-    clusters.sort(key=lambda c: c.edges)
+    clusters.sort(key=_cluster_key)
     return tuple(clusters)
 
 
@@ -222,10 +228,29 @@ def flip(m: Matching, i: int, j: int) -> Matching:
 
 
 def _flip_cluster(m: Matching, cluster: Cluster) -> Matching:
+    """Reverse the edges of `cluster`, an open cluster of m.
+
+    The image is a valid matching by construction, so it is built without
+    re-validation, and its clusters are derived instead of traced: every
+    other cluster is unchanged, the flipped one has its edges reversed and
+    its endpoints swapped, and every separation is unchanged because a flip
+    keeps the multiset I + J.  Tests check the result against a fresh trace.
+    """
     dropped = set(cluster.edges)
-    kept = [e for e in m.edges if e not in dropped]
-    reversed_edges = [(b, a) for a, b in cluster.edges]
-    return Matching(m.n, tuple(kept + reversed_edges))
+    reversed_edges = tuple(sorted((b, a) for a, b in cluster.edges))
+    edges = tuple(sorted([e for e in m.edges if e not in dropped] + list(reversed_edges)))
+    a, b = cluster.endpoints
+    flipped = Cluster(reversed_edges, "open", (b, a), cluster.separation)
+    clusters = sorted((flipped if c == cluster else c for c in m._clusters), key=_cluster_key)
+    image = object.__new__(Matching)
+    # Past the frozen __setattr__, as cached_property does; "_clusters" is
+    # the cached_property's own slot in the instance __dict__.
+    image.__dict__.update(n=m.n, edges=edges, _clusters=tuple(clusters))
+    return image
+
+
+def _cluster_key(c: Cluster) -> tuple[tuple[int, int], ...]:
+    return c.edges
 
 
 @dataclass(frozen=True)
@@ -236,11 +261,11 @@ class Orbit:
     classification: str  # "interlacing" or "non-interlacing"
     representative: Matching | None  # the unique interlacing member, when any
 
-    def to_json_dict(self, weights: Sequence[Rational]) -> dict:
+    def to_json_dict(self, signs: Sequence[int], weights: Sequence[Rational]) -> dict:
         return {
             "classification": self.classification,
             "members": [m.to_json_dict() for m in self.members],
-            "signs": [sign(m) for m in self.members],
+            "signs": list(signs),
             "separations": [
                 [c.separation for c in decompose_clusters(m).clusters]
                 for m in self.members
@@ -302,43 +327,19 @@ def sign_flip_law_check(m: Matching, i: int, j: int) -> FlipSignCheck:
     return FlipSignCheck(True, sign(image) == expected, c.separation, image)
 
 
-def canonical_involution(m: Matching) -> Matching:
-    """Sign-reversing involution on non-interlacing orbits: flip the
-    odd-separation open cluster whose smallest incident node label (over both
-    sides) is minimal.
-
-    That label set is unchanged by flipping, so applying the map twice gives m
-    back; the flip reverses the sign because the separation is odd.
-    """
-    odd_opens = [
-        c
-        for c in decompose_clusters(m).open_clusters
-        if c.separation % 2 == 1
-    ]
-    if not odd_opens:
-        raise ValueError(
-            "matching has no odd-separation open cluster (its orbit is interlacing)"
-        )
-
-    def label_key(c: Cluster) -> tuple[int, ...]:
-        labels = {i for i, _ in c.edges} | {j for _, j in c.edges}
-        return tuple(sorted(labels))
-
-    return _flip_cluster(m, min(odd_opens, key=label_key))
-
-
 @dataclass(frozen=True)
 class OrbitSumReport:
     """Orbit-by-orbit audit of the alternating matching sum for symmetric X.
 
-    `weights` (one per member) and `orbit_sums` (signed sum of the members)
-    run parallel to `orbits`; `failed_checks` names the properties of the
+    `signs` and `weights` (one per member) and `orbit_sums` (signed sum of
+    the members) run parallel to `orbits`; `failed_checks` names the properties of the
     orbit partition that do not hold.
     """
 
     n: int
     k: int
     orbits: tuple[Orbit, ...]
+    signs: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[Rational, ...], ...]
     orbit_sums: tuple[Rational, ...]
     failed_checks: tuple[str, ...]
@@ -365,10 +366,10 @@ def partition_into_orbits(n: int, k: int) -> list[Orbit]:
     check_size_guard(n)
     seen: set[tuple[tuple[int, int], ...]] = set()
     orbits = []
-    for m in enumerate_matchings(n, k):
-        if m.edges in seen:
+    for edges in _edge_tuples(n, k):
+        if edges in seen:
             continue
-        o = orbit(m)
+        o = orbit(Matching(n, edges))
         for member in o.members:
             seen.add(member.edges)
         orbits.append(o)
@@ -398,22 +399,24 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         s = interlacing_sum(x, k)
         all_minors = sum_all_minors(x, k)
 
+    signs = []
     weights = []
     orbit_sums = []
     class_sums = {"interlacing": Fraction(0), "non-interlacing": Fraction(0)}
     sizes_match = weight_constant = uniform_sign = balanced = True
     for o in orbits:
         ws = tuple(weight(m, x) for m in o.members)
-        signs = [sign(m) for m in o.members]
+        sgs = tuple(sign(m) for m in o.members)
         first = o.members[0]
         sizes_match &= len(o.members) == 2 ** p_value(first.row_set(), first.col_set())
         weight_constant &= len(set(ws)) == 1
         if o.classification == "interlacing":
-            uniform_sign &= len(set(signs)) == 1
+            uniform_sign &= len(set(sgs)) == 1
         else:
-            balanced &= sum(signs) == 0
-        orbit_sum = sum((sg * w for sg, w in zip(signs, ws)), Fraction(0))
+            balanced &= sum(sgs) == 0
+        orbit_sum = sum((sg * w for sg, w in zip(sgs, ws)), Fraction(0))
         class_sums[o.classification] += orbit_sum
+        signs.append(sgs)
         weights.append(ws)
         orbit_sums.append(orbit_sum)
     member_count = sum(len(o.members) for o in orbits)
@@ -430,6 +433,7 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         n=n,
         k=k,
         orbits=tuple(orbits),
+        signs=tuple(signs),
         weights=tuple(weights),
         orbit_sums=tuple(orbit_sums),
         failed_checks=tuple(name for name, ok in checks.items() if not ok),

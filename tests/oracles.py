@@ -1,6 +1,8 @@
 """Test oracles: the one exponential (Leibniz) oracle for determinants and
-minors, and the batched-determinant float sum of all k x k minors that
-checks the peakon constants of motion up to n = 8."""
+minors, the batched-determinant float sum of all k x k minors that checks
+the peakon constants of motion up to n = 8, and the canonical
+sign-reversing involution that pairs the members of non-interlacing
+orbits."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +11,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from canadaday.exact_linalg import DimensionError, ExactMatrix, IndexSet, Rational
-from canadaday.matchings import Matching, sign, weight
+from canadaday.matchings import Cluster, Matching, decompose_clusters, flip, sign, weight
 
 
 def minor_via_matchings(x: ExactMatrix, I: IndexSet, J: IndexSet) -> Rational:
@@ -51,3 +53,29 @@ def sum_all_minors_float(mat: np.ndarray, k: int) -> float:
     for term in terms:
         total += term
     return total
+
+
+def canonical_involution(m: Matching) -> Matching:
+    """Sign-reversing involution on non-interlacing orbits: flip the
+    odd-separation open cluster whose smallest incident node label (over both
+    sides) is minimal, by the public generator of one of its edges.
+
+    That label set is unchanged by flipping, so applying the map twice gives m
+    back; the flip reverses the sign because the separation is odd.
+    """
+    odd_opens = [
+        c
+        for c in decompose_clusters(m).open_clusters
+        if c.separation % 2 == 1
+    ]
+    if not odd_opens:
+        raise ValueError(
+            "matching has no odd-separation open cluster (its orbit is interlacing)"
+        )
+
+    def label_key(c: Cluster) -> tuple[int, ...]:
+        labels = {i for i, _ in c.edges} | {j for _, j in c.edges}
+        return tuple(sorted(labels))
+
+    i, j = min(odd_opens, key=label_key).edges[0]
+    return flip(m, min(i, j), max(i, j))

@@ -1,11 +1,14 @@
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from canadaday import cli, lgv, matchings, peakon
 from canadaday.cli import (
@@ -152,6 +155,18 @@ def test_lemma_suite_walks_each_matching_set_once(monkeypatch):
         walked[n, k] += 1
         return real_enumerate(n, k)
 
+    # brute force, before `flip` is refused: the generators i < j that move
+    # each k-edge matching, k >= 1
+    acting = {
+        (m.edges, n, i, j)
+        for n in range(1, 4)
+        for k in range(1, n + 1)
+        for m in real_enumerate(n, k)
+        for i, j in combinations(range(1, n + 1), 2)
+        if matchings.flip(m, i, j) != m
+    }
+    assert len(acting) == 26
+
     checked = Counter()
     real_check = cli.sign_flip_law_check
 
@@ -168,11 +183,37 @@ def test_lemma_suite_walks_each_matching_set_once(monkeypatch):
     monkeypatch.setattr(cli, "flip", refuse, raising=False)
     assert run_lemma_suite(n_max=3)["passed"]
     assert walked == Counter({(n, k): 1 for n in range(1, 4) for k in range(n + 1)})
+    # exactly one check per acting generator of each k-edge matching
     assert set(checked.values()) == {1}
-    # one check per generator i < j of each k-edge matching, k >= 1
-    assert len(checked) == sum(
-        comb(n, k) ** 2 * factorial(k) * comb(n, 2) for n in range(1, 4) for k in range(1, n + 1)
-    )
+    assert set(checked) == acting
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_JSON_KEYS, inner)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+@example({"é\u2603": ["\n\t\"\\\x00", -0.0, math.nan, math.inf, -math.inf, 10**30]})
+@example({1: [], 2.5: {}, None: (), True: [[]], False: {"": ""}, -0.0: math.nan})
+@example([])
+@example({})
+def test_json_text_matches_json_dumps_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_keys_json_dumps_refuses():
+    with pytest.raises(TypeError):
+        json.dumps({(1, 2): 0}, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text({(1, 2): 0})
 
 
 def test_lemma_suite_full_n4():

@@ -19,7 +19,6 @@ from canadaday.matchings import (
     Cluster,
     ClusterDecomposition,
     Matching,
-    canonical_involution,
     decompose_clusters,
     enumerate_matchings,
     flip,
@@ -37,7 +36,7 @@ from canadaday.minor_sums import (
     p_value,
     sum_all_minors,
 )
-from oracles import minor_via_matchings
+from oracles import canonical_involution, minor_via_matchings
 
 # the n=8, k=7 worked matching used throughout the cluster examples
 TAU8 = Matching(8, ((1, 6), (2, 8), (3, 4), (4, 2), (5, 5), (6, 1), (8, 7)))
@@ -247,6 +246,41 @@ def test_traced_clusters_equal_union_find_exhaustively():
 @given(m=_matchings())
 def test_traced_clusters_equal_union_find_random(m):
     assert decompose_clusters(m).clusters == _union_find_clusters(m)
+
+
+def test_flipped_orbit_members_carry_their_traced_clusters():
+    # Members reached by flips are built unvalidated, with derived clusters:
+    # each must equal a validated construction and a fresh trace of it, and
+    # the union-find oracle checks the carried clusters a second time.
+    for n in range(1, 6):
+        for k in range(0, n + 1):
+            for o in partition_into_orbits(n, k):
+                for member in o.members:
+                    fresh = Matching(n, member.edges)
+                    assert member == fresh and type(member.edges) is tuple
+                    carried = decompose_clusters(member).clusters
+                    assert carried == matchings._trace_clusters(fresh)
+                    assert carried == _union_find_clusters(fresh)
+
+
+def test_partition_traces_one_member_per_orbit(monkeypatch):
+    traced = _count_traces(monkeypatch)
+    orbits = partition_into_orbits(5, 3)
+    assert max(len(o.members) for o in orbits) == 4  # members from composed flips
+    for o in orbits:
+        for member in o.members:
+            decompose_clusters(member)
+    assert len(traced) == len(orbits)
+
+
+def test_flip_images_carry_their_traced_clusters():
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for m in enumerate_matchings(n, k):
+                for i, j in combinations(range(1, n + 1), 2):
+                    image = flip(m, i, j)
+                    fresh = Matching(n, image.edges)
+                    assert decompose_clusters(image).clusters == matchings._trace_clusters(fresh)
 
 
 def _count_traces(monkeypatch) -> list[Matching]:
