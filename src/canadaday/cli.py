@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import sys
-
 from json.encoder import encode_basestring_ascii
 
 import numpy as np

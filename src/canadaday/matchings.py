@@ -205,7 +205,7 @@ def _trace_clusters(m: Matching) -> tuple[Cluster, ...]:
     for r in I:
         if r in todo:
             clusters.append(Cluster(walk(r)[0], "closed", None, 0))
-    clusters.sort(key=_cluster_key)
+    clusters.sort(key=lambda c: c.edges)
     return tuple(clusters)
 
 
@@ -241,16 +241,12 @@ def _flip_cluster(m: Matching, cluster: Cluster) -> Matching:
     edges = tuple(sorted([e for e in m.edges if e not in dropped] + list(reversed_edges)))
     a, b = cluster.endpoints
     flipped = Cluster(reversed_edges, "open", (b, a), cluster.separation)
-    clusters = sorted((flipped if c == cluster else c for c in m._clusters), key=_cluster_key)
+    clusters = sorted((flipped if c == cluster else c for c in m._clusters), key=lambda c: c.edges)
     image = object.__new__(Matching)
     # Past the frozen __setattr__, as cached_property does; "_clusters" is
     # the cached_property's own slot in the instance __dict__.
     image.__dict__.update(n=m.n, edges=edges, _clusters=tuple(clusters))
     return image
-
-
-def _cluster_key(c: Cluster) -> tuple[tuple[int, int], ...]:
-    return c.edges
 
 
 @dataclass(frozen=True)
@@ -332,8 +328,8 @@ class OrbitSumReport:
     """Orbit-by-orbit audit of the alternating matching sum for symmetric X.
 
     `signs` and `weights` (one per member) and `orbit_sums` (signed sum of
-    the members) run parallel to `orbits`; `failed_checks` names the properties of the
-    orbit partition that do not hold.
+    the members) run parallel to `orbits`; `failed_checks` names the
+    properties of the orbit partition that do not hold.
     """
 
     n: int

@@ -2,7 +2,7 @@ import json
 import math
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import combinations
 
@@ -205,6 +205,7 @@ _JSON_VALUES = st.recursive(
 @example({1: [], 2.5: {}, None: (), True: [[]], False: {"": ""}, -0.0: math.nan})
 @example([])
 @example({})
+@example(OrderedDict(a=Fraction(1, 2).as_integer_ratio(), b=[OrderedDict()]))
 def test_json_text_matches_json_dumps_indent_2(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
