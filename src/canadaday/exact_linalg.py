@@ -31,6 +31,7 @@ __all__ = [
     "MinorLevel",
     "Rational",
     "char_poly",
+    "child_seed",
     "determinant",
     "integer_char_poly",
     "k_subsets",
@@ -320,6 +321,14 @@ def minor_levels(m: ExactMatrix) -> Iterator[MinorLevel]:
         yield MinorLevel(n, k, d**k, prev)
 
 
+def child_seed(seed: int, *parts: int) -> int:
+    """The seed of one campaign matrix, from the run's seed and its coordinates."""
+    out = seed
+    for p in parts:
+        out = out * 1_000_003 + p + 1
+    return out
+
+
 def random_symmetric(n: int, seed: int, entry_bound: int) -> ExactMatrix:
     """Seeded random symmetric n x n matrix with integer entries in
     [-entry_bound, entry_bound]. Same arguments always give the same matrix."""
@@ -360,17 +369,24 @@ def matrix_to_json_dict(m: ExactMatrix) -> dict:
 
 
 def matrix_from_json_dict(d: dict) -> ExactMatrix:
-    """Inverse of `matrix_to_json_dict`.  Entries must be exact: integers or
-    strings such as "-3/4"; floats and booleans are refused."""
-    rows, cols = d["rows"], d["cols"]
-    entries = d["entries"]
-    if len(entries) != rows or any(len(row) != cols for row in entries):
+    """Inverse of `matrix_to_json_dict`.  rows and cols must be integers and
+    entries a list of rows of exact entries, integers or strings such as
+    "-3/4"; anything else, floats and booleans included, raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a matrix must be a JSON object, got {type(d).__name__}")
+    rows, cols, entries = d["rows"], d["cols"], d["entries"]
+    if type(rows) is not int or type(cols) is not int or type(entries) is not list:
+        raise ValueError("a matrix needs integer rows and cols and a list of entry rows")
+    if len(entries) != rows or any(type(row) is not list or len(row) != cols for row in entries):
         raise DimensionError("entry grid does not match declared rows/cols")
     for row in entries:
         for v in row:
             if isinstance(v, bool) or not isinstance(v, (int, str)):
                 raise ValueError(f"matrix entries must be integers or exact strings, got {v!r}")
-    return ExactMatrix.from_rows(entries)
+    try:
+        return ExactMatrix.from_rows(entries)
+    except ZeroDivisionError:
+        raise ValueError("matrix entries must not have a zero denominator") from None
 
 
 def load_matrix(path) -> ExactMatrix:

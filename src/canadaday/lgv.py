@@ -17,6 +17,7 @@ from .minor_sums import check_size_guard, t_minor_formula
 
 __all__ = [
     "LayeredNetwork",
+    "audit",
     "audit_table",
     "build_network",
     "count_disjoint_families",
@@ -169,3 +170,15 @@ def audit_table(n: int) -> list[dict]:
                     }
                 )
     return table
+
+
+def audit(n: int) -> dict:
+    """The lgv-audit report: `audit_table(n)`, passing when every row agrees."""
+    table = audit_table(n)
+    return {
+        "command": "lgv-audit",
+        "n": n,
+        "pair_count": len(table),
+        "passed": all(row["agree"] for row in table),
+        "table": table,
+    }

@@ -20,7 +20,14 @@ from itertools import permutations
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .exact_linalg import DimensionError, ExactMatrix, IndexSet, Rational, k_subsets
+from .exact_linalg import (
+    DimensionError,
+    ExactMatrix,
+    IndexSet,
+    Rational,
+    k_subsets,
+    matrix_to_json_dict,
+)
 from .minor_sums import (
     SymmetryError,
     check_size_guard,
@@ -41,6 +48,7 @@ __all__ = [
     "enumerate_matchings",
     "flip",
     "orbit",
+    "orbit_audit",
     "orbit_sum_identity",
     "partition_into_orbits",
     "sign",
@@ -438,3 +446,31 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         interlacing_s=s,
         all_minors=all_minors,
     )
+
+
+def orbit_audit(x: ExactMatrix, k: int) -> dict:
+    """The orbit-audit report of `orbit_sum_identity(x, k)`: every orbit of
+    M_{n,k} with members, signs, separations, weights and signed sum, then
+    the totals of the orbit-sum argument.  Passes when every orbit property
+    holds and the grand sum equals both S and the sum of all k x k minors of
+    X."""
+    rep = orbit_sum_identity(x, k)
+    return {
+        "command": "orbit-audit",
+        "n": rep.n,
+        "k": k,
+        "matrix": matrix_to_json_dict(x),
+        "orbit_count": len(rep.orbits),
+        "orbits": [
+            {**o.to_json_dict(sgs, ws), "orbit_sum": str(total)}
+            for o, sgs, ws, total in zip(rep.orbits, rep.signs, rep.weights, rep.orbit_sums)
+        ],
+        "totals": {
+            "matching_sum": str(rep.matching_sum),
+            "interlacing_orbit_sum": str(rep.interlacing_orbit_sum),
+            "non_interlacing_orbit_sum": str(rep.non_interlacing_orbit_sum),
+            "interlacing_S": str(rep.interlacing_s),
+            "all_minors_of_X": str(rep.all_minors),
+        },
+        "passed": rep.all_checks_pass,
+    }

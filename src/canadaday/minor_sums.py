@@ -28,8 +28,12 @@ from .exact_linalg import (
     IndexSet,
     MinorLevel,
     Rational,
+    child_seed,
     integer_char_poly,
+    matrix_to_json_dict,
     minor_levels,
+    random_matrix,
+    random_symmetric,
     scaled_to_integers,
 )
 
@@ -44,13 +48,13 @@ __all__ = [
     "sum_all_minors",
     "sum_principal_minors",
     "t_minor_formula",
+    "theorem_campaign",
     "verify_canada_day",
 ]
 
 # Level k of the minor table holds C(n,k)^2 minors (853,776 at n=12,
 # k=6), and the orbit and path audits enumerate as many matchings and path
-# families; beyond this n they stop being desk-scale, so refuse unless
-# explicitly overridden.
+# families; beyond this n they stop being desk-scale, so refuse.
 SIZE_GUARD = 12
 
 # Minor tables kept, keyed by matrix; each keeps the char poly of its T@X.
@@ -72,10 +76,10 @@ def _check_pair(I: IndexSet, J: IndexSet) -> None:
         raise DimensionError(f"index sets have different ambient sizes {I.n} and {J.n}")
 
 
-def check_size_guard(n: int, allow_large: bool = False) -> None:
-    """Refuse work at size n past SIZE_GUARD, unless allow_large is set.
-    Every exhaustive route calls this before any of its work."""
-    if n > SIZE_GUARD and not allow_large:
+def check_size_guard(n: int) -> None:
+    """Refuse work at size n past SIZE_GUARD.  Every exhaustive route calls
+    this before any of its work."""
+    if n > SIZE_GUARD:
         raise ValueError(f"n={n} exceeds the guard {SIZE_GUARD}")
 
 
@@ -170,26 +174,26 @@ def _table(m: ExactMatrix) -> _MinorTable:
     return _MinorTable(m)
 
 
-def _checked_table(m: ExactMatrix, k: int, allow_large: bool) -> _MinorTable:
+def _checked_table(m: ExactMatrix, k: int) -> _MinorTable:
     if not m.is_square():
         raise DimensionError(f"need a square matrix, got {m.rows}x{m.cols}")
     if not 1 <= k <= m.rows:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={m.rows}")
-    check_size_guard(m.rows, allow_large)
+    check_size_guard(m.rows)
     return _table(m)
 
 
-def sum_principal_minors(m: ExactMatrix, k: int, *, allow_large: bool = False) -> Rational:
-    return _checked_table(m, k, allow_large).at(k).principal
+def sum_principal_minors(m: ExactMatrix, k: int) -> Rational:
+    return _checked_table(m, k).at(k).principal
 
 
-def sum_all_minors(m: ExactMatrix, k: int, *, allow_large: bool = False) -> Rational:
-    return _checked_table(m, k, allow_large).at(k).all
+def sum_all_minors(m: ExactMatrix, k: int) -> Rational:
+    return _checked_table(m, k).at(k).all
 
 
-def interlacing_sum(m: ExactMatrix, k: int, *, allow_large: bool = False) -> Rational:
+def interlacing_sum(m: ExactMatrix, k: int) -> Rational:
     """S = sum over interlacing pairs I <= J of 2^p(I,J) * |X_IJ|."""
-    return _checked_table(m, k, allow_large).at(k).interlacing
+    return _checked_table(m, k).at(k).interlacing
 
 
 @dataclass(frozen=True)
@@ -219,16 +223,14 @@ class CanadaDayReport:
         }
 
 
-def verify_canada_day(
-    m: ExactMatrix, k: int, *, allow_asymmetric: bool = False, allow_large: bool = False
-) -> CanadaDayReport:
+def verify_canada_day(m: ExactMatrix, k: int, *, allow_asymmetric: bool = False) -> CanadaDayReport:
     """Evaluate all three sums for m and report whether they agree.
 
     Refuses non-symmetric input unless allow_asymmetric is set, because the
     all-minors identity presumes symmetry; the principal-of-TX vs S equality
     holds regardless and is exposed as `part_a_equal` on the report.
     """
-    table = _checked_table(m, k, allow_large)
+    table = _checked_table(m, k)
     if not m.is_symmetric() and not allow_asymmetric:
         raise SymmetryError(
             "matrix is not symmetric; pass allow_asymmetric=True to evaluate anyway"
@@ -243,3 +245,54 @@ def verify_canada_day(
         interlacing_s=sums.interlacing,
         all_equal=principal == sums.all == sums.interlacing,
     )
+
+
+def theorem_campaign(
+    n_max: int,
+    k: int | None = None,
+    trials: int = 20,
+    seed: int = 42,
+    bound: int = 9,
+    asymmetric: bool = False,
+) -> dict:
+    """The verify-theorem report: verify_canada_day over the (n, trial, k)
+    grid with seeded random matrices.  In asymmetric mode only the
+    principal-of-TX vs S equality is required to hold; the all-minors sum
+    is reported so witnesses of its failure are visible."""
+    check_size_guard(n_max)
+    cells = []
+    witnesses = []
+    for n in range(1, n_max + 1):
+        ks = [k] if k is not None else list(range(1, n + 1))
+        for trial in range(trials):
+            gen = random_matrix if asymmetric else random_symmetric
+            mat = gen(n, child_seed(seed, n, trial), bound)
+            for kk in ks:
+                if not 1 <= kk <= n:
+                    continue
+                rep = verify_canada_day(mat, kk, allow_asymmetric=asymmetric)
+                ok = rep.part_a_equal if asymmetric else rep.all_equal
+                cell = {"trial": trial, **rep.to_json_dict(), "part_a_equal": rep.part_a_equal}
+                cells.append(cell)
+                if not ok:
+                    witnesses.append(
+                        {"n": n, "k": kk, "trial": trial, "matrix": matrix_to_json_dict(mat)}
+                    )
+    if not cells:
+        raise ValueError("no (n, k) cell to check: need n >= 1, trials >= 1 and 1 <= k <= n")
+    return {
+        "command": "verify-theorem",
+        "config": {
+            "n_max": n_max,
+            "k": k,
+            "trials": trials,
+            "seed": seed,
+            "bound": bound,
+            "asymmetric": asymmetric,
+        },
+        "passed": not witnesses,
+        "cell_count": len(cells),
+        "part_b_inequality_count": sum(1 for c in cells if not c["all_equal"]),
+        "cells": cells,
+        "witnesses": witnesses,
+    }

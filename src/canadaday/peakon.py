@@ -16,6 +16,7 @@ fixed-step RK4 and measures the drift and the gap between the two sides.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -25,15 +26,18 @@ import numpy as np
 __all__ = [
     "MAX_PEAKONS",
     "MAX_STEPS",
+    "MAX_WAVE_POINTS",
     "ConservationReport",
     "PeakonMatrices",
     "PeakonState",
     "build_matrices",
     "char_poly_coefficients",
     "constants_of_motion",
+    "load_state",
     "ode_rhs",
     "rk4_step",
     "simulate",
+    "wave_grid",
     "waveform",
 ]
 
@@ -47,6 +51,13 @@ MAX_STEPS = 10**7
 MAX_PEAKONS = 1000
 
 DEFAULT_COLLISION_EPSILON = 1e-6
+
+# The largest H_k drift and |c_k| vs H_k gap, both relative, of a passing run.
+DEFAULT_TOL = 1e-7
+
+# A wave CSV row per grid point and sampled state, so the grid is refused
+# past this before any work; `waveform` itself runs in bounded row blocks.
+MAX_WAVE_POINTS = 10**6
 
 # waveform evaluates at most this many exponentials at once (8 MB of
 # floats), in row blocks of a multiple of 64 grid points.  With BLAS on one
@@ -89,6 +100,33 @@ class PeakonState:
             raise ValueError(f"positions must be strictly increasing, got {self.x.tolist()}")
         if not np.all(self.m > 0):
             raise ValueError(f"amplitudes must be positive, got {self.m.tolist()}")
+
+
+def _state_number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is out of float range") from None
+
+
+def load_state(path: str) -> PeakonState:
+    """Read {"x": [...], "m": [...], "t": optional} and validate it as an
+    initial state (finite numbers, positions strictly increasing, amplitudes
+    positive)."""
+    with open(path) as fh:
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected a JSON object with x and m")
+    arrays = []
+    for key in ("x", "m"):
+        if not isinstance(d.get(key), list):
+            raise ValueError(f"{path}: {key} must be a list of numbers")
+        arrays.append([_state_number(v, f"{path}: {key}[{i}]") for i, v in enumerate(d[key])])
+    state = PeakonState(_state_number(d.get("t", 0.0), f"{path}: t"), *arrays)
+    state.validate_initial()
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,6 +283,16 @@ def char_poly_coefficients(s: PeakonState) -> np.ndarray:
     return np.poly(np.linalg.eigvals(tpep)).real
 
 
+def wave_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """`points` evenly spaced grid points from lo to hi, refused past
+    MAX_WAVE_POINTS or with non-finite bounds."""
+    if not 1 <= points <= MAX_WAVE_POINTS:
+        raise ValueError(f"the wave grid needs 1 to {MAX_WAVE_POINTS} points, got {points}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"the wave grid bounds must be finite, got {lo} and {hi}")
+    return np.linspace(lo, hi, points)
+
+
 def waveform(s: PeakonState, grid: np.ndarray) -> np.ndarray:
     """u(x) = sum_i m_i exp(-|x - x_i|) evaluated on the given grid."""
     grid = np.asarray(grid, dtype=float)
@@ -265,7 +313,17 @@ class ConservationReport:
     samples: list[dict]
     max_rel_drift: list[float]
     status: str  # "ok" | "collision" | "numerical failure"
+    tol: float
     sampled_states: list[PeakonState] = field(default_factory=list, repr=False)
+
+    @property
+    def passed(self) -> bool:
+        """The run ended "ok" with every drift and identity gap <= tol."""
+        return (
+            self.status == "ok"
+            and all(d <= self.tol for d in self.max_rel_drift)
+            and all(row["identity_gap"] <= self.tol for row in self.samples)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -274,6 +332,8 @@ class ConservationReport:
             "samples": self.samples,
             "max_rel_drift": self.max_rel_drift,
             "status": self.status,
+            "tol": self.tol,
+            "passed": self.passed,
         }
 
 
@@ -283,6 +343,7 @@ def simulate(
     t_end: float,
     sample_every: int = 10,
     collision_epsilon: float = DEFAULT_COLLISION_EPSILON,
+    tol: float = DEFAULT_TOL,
 ) -> ConservationReport:
     """Integrate for t_end time units with fixed step dt, recording H_k, the
     polynomial coefficients and the identity gap (the largest relative
@@ -293,8 +354,8 @@ def simulate(
     collision_epsilon of each other (the smooth-ODE regime ends there) or if
     the state stops being finite.  Raises ValueError on a non-finite or
     non-positive dt or t_end, more than MAX_STEPS steps, more than
-    MAX_PEAKONS peakons, a negative or non-finite collision_epsilon, or an
-    initial state that fails `validate_initial`.
+    MAX_PEAKONS peakons, a negative or non-finite collision_epsilon or tol,
+    or an initial state that fails `validate_initial`.
     """
     # Written so that NaN fails every check.
     if not 0 < dt < math.inf:
@@ -309,6 +370,8 @@ def simulate(
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if not 0 <= collision_epsilon < math.inf:
         raise ValueError(f"collision_epsilon must be >= 0 and finite, got {collision_epsilon}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     s0.validate_initial()
 
     n = s0.n
@@ -345,6 +408,7 @@ def simulate(
         samples=samples,
         max_rel_drift=drift,
         status=status,
+        tol=tol,
         sampled_states=states,
     )
 

@@ -1,8 +1,10 @@
+import io
 import json
 import math
 import subprocess
 import sys
 from collections import Counter, OrderedDict
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,29 +12,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canadaday import cli, lgv, matchings, peakon
-from canadaday.cli import (
-    MAX_WAVE_POINTS,
-    load_state,
-    main,
-    run_lemma_suite,
-    run_lgv_audit,
-    run_orbit_audit,
-    run_theorem_campaign,
-)
+from canadaday import cli, lemmas, lgv, matchings, peakon
+from canadaday.cli import main
 from canadaday.exact_linalg import matrix_to_json_dict, random_symmetric
-from canadaday.peakon import MAX_PEAKONS
+from canadaday.lemmas import lemma_report
+from canadaday.matchings import orbit_audit
+from canadaday.minor_sums import theorem_campaign
+from canadaday.peakon import MAX_PEAKONS, MAX_WAVE_POINTS, load_state
 
 
 def test_theorem_campaign_passes():
-    doc = run_theorem_campaign(n_max=3, trials=4, seed=42, bound=9)
+    doc = theorem_campaign(n_max=3, trials=4, seed=42, bound=9)
     assert doc["passed"]
     assert doc["part_b_inequality_count"] == 0
     assert doc["cell_count"] == 4 * (1 + 2 + 3)
 
 
 def test_theorem_campaign_asymmetric_mode():
-    doc = run_theorem_campaign(n_max=3, trials=10, seed=42, bound=9, asymmetric=True)
+    doc = theorem_campaign(n_max=3, trials=10, seed=42, bound=9, asymmetric=True)
     assert doc["passed"]  # part (a) holds for any X
     assert doc["part_b_inequality_count"] > 0
     n3k2 = [c for c in doc["cells"] if c["n"] == 3 and c["k"] == 2 and not c["all_equal"]]
@@ -40,7 +37,7 @@ def test_theorem_campaign_asymmetric_mode():
 
 
 def test_lemma_suite_passes():
-    doc = run_lemma_suite(n_max=3)
+    doc = lemma_report(n_max=3)
     assert doc["passed"]
     assert [c["name"] for c in doc["checks"]] == [
         "t_minor_three_way",
@@ -50,10 +47,14 @@ def test_lemma_suite_passes():
         "orbit_structure",
         "grand_matching_sum",
     ]
+    # the report renders the suite's Check records, in order
+    checks = lemmas.lemma_suite(3, 42, 9, False)
+    assert all(type(c) is lemmas.Check for c in checks)
+    assert [c._asdict() for c in checks] == doc["checks"]
 
 
 def test_lemma_suite_corrupt_sign_hook():
-    doc = run_lemma_suite(n_max=2, corrupt_sign=True)
+    doc = lemma_report(n_max=2, corrupt_sign=True)
     assert not doc["passed"]
     failed = [c for c in doc["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["sign_flip_law"]
@@ -65,7 +66,7 @@ def test_lemma_suite_t_minor_witness_is_failing_audit_row(monkeypatch):
     monkeypatch.setattr(
         lgv, "minor", lambda m, rows, cols: real_minor(m, rows, cols) + Fraction(1, 2)
     )
-    doc = run_lemma_suite(n_max=2)
+    doc = lemma_report(n_max=2)
     (check,) = [c for c in doc["checks"] if not c["passed"]]
     assert check["name"] == "t_minor_three_way"
     assert check["witness"] == {
@@ -77,7 +78,7 @@ def test_lemma_suite_t_minor_witness_is_failing_audit_row(monkeypatch):
 def test_lemma_suite_orbit_witnesses(monkeypatch):
     real = matchings.partition_into_orbits
     monkeypatch.setattr(matchings, "partition_into_orbits", lambda n, k: real(n, k)[1:])
-    doc = run_lemma_suite(n_max=2)
+    doc = lemma_report(n_max=2)
     failed = {c["name"]: c["witness"] for c in doc["checks"] if not c["passed"]}
     assert failed == {
         "orbit_structure": {"n": 1, "k": 0, "failed": ["orbits_partition_matchings"]},
@@ -92,7 +93,7 @@ def _failed_witnesses(doc):
 
 
 def test_lemma_suite_matching_count_witness(monkeypatch):
-    real = cli.enumerate_matchings
+    real = lemmas.enumerate_matchings
 
     def dropping(n, k):
         it = real(n, k)
@@ -100,17 +101,17 @@ def test_lemma_suite_matching_count_witness(monkeypatch):
             next(it)  # lose the first of the four matchings of M_{2,1}
         return it
 
-    monkeypatch.setattr(cli, "enumerate_matchings", dropping)
-    assert _failed_witnesses(run_lemma_suite(n_max=3)) == {
+    monkeypatch.setattr(lemmas, "enumerate_matchings", dropping)
+    assert _failed_witnesses(lemma_report(n_max=3)) == {
         "matching_count": {"n": 2, "k": 1, "count": 3, "expected": 4},
     }
 
 
 def test_lemma_suite_weight_invariance_witness(monkeypatch):
-    real = cli.weight
+    real = lemmas.weight
     # adds the column of the first edge, which a flip moves
-    monkeypatch.setattr(cli, "weight", lambda m, x: real(m, x) + m.edges[0][1])
-    assert _failed_witnesses(run_lemma_suite(n_max=3)) == {
+    monkeypatch.setattr(lemmas, "weight", lambda m, x: real(m, x) + m.edges[0][1])
+    assert _failed_witnesses(lemma_report(n_max=3)) == {
         "weight_flip_invariance": {
             "n": 2, "matching": {"n": 2, "edges": [[1, 2]]}, "i": 1, "j": 2,
         },
@@ -120,7 +121,7 @@ def test_lemma_suite_weight_invariance_witness(monkeypatch):
 def test_lemma_suite_sign_flip_law_witness(monkeypatch):
     # a sign that ignores crossings breaks the law first at an odd separation
     monkeypatch.setattr(matchings, "sign", lambda m: 1)
-    assert _failed_witnesses(run_lemma_suite(n_max=4)) == {
+    assert _failed_witnesses(lemma_report(n_max=4)) == {
         "sign_flip_law": {
             "n": 4, "matching": {"n": 4, "edges": [[1, 3], [2, 4]]}, "i": 1, "j": 3,
             "separation": 1,
@@ -133,11 +134,11 @@ def test_lemma_suite_sign_flip_law_witness(monkeypatch):
 
 
 def test_lemma_suite_weight_fault_and_corrupt_sign_keep_own_witnesses(monkeypatch):
-    real = cli.weight
+    real = lemmas.weight
     monkeypatch.setattr(
-        cli, "weight", lambda m, x: real(m, x) + (m.edges[0][1] if m.k == 2 else 0)
+        lemmas, "weight", lambda m, x: real(m, x) + (m.edges[0][1] if m.k == 2 else 0)
     )
-    assert _failed_witnesses(run_lemma_suite(n_max=3, corrupt_sign=True)) == {
+    assert _failed_witnesses(lemma_report(n_max=3, corrupt_sign=True)) == {
         "weight_flip_invariance": {
             "n": 3, "matching": {"n": 3, "edges": [[1, 3], [2, 1]]}, "i": 1, "j": 2,
         },
@@ -149,7 +150,7 @@ def test_lemma_suite_weight_fault_and_corrupt_sign_keep_own_witnesses(monkeypatc
 
 def test_lemma_suite_walks_each_matching_set_once(monkeypatch):
     walked = Counter()
-    real_enumerate = cli.enumerate_matchings
+    real_enumerate = lemmas.enumerate_matchings
 
     def counting_enumerate(n, k):
         walked[n, k] += 1
@@ -168,7 +169,7 @@ def test_lemma_suite_walks_each_matching_set_once(monkeypatch):
     assert len(acting) == 26
 
     checked = Counter()
-    real_check = cli.sign_flip_law_check
+    real_check = lemmas.sign_flip_law_check
 
     def counting_check(m, i, j):
         checked[m.edges, m.n, i, j] += 1
@@ -177,11 +178,11 @@ def test_lemma_suite_walks_each_matching_set_once(monkeypatch):
     def refuse(*args):
         raise AssertionError("the lemma suite flipped outside sign_flip_law_check")
 
-    monkeypatch.setattr(cli, "enumerate_matchings", counting_enumerate)
-    monkeypatch.setattr(cli, "sign_flip_law_check", counting_check)
+    monkeypatch.setattr(lemmas, "enumerate_matchings", counting_enumerate)
+    monkeypatch.setattr(lemmas, "sign_flip_law_check", counting_check)
     monkeypatch.setattr(matchings, "flip", refuse)
-    monkeypatch.setattr(cli, "flip", refuse, raising=False)
-    assert run_lemma_suite(n_max=3)["passed"]
+    monkeypatch.setattr(lemmas, "flip", refuse, raising=False)
+    assert lemma_report(n_max=3)["passed"]
     assert walked == Counter({(n, k): 1 for n in range(1, 4) for k in range(n + 1)})
     # exactly one check per acting generator of each k-edge matching
     assert set(checked.values()) == {1}
@@ -218,19 +219,19 @@ def test_json_text_refuses_keys_json_dumps_refuses():
 
 
 def test_lemma_suite_full_n4():
-    doc = run_lemma_suite(n_max=4)
+    doc = lemma_report(n_max=4)
     assert doc["passed"]
 
 
 def test_orbit_audit_n3_k2_partitions_all_matchings():
-    doc = run_orbit_audit(random_symmetric(3, 2, 9), 2)
+    doc = orbit_audit(random_symmetric(3, 2, 9), 2)
     assert doc["passed"]
     assert doc["orbit_count"] == 12
     assert sum(len(o["members"]) for o in doc["orbits"]) == 18
 
 
 def test_orbit_audit_n2_k2():
-    doc = run_orbit_audit(random_symmetric(2, 1, 9), 2)
+    doc = orbit_audit(random_symmetric(2, 1, 9), 2)
     assert doc["passed"]
     assert doc["orbit_count"] == 2
     members = [m for o in doc["orbits"] for m in o["members"]]
@@ -239,14 +240,14 @@ def test_orbit_audit_n2_k2():
 
 
 def test_orbit_audit_k0():
-    doc = run_orbit_audit(random_symmetric(3, 1, 9), 0)
+    doc = orbit_audit(random_symmetric(3, 1, 9), 0)
     assert doc["orbit_count"] == 1
     assert doc["orbits"][0]["members"] == [{"n": 3, "edges": []}]
     assert doc["passed"]
 
 
 def test_lgv_audit():
-    doc = run_lgv_audit(4)
+    doc = lgv.audit(4)
     assert doc["passed"]
     assert doc["pair_count"] == 69  # sum over k of C(4,k)^2
 
@@ -266,9 +267,10 @@ def test_main_lgv_audit_size_guard(monkeypatch, capsys):
     "argv,heavy",
     [
         (["verify-theorem", "--n", "13", "--trials", "1"],
-         ["random_symmetric", "random_matrix", "verify_canada_day"]),
+         [f"minor_sums.{name}" for name in ("random_symmetric", "random_matrix", "verify_canada_day")]),
         (["verify-lemmas", "--n", "13"],
-         ["random_symmetric", "orbit_sum_identity", "audit_table", "enumerate_matchings"]),
+         [f"lemmas.{name}" for name in
+          ("random_symmetric", "orbit_sum_identity", "audit_table", "enumerate_matchings")]),
     ],
     ids=["verify-theorem", "verify-lemmas"],
 )
@@ -277,7 +279,7 @@ def test_main_campaign_size_guard_checked_first(monkeypatch, capsys, argv, heavy
         raise AssertionError("did work before checking the size guard")
 
     for name in heavy:
-        monkeypatch.setattr(f"canadaday.cli.{name}", refuse)
+        monkeypatch.setattr(f"canadaday.{name}", refuse)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -439,7 +441,7 @@ def test_main_wave_grid_cap_refused_before_allocation(tmp_path, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("the grid was allocated")
 
-    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    monkeypatch.setattr(peakon.np, "linspace", no_grid)
     path = tmp_path / "state.json"
     path.write_text(GOOD_STATE)
     argv = ["wave", "--state", str(path), "--points", str(MAX_WAVE_POINTS + 1)]
@@ -504,21 +506,37 @@ def test_main_vacuous_run_is_input_error(argv, capsys):
     assert "error:" in captured.err
 
 
+def _matrix_doc(entries):
+    return json.dumps({"rows": len(entries), "cols": len(entries), "entries": entries})
+
+
 @pytest.mark.parametrize(
-    "n,entries,message",
+    "n,doc,message",
     [
-        (2, [["1", "2"], ["3", "4"]], "symmetric"),  # asymmetric X
-        (2, [["1", "2", "3"], ["2", "4", "5"], ["3", "5", "6"]], "3x3"),  # --n 2, 3x3 X
-        (2, [[0.1, "2"], ["2", "3"]], "0.1"),  # float entry
+        pytest.param(2, _matrix_doc([["1", "2"], ["3", "4"]]), "symmetric",
+                     id="2-entries0-symmetric"),  # asymmetric X
+        pytest.param(2, _matrix_doc([["1", "2", "3"], ["2", "4", "5"], ["3", "5", "6"]]), "3x3",
+                     id="2-entries1-3x3"),  # --n 2, 3x3 X
+        pytest.param(2, _matrix_doc([[0.1, "2"], ["2", "3"]]), "0.1",
+                     id="2-entries2-0.1"),  # float entry
+        pytest.param(1, "[1, 2]", "JSON object", id="top-level-list"),
+        pytest.param(1, '{"rows": 1, "cols": 1, "entries": 5}', "list of entry rows",
+                     id="entries-not-a-list"),
+        pytest.param(1, '{"rows": 1, "cols": 1, "entries": [5]}', "grid", id="row-not-a-list"),
+        pytest.param(1, '{"rows": 1, "cols": 1, "entries": [["1/0"]]}', "zero denominator",
+                     id="zero-denominator"),
+        pytest.param(1, '{"rows": true, "cols": 1, "entries": [["1"]]}', "integer rows",
+                     id="bool-rows"),
     ],
 )
-def test_main_orbit_audit_bad_matrix_is_input_error(tmp_path, capsys, n, entries, message):
+def test_main_orbit_audit_bad_matrix_is_input_error(tmp_path, capsys, n, doc, message):
     mat = tmp_path / "x.json"
-    mat.write_text(json.dumps({"rows": len(entries), "cols": len(entries), "entries": entries}))
+    mat.write_text(doc)
     assert main(["orbit-audit", "--n", str(n), "--k", "1", "--matrix", str(mat)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_json_output_is_deterministic(tmp_path):
@@ -543,3 +561,96 @@ def test_console_invocation_deterministic():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"{")
+
+
+# --- argv fuzz: every exit code is 0, 1 or 2, and nothing escapes main ----
+
+# Sizes stop at the guard or below n = 5, trials at 2 and --t-end at 0.01
+# (always given: its default runs 2000 steps), so no drawn run does real
+# work past the guards.
+_SIZE = st.sampled_from(["-1", "0", "1", "2", "3", "4", "13", "x"])
+
+
+def _opt(flag, values):
+    """Nothing, or the flag with one drawn value."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _req(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _argv(files):
+    common = [
+        _opt("--format", st.sampled_from(["text", "json", "xml"])),
+        _opt("--out", st.sampled_from([files["out"], files["no_dir"]])),
+    ]
+    seed = _opt("--seed", st.sampled_from(["0", "7", "-3", "x"]))
+    bound = _opt("--bound", st.sampled_from(["-1", "0", "9"]))
+    k = _opt("--k", st.sampled_from(["-1", "0", "1", "2", "5"]))
+    n = _opt("--n", _SIZE)
+    state = _req("--state", st.sampled_from([files[s] for s in ("good", "unsorted", "list", "missing")]))
+    number = st.sampled_from(["1e-3", "0.01", "0", "-1", "nan", "inf", "1e-300", "x"])
+    points = st.sampled_from(["0", "1", "5", str(MAX_WAVE_POINTS + 1), "x"])
+    commands = {
+        "verify-theorem": [n, k, seed, bound, _switch("--asymmetric"),
+                           _opt("--trials", st.sampled_from(["-1", "0", "1", "2"]))],
+        "verify-lemmas": [n, seed, bound, _switch("--corrupt-sign")],
+        "orbit-audit": [_req("--n", _SIZE), _req("--k", st.sampled_from(["-1", "0", "1", "3"])), seed, bound,
+                        _opt("--matrix", st.sampled_from([files["matrix"], files["list"], files["missing"]]))],
+        "lgv-audit": [n],
+        "peakon": [state,
+                   _opt("--dt", st.sampled_from(["1e-3", "0", "-1", "nan", "inf", "1e-300"])),
+                   _req("--t-end", st.sampled_from(["0.001", "0.01", "0", "-1", "nan", "inf"])),
+                   _opt("--sample-every", st.sampled_from(["0", "1", "10"])),
+                   _opt("--tol", st.sampled_from(["1e-7", "0", "-1", "nan"])),
+                   _opt("--collision-epsilon", st.sampled_from(["1e-6", "-1", "nan"])),
+                   _opt("--wave-out", st.sampled_from([files["csv"], files["no_dir"]])),
+                   _opt("--wave-min", number), _opt("--wave-points", points)],
+        "wave": [state, _opt("--x-min", number), _opt("--x-max", number), _opt("--points", points),
+                 _req("--out", st.sampled_from([files["csv"], files["no_dir"]]))],
+    }
+    return st.sampled_from(sorted(commands)).flatmap(
+        lambda c: st.tuples(*commands[c], *(common if c != "wave" else [])).map(
+            lambda parts: [c] + [a for part in parts for a in part]
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    docs = {
+        "good": GOOD_STATE,
+        "unsorted": '{"x": [1.0, -1.0], "m": [1.0, 2.0]}',
+        "list": "[1, 2]",
+        "matrix": json.dumps(matrix_to_json_dict(random_symmetric(3, 5, 9))),
+    }
+    for name, text in docs.items():
+        (d / f"{name}.json").write_text(text)
+    files = {name: str(d / f"{name}.json") for name in docs}
+    files.update(
+        missing=str(d / "missing.json"),
+        out=str(d / "report"),
+        csv=str(d / "wave.csv"),
+        no_dir=str(d / "no-such-dir" / "file"),
+    )
+    return files
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_main_fuzzed_argv_exits_0_1_or_2_without_traceback(fuzz_files, data):
+    argv = data.draw(_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -340,6 +340,34 @@ def test_json_round_trip_is_bit_exact():
     assert matrix_from_json_dict(json.loads(json.dumps(d))) == m
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(st.fractions(), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_json_round_trip_property(rows):
+    m = ExactMatrix(len(rows), len(rows), tuple(v for row in rows for v in row))
+    assert matrix_from_json_dict(json.loads(json.dumps(matrix_to_json_dict(m)))) == m
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"rows": 1, "cols": 1, "entries": 5},
+        {"rows": 1, "cols": 1, "entries": [5]},
+        {"rows": 1, "cols": 1, "entries": [["1/0"]]},
+        {"rows": True, "cols": 1, "entries": [["1"]]},
+        {"rows": 1, "cols": 1.0, "entries": [["1"]]},
+    ],
+    ids=["top-level-list", "entries-int", "row-int", "zero-denominator", "bool-rows", "float-cols"],
+)
+def test_json_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        matrix_from_json_dict(doc)
+
+
 def test_json_rejects_bad_shape():
     with pytest.raises(DimensionError):
         matrix_from_json_dict({"rows": 2, "cols": 2, "entries": [["1", "2"]]})

@@ -14,7 +14,7 @@ from canadaday.exact_linalg import (
     random_symmetric,
     t_matrix,
 )
-from canadaday import cli, matchings
+from canadaday import lemmas, matchings
 from canadaday.matchings import (
     Cluster,
     ClusterDecomposition,
@@ -308,7 +308,7 @@ def test_clusters_traced_once_per_instance(monkeypatch):
 
 def test_sign_flip_law_suite_traces_each_instance_at_most_once(monkeypatch):
     traced = _count_traces(monkeypatch)
-    assert cli._check_matchings(3, 42, 9, False) == ((True, None),) * 3
+    assert lemmas._check_matchings(3, 42, 9, False) == ((True, None),) * 3
     # the list keeps every traced instance alive, so ids are not reused
     assert traced and len({id(m) for m in traced}) == len(traced)
 

@@ -138,10 +138,10 @@ def test_size_guard_and_override(monkeypatch):
 
     monkeypatch.setattr(minor_sums, "minor_levels", counting_levels)
     minor_sums._table.cache_clear()
-    m = ExactMatrix.identity(13)
-    with pytest.raises(ValueError):
-        sum_principal_minors(m, 1)
-    assert sum_principal_minors(m, 1, allow_large=True) == 13
+    with pytest.raises(ValueError, match="exceeds the guard 12"):
+        sum_principal_minors(ExactMatrix.identity(13), 1)
+    assert built == []  # refused before any level is built
+    assert sum_principal_minors(ExactMatrix.identity(12), 1) == 12
     assert built == [1]  # only the level asked for is built
 
 

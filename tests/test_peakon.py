@@ -1,9 +1,12 @@
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import sum_all_minors_float
 
 from canadaday import peakon
@@ -14,6 +17,7 @@ from canadaday.peakon import (
     build_matrices,
     char_poly_coefficients,
     constants_of_motion,
+    load_state,
     ode_rhs,
     rk4_step,
     simulate,
@@ -226,9 +230,61 @@ def test_simulate_validates_inputs():
 def test_report_json_schema():
     r = simulate(PeakonState(0.0, [0.0], [1.0]), 1e-2, 0.1)
     d = r.to_json_dict()
-    assert set(d) == {"n", "dt", "samples", "max_rel_drift", "status"}
+    assert set(d) == {"n", "dt", "samples", "max_rel_drift", "status", "tol", "passed"}
     assert set(d["samples"][0]) == {"t", "H", "c", "identity_gap"}
     assert d["status"] == "ok"
+
+
+# Finite JSON numbers, ints and floats; ints stay inside float range.
+_FINITE = st.one_of(
+    st.integers(-(10**300), 10**300), st.floats(allow_nan=False, allow_infinity=False)
+)
+_POSITIVE = st.one_of(
+    st.integers(1, 10**300), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+)
+
+
+@st.composite
+def _state_docs(draw):
+    """A valid state document: distinct positions sorted by value, positive
+    amplitudes, and maybe a start time."""
+    x = sorted(draw(st.lists(_FINITE, min_size=1, max_size=6, unique_by=float)), key=float)
+    doc = {"x": x, "m": draw(st.lists(_POSITIVE, min_size=len(x), max_size=len(x)))}
+    if draw(st.booleans()):
+        doc["t"] = draw(_FINITE)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_state_docs())
+def test_load_state_round_trips_finite_numbers(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "state_round_trip.json"
+    path.write_text(json.dumps(doc))
+    s = load_state(str(path))
+    assert s.x.tolist() == [float(v) for v in doc["x"]]
+    assert s.m.tolist() == [float(v) for v in doc["m"]]
+    assert s.t == float(doc.get("t", 0.0))
+
+
+_NOT_A_FINITE_NUMBER = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(min_value=10**309).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_state_docs(), st.sampled_from(["x", "m", "t"]), st.integers(0, 5), _NOT_A_FINITE_NUMBER)
+def test_load_state_refuses_non_numbers(tmp_path_factory, doc, key, index, bad):
+    if key == "t":
+        doc["t"] = bad
+    else:
+        doc[key][index % len(doc[key])] = bad
+    path = tmp_path_factory.getbasetemp() / "state_refused.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_state(str(path))
 
 
 def test_state_validation():
