@@ -91,15 +91,8 @@ class Matching:
     def col_set(self) -> IndexSet:
         return IndexSet(self.n, tuple(sorted(j for _, j in self.edges)))
 
-    def mapping(self) -> dict[int, int]:
-        return dict(self.edges)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [[i, j] for i, j in self.edges]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> Matching:
-        return Matching(d["n"], tuple((i, j) for i, j in d["edges"]))
 
 
 def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:

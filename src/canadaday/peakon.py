@@ -28,14 +28,10 @@ __all__ = [
     "MAX_STEPS",
     "MAX_WAVE_POINTS",
     "ConservationReport",
-    "PeakonMatrices",
     "PeakonState",
-    "build_matrices",
     "char_poly_coefficients",
     "constants_of_motion",
     "load_state",
-    "ode_rhs",
-    "rk4_step",
     "simulate",
     "wave_grid",
     "waveform",
@@ -129,24 +125,8 @@ def load_state(path: str) -> PeakonState:
     return state
 
 
-@dataclass(frozen=True, eq=False)
-class PeakonMatrices:
-    P: np.ndarray  # diag(m_1, ..., m_n)
-    E: np.ndarray  # exp(-|x_i - x_j|)
-    T: np.ndarray  # 1 + sgn(i - j)
-
-
-def build_matrices(s: PeakonState) -> PeakonMatrices:
-    diffs = s.x[:, None] - s.x[None, :]
-    e = np.exp(-np.abs(diffs))
-    idx = np.arange(s.n)
-    t = 1.0 + np.sign(idx[:, None] - idx[None, :])
-    return PeakonMatrices(P=np.diag(s.m), E=e, T=t)
-
-
 class _Stepper(NamedTuple):
     y: np.ndarray  # the packed state (x, m), advanced in place by step
-    rhs: Callable  # rhs(col, row, m, kx, km): (dx, dm) at x = col = row into kx, km
     step: Callable  # step(): one RK4 step of y
     health: Callable  # health(collision_epsilon): None, or why y cannot go on
 
@@ -223,26 +203,7 @@ def _stepper(n: int, dt: float) -> _Stepper:
                 return "collision"
         return None
 
-    return _Stepper(y, rhs, step, health)
-
-
-def ode_rhs(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dx, dm) of the peakon system at positions x and
-    amplitudes m."""
-    x, m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
-    dx, dm = np.empty(x.size), np.empty(x.size)
-    _stepper(x.size, 0.0).rhs(x[:, None], x[None, :], m, dx, dm)
-    return dx, dm
-
-
-def rk4_step(s: PeakonState, dt: float) -> PeakonState:
-    """One classical 4th-order Runge-Kutta step; dt may be negative to step
-    backwards."""
-    stepper = _stepper(s.n, dt)
-    y = stepper.y
-    y[: s.n], y[s.n :] = s.x, s.m
-    stepper.step()
-    return PeakonState(s.t + dt, y[: s.n], y[s.n :])
+    return _Stepper(y, step, health)
 
 
 def constants_of_motion(s: PeakonState) -> np.ndarray:
@@ -276,8 +237,11 @@ def char_poly_coefficients(s: PeakonState) -> np.ndarray:
     mu_i), from the eigenvalues mu of T P E P; a computation path with no
     minor enumeration in it, so comparing |c_k| to H_k exercises the
     identity.  NaN throughout when T P E P is not finite."""
-    mats = build_matrices(s)
-    tpep = mats.T @ mats.P @ mats.E @ mats.P
+    e = np.exp(-np.abs(s.x[:, None] - s.x[None, :]))
+    t = 2.0 * np.tri(s.n) - np.eye(s.n)  # 1 + sgn(i - j)
+    # P = diag(m) only scales columns: each entry of a product by P is one
+    # rounded product plus exact zeros, so this has the bits of T @ P @ E @ P.
+    tpep = ((t * s.m) @ e) * s.m
     if not np.isfinite(tpep).all():
         return np.full(s.n + 1, math.nan)
     return np.poly(np.linalg.eigvals(tpep)).real
@@ -379,7 +343,7 @@ def simulate(
     samples: list[dict] = []
     states: list[PeakonState] = []
     status = "ok"
-    y, _, step_y, health = _stepper(n, dt)
+    y, step_y, health = _stepper(n, dt)
     y[:n], y[n:] = s0.x, s0.m
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):

@@ -1,8 +1,8 @@
 """Test oracles: the one exponential (Leibniz) oracle for determinants and
 minors, the batched-determinant float sum of all k x k minors that checks
-the peakon constants of motion up to n = 8, and the canonical
-sign-reversing involution that pairs the members of non-interlacing
-orbits."""
+the peakon constants of motion up to n = 8, the exact H_k of a float peakon
+state, and the canonical sign-reversing involution that pairs the members
+of non-interlacing orbits."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +10,14 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from canadaday.exact_linalg import DimensionError, ExactMatrix, IndexSet, Rational
+from canadaday.exact_linalg import (
+    DimensionError,
+    ExactMatrix,
+    IndexSet,
+    Rational,
+    char_poly,
+    t_matrix,
+)
 from canadaday.matchings import Cluster, Matching, decompose_clusters, flip, sign, weight
 
 
@@ -53,6 +60,21 @@ def sum_all_minors_float(mat: np.ndarray, k: int) -> float:
     for term in terms:
         total += term
     return total
+
+
+def exact_h(s) -> list[Fraction]:
+    """H_1 .. H_n of a peakon state in exact arithmetic: (-1)^k c_k of T X
+    by Berkowitz, with X_ij = m_i E_ij m_j formed in Fractions from the
+    state's own floats m and E = exp(-|x_i - x_j|).  X is symmetric, so the
+    theorem makes these the sums of all k x k minors of X: the true H_k of
+    the float state, with no rounding past m and E themselves."""
+    e = np.exp(-np.abs(s.x[:, None] - s.x[None, :])).tolist()
+    m = [Fraction(v) for v in s.m.tolist()]
+    x = ExactMatrix.from_rows(
+        [[m[i] * Fraction(e[i][j]) * m[j] for j in range(s.n)] for i in range(s.n)]
+    )
+    c = char_poly(t_matrix(s.n) @ x)
+    return [(-1) ** k * c[k] for k in range(1, s.n + 1)]
 
 
 def canonical_involution(m: Matching) -> Matching:

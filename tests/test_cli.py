@@ -7,6 +7,7 @@ from collections import Counter, OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -654,3 +655,34 @@ def test_main_fuzzed_argv_exits_0_1_or_2_without_traceback(fuzz_files, data):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+# --- peakon fuzz over valid flags only: every drawn run steps and samples
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dt=st.sampled_from(["1e-3", "1e-2"]),
+    t_end=st.sampled_from(["0.001", "0.005", "0.01"]),
+    sample_every=st.sampled_from(["1", "10"]),
+    tol=st.sampled_from(["1e-7", "1e-12", "0"]),
+    wave_points=st.one_of(st.none(), st.integers(1, 50)),
+)
+def test_main_fuzzed_valid_peakon_run_exits_by_its_verdict(
+    fuzz_files, dt, t_end, sample_every, tol, wave_points
+):
+    out, csv = Path(fuzz_files["out"]), Path(fuzz_files["csv"])
+    out.unlink(missing_ok=True)
+    csv.unlink(missing_ok=True)
+    argv = ["peakon", "--state", fuzz_files["good"], "--dt", dt, "--t-end", t_end,
+            "--sample-every", sample_every, "--tol", tol, "--format", "json", "--out", str(out)]
+    if wave_points is not None:
+        argv += ["--wave-out", str(csv), "--wave-points", str(wave_points)]
+    code = main(argv)
+    doc = json.loads(out.read_text())
+    assert code in (0, 1) and (code == 0) == doc["passed"], (argv, code)
+    assert doc["status"] == "ok" and doc["samples"]
+    if wave_points is not None:
+        lines = csv.read_text().strip().splitlines()
+        assert len(lines) == 1 + len(doc["samples"]) * wave_points
+    else:
+        assert not csv.exists()

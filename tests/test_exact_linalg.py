@@ -1,9 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from canadaday.exact_linalg import (
@@ -315,6 +317,55 @@ def test_index_set_validation():
 def test_k_subsets_lexicographic():
     subsets = [s.elems for s in k_subsets(4, 2)]
     assert subsets == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+@st.composite
+def _subsets(draw):
+    """An ambient size n <= 12 and a strictly increasing tuple within 1..n."""
+    n = draw(st.integers(0, 12))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return n, tuple(i for i, kept in enumerate(keep, start=1) if kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subsets())
+def test_index_set_accepts_increasing_tuples(args):
+    n, elems = args
+    s = IndexSet(n, elems)
+    assert (s.n, s.elems, len(s)) == (n, elems, len(elems))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subsets(), st.sampled_from(["duplicate", "decrease", "zero", "above n", "negative n"]), st.data())
+def test_index_set_refuses_malformed_tuples(args, fault, data):
+    n, elems = args
+    elems = list(elems)
+    if fault == "duplicate":
+        assume(elems)
+        r = data.draw(st.integers(0, len(elems) - 1))
+        elems.insert(r, elems[r])
+    elif fault == "decrease":
+        assume(len(elems) >= 2)
+        r = data.draw(st.integers(0, len(elems) - 2))
+        elems[r], elems[r + 1] = elems[r + 1], elems[r]
+    elif fault == "zero":
+        elems.insert(0, 0)
+    elif fault == "above n":
+        elems.append(data.draw(st.integers(n + 1, n + 12)))
+    else:
+        n = data.draw(st.integers(-12, -1))
+    with pytest.raises(ValueError):
+        IndexSet(n, tuple(elems))
+
+
+def test_k_subsets_follow_combinations_order():
+    # minor_levels ranks each level's index sets by this order
+    for n in range(13):
+        for k in range(n + 1):
+            subsets = list(k_subsets(n, k))
+            assert subsets == sorted(subsets) and len(subsets) == comb(n, k)
+            assert [s.elems for s in subsets] == list(combinations(range(1, n + 1), k))
+            assert all(s.n == n for s in subsets)
 
 
 def test_matrix_entry_is_one_based():

@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sum_all_minors_float
+from oracles import exact_h, sum_all_minors_float
 
 from canadaday import peakon
 from canadaday.exact_linalg import ExactMatrix, char_poly
 from canadaday.peakon import (
     MAX_PEAKONS,
     PeakonState,
-    build_matrices,
     char_poly_coefficients,
     constants_of_motion,
     load_state,
-    ode_rhs,
-    rk4_step,
     simulate,
     waveform,
 )
@@ -28,65 +25,30 @@ E1 = math.exp(-1.0)
 
 
 def test_rhs_single_peakon():
-    dx, dm = ode_rhs(np.array([2.0]), np.array([1.5]))
+    dx, dm = _formula_rhs(np.array([2.0]), np.array([1.5]))
     assert dx[0] == pytest.approx(1.5**2, abs=0)
     assert dm[0] == 0.0
 
 
 def test_rhs_zero_amplitudes():
-    dx, dm = ode_rhs(np.array([0.0, 1.0, 2.0]), np.zeros(3))
+    dx, dm = _formula_rhs(np.array([0.0, 1.0, 2.0]), np.zeros(3))
     assert np.all(dx == 0) and np.all(dm == 0)
 
 
 def test_rhs_two_peakons_hand_values():
-    dx, dm = ode_rhs(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    dx, dm = _formula_rhs(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     assert dx[0] == pytest.approx((1 + E1) ** 2, rel=1e-15)
     assert dm[0] == pytest.approx((1 + E1) * (-E1), rel=1e-15)
     # mirror peakon sees the opposite slope
     assert dm[1] == pytest.approx((1 + E1) * E1, rel=1e-15)
 
 
-def test_rk4_zero_amplitudes_only_advances_time():
-    s = PeakonState(0.0, [0.0, 1.0], [0.0, 0.0])
-    s2 = rk4_step(s, 1e-3)
-    assert s2.t == pytest.approx(1e-3)
-    assert np.array_equal(s2.x, s.x) and np.array_equal(s2.m, s.m)
-
-
 def test_rk4_single_peakon_closed_form():
-    s = PeakonState(0.0, [-1.0], [2.0])
-    dt = 1e-3
-    for _ in range(1000):
-        s = rk4_step(s, dt)
+    r = simulate(PeakonState(0.0, [-1.0], [2.0]), 1e-3, 1.0, sample_every=1000)
+    s = r.sampled_states[-1]
+    assert s.t == 1.0
     assert s.x[0] == pytest.approx(-1.0 + 4.0 * 1.0, abs=1e-10)
     assert s.m[0] == 2.0
-
-
-def test_rk4_step_back_recovers_state():
-    s = PeakonState(0.0, [-1.0, 0.5, 2.0], [1.0, 0.5, 2.0])
-    back = rk4_step(rk4_step(s, 1e-3), -1e-3)
-    assert np.allclose(back.x, s.x, atol=1e-10)
-    assert np.allclose(back.m, s.m, atol=1e-10)
-
-
-def test_build_matrices_two_peakons():
-    mats = build_matrices(PeakonState(0.0, [0.0, 1.0], [2.0, 3.0]))
-    assert np.array_equal(mats.P, np.diag([2.0, 3.0]))
-    assert np.allclose(mats.E, [[1.0, E1], [E1, 1.0]], rtol=0, atol=0)
-    assert np.array_equal(mats.T, [[1.0, 0.0], [2.0, 1.0]])
-
-
-def test_build_matrices_coincident_positions():
-    # not reachable from a valid initial state, but e^0 = 1 regardless
-    mats = build_matrices(PeakonState(0.0, [2.0, 2.0], [1.0, 1.0]))
-    assert mats.E.tolist() == [[1.0, 1.0], [1.0, 1.0]]
-
-
-def test_build_matrices_single():
-    mats = build_matrices(PeakonState(0.0, [3.0], [4.0]))
-    assert mats.P.tolist() == [[4.0]]
-    assert mats.E.tolist() == [[1.0]]
-    assert mats.T.tolist() == [[1.0]]
 
 
 def test_constants_single_peakon():
@@ -122,6 +84,14 @@ def test_constants_refuse_unordered_positions():
 def test_char_poly_single_peakon():
     c = char_poly_coefficients(PeakonState(0.0, [0.0], [3.0]))
     assert c.tolist() == [1.0, -9.0]
+
+
+def test_char_poly_two_peakons_hand_values():
+    # T P E P = [[4, 6/e], [8 + 6/e, 9 + 12/e]]
+    c = char_poly_coefficients(PeakonState(0.0, [0.0, 1.0], [2.0, 3.0]))
+    assert c[0] == 1.0
+    assert c[1] == pytest.approx(-(13 + 12 * E1), rel=1e-15)
+    assert c[2] == pytest.approx(36 * (1 - E1**2), rel=1e-14)
 
 
 def test_char_poly_zero_amplitudes():
@@ -178,10 +148,10 @@ def test_simulate_preserves_ordering_and_symmetry():
     assert r.status == "ok"
     for s in r.sampled_states:
         assert s.is_ordered()
-        mats = build_matrices(s)
-        assert np.array_equal(mats.E, mats.E.T)
-        assert np.array_equal(np.diag(mats.E), np.ones(3))
-        pep = mats.P @ mats.E @ mats.P
+        _, p, e = _matrices(s)
+        assert np.array_equal(e, e.T)
+        assert np.array_equal(np.diag(e), np.ones(3))
+        pep = p @ e @ p
         # matmul rounding breaks bit-exactness, not symmetry
         assert np.allclose(pep, pep.T, rtol=1e-14, atol=0)
 
@@ -309,9 +279,17 @@ def _scalar_sum_all_minors(mat, k):
     return total
 
 
+def _matrices(s):
+    """T, P and E of a state by their textbook formulas: 1 + sgn(i - j),
+    diag(m) and exp(-|x_i - x_j|)."""
+    idx = np.arange(s.n)
+    t = 1.0 + np.sign(idx[:, None] - idx[None, :])
+    return t, np.diag(s.m), np.exp(-np.abs(s.x[:, None] - s.x[None, :]))
+
+
 def _pep(s):
-    mats = build_matrices(s)
-    return mats.P @ mats.E @ mats.P
+    _, p, e = _matrices(s)
+    return p @ e @ p
 
 
 def _formula_rhs(x, m):
@@ -375,18 +353,6 @@ def test_constants_match_batched_det_oracle(n):
             assert abs(g - w) <= 1e-13 * abs(w)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_rhs_and_rk4_step_equal_formulas_exactly(n):
-    for s in _random_ordered_states(n):
-        dx, dm = ode_rhs(s.x, s.m)
-        fx, fm = _formula_rhs(s.x, s.m)
-        assert np.array_equal(dx, fx) and np.array_equal(dm, fm)
-        for dt in (1e-3, -2.5e-2):
-            nxt = rk4_step(s, dt)
-            t, x, m = _formula_rk4(s, dt)
-            assert nxt.t == t and np.array_equal(nxt.x, x) and np.array_equal(nxt.m, m)
-
-
 def _formula_states(s, dt, count):
     """The first count states of a loop of _formula_rk4 from s."""
     states = [(s.t, s.x, s.m)]
@@ -440,8 +406,43 @@ def test_char_poly_coefficients_match_exact_char_poly(n):
     # the float route against Berkowitz in exact arithmetic on the very
     # floats of T P E P, each of which ExactMatrix holds as an exact Fraction
     for s in _random_ordered_states(n):
-        mats = build_matrices(s)
-        exact = char_poly(ExactMatrix.from_rows((mats.T @ mats.P @ mats.E @ mats.P).tolist()))
+        t, p, e = _matrices(s)
+        exact = char_poly(ExactMatrix.from_rows((t @ p @ e @ p).tolist()))
         got = char_poly_coefficients(s)
         for c, e in zip(got.tolist(), exact, strict=True):
             assert abs(Fraction(c) - e) <= Fraction(1e-7) * abs(e)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_char_poly_coefficients_equal_textbook_product_exactly(n):
+    # P only scales columns, so forming T P E P without the products by P
+    # keeps every bit
+    for s in _random_ordered_states(n):
+        t, p, e = _matrices(s)
+        want = np.poly(np.linalg.eigvals(t @ p @ e @ p)).real
+        assert char_poly_coefficients(s).tobytes() == want.tobytes()
+
+
+def _spread_state(n, spread):
+    """A seeded ordered state with amplitudes spread over `spread` (>= 1)."""
+    rng = np.random.default_rng(2000 + n)
+    x = np.cumsum(rng.uniform(0.2, 2.5, n)) - 1.2 * n
+    return PeakonState(0.0, x, 10.0 ** rng.uniform(0.0, math.log10(spread), n))
+
+
+@pytest.mark.parametrize("spread", [1.0, 1e4, 1e8])
+@pytest.mark.parametrize("n", [3, 10, 20])
+def test_constants_match_exact_referee(n, spread):
+    s = _spread_state(n, spread)
+    for h, want in zip(constants_of_motion(s).tolist(), exact_h(s), strict=True):
+        assert abs(Fraction(h) - want) <= Fraction(1e-14) * want
+
+
+@pytest.mark.xfail(
+    strict=True, reason="c_k from the eigenvalues of T P E P loses accuracy at amplitude spreads"
+)
+def test_char_poly_magnitudes_match_exact_referee_at_amplitude_spread():
+    s = PeakonState(0.0, [0.0, 1.0, 2.0], [1.0, 1.0, 1e-9])
+    c = char_poly_coefficients(s)
+    for k, want in enumerate(exact_h(s), start=1):
+        assert abs(abs(Fraction(c[k])) - want) <= Fraction(peakon.DEFAULT_TOL) * want
