@@ -1,7 +1,8 @@
 """The exhaustive lemma suite of `verify-lemmas`, each lemma a check with
-its first witness.  The suite walks the matchings through the names imported
-here, so a fault injected into its `weight`, `enumerate_matchings` or
-`sign_flip_law_check` is not also seen by `orbit_sum_identity`.
+its first witness.  The flip lemmas are checked on the orbits that
+`orbit_sum_identity` builds for the orbit-sum proof, reading each member's
+sign and weight from its report, so M_{n,k} is partitioned once per (n, k);
+only the matching count enumerates M_{n,k} apart from the orbits.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from typing import NamedTuple
 
 from .exact_linalg import child_seed, random_symmetric
 from .lgv import audit_table
-from .matchings import (
-    Matching,
-    decompose_clusters,
-    enumerate_matchings,
-    orbit_sum_identity,
-    sign_flip_law_check,
-    weight,
-)
+from .matchings import decompose_clusters, enumerate_matchings, flip, orbit_sum_identity
 from .minor_sums import check_size_guard
 
 __all__ = ["Check", "lemma_report", "lemma_suite"]
@@ -40,65 +34,28 @@ def _check_t_minor_three_way(n_max: int):
     return True, None
 
 
-def _acting_generators(m: Matching) -> list[tuple[int, int]]:
-    """The generators f_ij (i < j) that flip something in m, in generator
-    order: those whose edge i -> j or j -> i lies in an open cluster.  Every
-    other generator leaves m unchanged, so its sign-law check holds
-    trivially."""
-    return sorted(
-        (min(e), max(e)) for c in decompose_clusters(m).open_clusters for e in c.edges
-    )
+def _check_orbits(n_max: int, seed: int, bound: int, corrupt: bool):
+    """The matching_count, weight_flip_invariance, sign_flip_law,
+    orbit_structure and grand_matching_sum results, from one orbit-sum
+    report per (n, k).
 
-
-def _check_matchings(n_max: int, seed: int, bound: int, corrupt: bool):
-    """The matching_count, weight_flip_invariance and sign_flip_law results
-    from one walk over each M_{n,k}: each acting generator f_ij is checked
-    once per matching, in `sign_flip_law_check`, and the weight check reads
-    its image.  Each check keeps its own first witness."""
-    count_ok = weight_ok = sign_ok = (True, None)
+    The flip checks read each member's sign and weight from the report and
+    flip the member once per open cluster, through the cluster's least
+    generator f_ij: the image must be a member of the same orbit, with the
+    same weight and sign * (-1)^separation.  An image missing from the orbit
+    fails both checks.  matching_count counts `enumerate_matchings` apart
+    from the orbits, so a lost matching is caught even where orbit closure
+    would regenerate it.  Each check keeps its own first witness, in orbit
+    order."""
+    count_ok = weight_ok = sign_ok = structure = grand = (True, None)
     corrupt_pending = corrupt
-    for n in range(1, n_max + 1):
-        x = random_symmetric(n, child_seed(seed, 1, n), bound)
-        for k in range(0, n + 1):
-            count = 0
-            for m in enumerate_matchings(n, k):
-                count += 1
-                if k == 0:
-                    continue
-                w = weight(m, x)
-                for i, j in _acting_generators(m):
-                    chk = sign_flip_law_check(m, i, j)
-                    if weight_ok[0] and chk.flipped and weight(chk.image, x) != w:
-                        weight_ok = False, {"n": n, "matching": m.to_json_dict(), "i": i, "j": j}
-                    holds = chk.holds
-                    if chk.flipped and corrupt_pending:
-                        # Self-test hook: falsify one result to prove the
-                        # harness surfaces a witness.
-                        holds = not holds
-                        corrupt_pending = False
-                    if sign_ok[0] and not holds:
-                        sign_ok = False, {
-                            "n": n,
-                            "matching": m.to_json_dict(),
-                            "i": i,
-                            "j": j,
-                            "separation": chk.separation,
-                        }
-            expected = math.comb(n, k) ** 2 * math.factorial(k)
-            if count_ok[0] and count != expected:
-                count_ok = False, {"n": n, "k": k, "count": count, "expected": expected}
-    if corrupt_pending:
-        raise ValueError(f"--corrupt-sign has no flipped pair to corrupt at n <= {n_max}")
-    return count_ok, weight_ok, sign_ok
-
-
-def _check_orbit_sums(n_max: int, seed: int, bound: int):
-    """The orbit_structure and grand_matching_sum results, both read from one
-    orbit-sum report per (n, k)."""
-    structure = grand = (True, None)
     for n in range(1, n_max + 1):
         x = random_symmetric(n, child_seed(seed, 2, n), bound)
         for k in range(0, n + 1):
+            count = sum(1 for _ in enumerate_matchings(n, k))
+            expected = math.comb(n, k) ** 2 * math.factorial(k)
+            if count_ok[0] and count != expected:
+                count_ok = False, {"n": n, "k": k, "count": count, "expected": expected}
             rep = orbit_sum_identity(x, k)
             if structure[0] and rep.failed_checks:
                 structure = False, {"n": n, "k": k, "failed": list(rep.failed_checks)}
@@ -111,7 +68,33 @@ def _check_orbit_sums(n_max: int, seed: int, bound: int):
                     "interlacing_S": str(rep.interlacing_s),
                     "all_minors": str(rep.all_minors),
                 }
-    return structure, grand
+            for o, sgs, ws in zip(rep.orbits, rep.signs, rep.weights):
+                read = {m.edges: (sg, w) for m, sg, w in zip(o.members, sgs, ws)}
+                for m, sg, w in zip(o.members, sgs, ws):
+                    for c in decompose_clusters(m).open_clusters:
+                        i, j = min((min(e), max(e)) for e in c.edges)
+                        image = read.get(flip(m, i, j).edges)
+                        if weight_ok[0] and (image is None or image[1] != w):
+                            weight_ok = False, {
+                                "n": n, "matching": m.to_json_dict(), "i": i, "j": j,
+                            }
+                        holds = image is not None and image[0] == sg * (-1) ** c.separation
+                        if corrupt_pending:
+                            # Self-test hook: falsify one result to prove the
+                            # harness surfaces a witness.
+                            holds = not holds
+                            corrupt_pending = False
+                        if sign_ok[0] and not holds:
+                            sign_ok = False, {
+                                "n": n,
+                                "matching": m.to_json_dict(),
+                                "i": i,
+                                "j": j,
+                                "separation": c.separation,
+                            }
+    if corrupt_pending:
+        raise ValueError(f"--corrupt-sign has no flipped pair to corrupt at n <= {n_max}")
+    return count_ok, weight_ok, sign_ok, structure, grand
 
 
 def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[Check]:
@@ -120,8 +103,7 @@ def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[C
     if n_max < 1:
         raise ValueError(f"nothing to check: need n >= 1, got {n_max}")
     check_size_guard(n_max)
-    orbit_structure, grand_sum = _check_orbit_sums(n_max, seed, bound)
-    matching_count, weight_invariance, sign_law = _check_matchings(
+    matching_count, weight_invariance, sign_law, orbit_structure, grand_sum = _check_orbits(
         n_max, seed, bound, corrupt_sign
     )
     return [

@@ -40,7 +40,6 @@ from .minor_sums import (
 __all__ = [
     "Cluster",
     "ClusterDecomposition",
-    "FlipSignCheck",
     "Matching",
     "Orbit",
     "OrbitSumReport",
@@ -52,7 +51,6 @@ __all__ = [
     "orbit_sum_identity",
     "partition_into_orbits",
     "sign",
-    "sign_flip_law_check",
     "weight",
 ]
 
@@ -210,22 +208,16 @@ def _trace_clusters(m: Matching) -> tuple[Cluster, ...]:
     return tuple(clusters)
 
 
-def _open_cluster_at(m: Matching, i: int, j: int) -> Cluster | None:
-    """The open cluster of m that holds the edge i -> j or j -> i, if any."""
-    if not 1 <= i < j <= m.n:
-        raise ValueError(f"flip generators need 1 <= i < j <= n, got ({i}, {j})")
-    for c in decompose_clusters(m).open_clusters:
-        if (i, j) in c.edges or (j, i) in c.edges:
-            return c
-    return None
-
-
 def flip(m: Matching, i: int, j: int) -> Matching:
     """Generator f_ij of the flip group: if an open cluster contains the edge
     i -> j or j -> i, reverse every edge of that cluster; otherwise return m
     unchanged."""
-    c = _open_cluster_at(m, i, j)
-    return m if c is None else _flip_cluster(m, c)
+    if not 1 <= i < j <= m.n:
+        raise ValueError(f"flip generators need 1 <= i < j <= n, got ({i}, {j})")
+    for c in decompose_clusters(m).open_clusters:
+        if (i, j) in c.edges or (j, i) in c.edges:
+            return _flip_cluster(m, c)
+    return m
 
 
 def _flip_cluster(m: Matching, cluster: Cluster) -> Matching:
@@ -305,26 +297,6 @@ def orbit(m: Matching) -> Orbit:
 
 
 @dataclass(frozen=True)
-class FlipSignCheck:
-    """Outcome of checking sign(f_ij . tau) == (-1)^separation * sign(tau);
-    `image` is f_ij . tau, which is tau itself when nothing flips."""
-
-    flipped: bool
-    holds: bool
-    separation: int | None
-    image: Matching
-
-
-def sign_flip_law_check(m: Matching, i: int, j: int) -> FlipSignCheck:
-    c = _open_cluster_at(m, i, j)
-    if c is None:
-        return FlipSignCheck(False, True, None, m)
-    image = _flip_cluster(m, c)
-    expected = sign(m) * (-1 if c.separation % 2 else 1)
-    return FlipSignCheck(True, sign(image) == expected, c.separation, image)
-
-
-@dataclass(frozen=True)
 class OrbitSumReport:
     """Orbit-by-orbit audit of the alternating matching sum for symmetric X.
 
@@ -389,6 +361,8 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
     if not x.is_symmetric():
         raise SymmetryError("orbit sum identity needs a symmetric matrix")
     n = x.rows
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     orbits = partition_into_orbits(n, k)
     if k == 0:
         s = all_minors = Fraction(1)  # the single empty pair contributes the empty minor

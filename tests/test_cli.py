@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -109,12 +110,18 @@ def test_lemma_suite_matching_count_witness(monkeypatch):
 
 
 def test_lemma_suite_weight_invariance_witness(monkeypatch):
-    real = lemmas.weight
+    real = matchings.weight
     # adds the column of the first edge, which a flip moves
-    monkeypatch.setattr(lemmas, "weight", lambda m, x: real(m, x) + m.edges[0][1])
+    monkeypatch.setattr(
+        matchings, "weight", lambda m, x: real(m, x) + (m.edges[0][1] if m.k else 0)
+    )
     assert _failed_witnesses(lemma_report(n_max=3)) == {
         "weight_flip_invariance": {
             "n": 2, "matching": {"n": 2, "edges": [[1, 2]]}, "i": 1, "j": 2,
+        },
+        "orbit_structure": {"n": 2, "k": 1, "failed": ["weight_constant_on_orbits"]},
+        "grand_matching_sum": {
+            "n": 1, "k": 1, "matching_sum": "-5", "interlacing_S": "-6", "all_minors": "-6",
         },
     }
 
@@ -135,59 +142,108 @@ def test_lemma_suite_sign_flip_law_witness(monkeypatch):
 
 
 def test_lemma_suite_weight_fault_and_corrupt_sign_keep_own_witnesses(monkeypatch):
-    real = lemmas.weight
+    real = matchings.weight
     monkeypatch.setattr(
-        lemmas, "weight", lambda m, x: real(m, x) + (m.edges[0][1] if m.k == 2 else 0)
+        matchings, "weight", lambda m, x: real(m, x) + (m.edges[0][1] if m.k == 2 else 0)
     )
     assert _failed_witnesses(lemma_report(n_max=3, corrupt_sign=True)) == {
         "weight_flip_invariance": {
-            "n": 3, "matching": {"n": 3, "edges": [[1, 3], [2, 1]]}, "i": 1, "j": 2,
+            "n": 3, "matching": {"n": 3, "edges": [[1, 2], [3, 1]]}, "i": 1, "j": 2,
         },
         "sign_flip_law": {
             "n": 2, "matching": {"n": 2, "edges": [[1, 2]]}, "i": 1, "j": 2, "separation": 0,
         },
+        "orbit_structure": {"n": 3, "k": 2, "failed": ["weight_constant_on_orbits"]},
+        "grand_matching_sum": {
+            "n": 2, "k": 2, "matching_sum": "3", "interlacing_S": "4", "all_minors": "4",
+        },
     }
 
 
-def test_lemma_suite_walks_each_matching_set_once(monkeypatch):
-    walked = Counter()
-    real_enumerate = lemmas.enumerate_matchings
+def test_lemma_suite_missing_flip_image_fails_flip_checks(monkeypatch):
+    real = matchings.partition_into_orbits
 
-    def counting_enumerate(n, k):
-        walked[n, k] += 1
-        return real_enumerate(n, k)
+    def dropping(n, k):
+        orbits = real(n, k)
+        if (n, k) == (2, 1):
+            o = orbits[1]
+            assert [m.edges for m in o.members] == [((1, 2),), ((2, 1),)]
+            # lose ((2, 1),), the image of ((1, 2),) under f_12
+            orbits[1] = dataclasses.replace(o, members=o.members[:1])
+        return orbits
 
-    # brute force, before `flip` is refused: the generators i < j that move
-    # each k-edge matching, k >= 1
-    acting = {
-        (m.edges, n, i, j)
-        for n in range(1, 4)
-        for k in range(1, n + 1)
-        for m in real_enumerate(n, k)
-        for i, j in combinations(range(1, n + 1), 2)
-        if matchings.flip(m, i, j) != m
+    monkeypatch.setattr(matchings, "partition_into_orbits", dropping)
+    assert _failed_witnesses(lemma_report(n_max=2)) == {
+        "weight_flip_invariance": {
+            "n": 2, "matching": {"n": 2, "edges": [[1, 2]]}, "i": 1, "j": 2,
+        },
+        "sign_flip_law": {
+            "n": 2, "matching": {"n": 2, "edges": [[1, 2]]}, "i": 1, "j": 2, "separation": 0,
+        },
+        "orbit_structure": {
+            "n": 2, "k": 1, "failed": ["orbits_partition_matchings", "orbit_sizes_match_p"],
+        },
+        "grand_matching_sum": {
+            "n": 2, "k": 1, "matching_sum": "7", "interlacing_S": "5", "all_minors": "5",
+        },
     }
-    assert len(acting) == 26
 
-    checked = Counter()
-    real_check = lemmas.sign_flip_law_check
 
-    def counting_check(m, i, j):
-        checked[m.edges, m.n, i, j] += 1
-        return real_check(m, i, j)
+def test_lemma_suite_work_counts(monkeypatch):
+    # brute force, before anything is wrapped: every matching of n <= 4, and
+    # the least generator f_ij of each of its open clusters
+    all_matchings = [
+        m for n in range(1, 5) for k in range(n + 1) for m in matchings.enumerate_matchings(n, k)
+    ]
+    assert len(all_matchings) == 252
+    least_generators = [
+        (m.n, m.edges, min((min(e), max(e)) for e in c.edges))
+        for m in all_matchings
+        for c in matchings.decompose_clusters(m).open_clusters
+    ]
+    assert len(least_generators) == 176
 
-    def refuse(*args):
-        raise AssertionError("the lemma suite flipped outside sign_flip_law_check")
+    calls = Counter()
 
-    monkeypatch.setattr(lemmas, "enumerate_matchings", counting_enumerate)
-    monkeypatch.setattr(lemmas, "sign_flip_law_check", counting_check)
-    monkeypatch.setattr(matchings, "flip", refuse)
-    monkeypatch.setattr(lemmas, "flip", refuse, raising=False)
-    assert lemma_report(n_max=3)["passed"]
-    assert walked == Counter({(n, k): 1 for n in range(1, 4) for k in range(n + 1)})
-    # exactly one check per acting generator of each k-edge matching
-    assert set(checked.values()) == {1}
-    assert set(checked) == acting
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name, key(*args)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(lemmas, "orbit_sum_identity", lambda x, k: (x.rows, k))
+    counting(lemmas, "enumerate_matchings", lambda n, k: (n, k))
+    counting(lemmas, "random_symmetric", lambda n, seed, bound: n)
+    counting(lemmas, "flip", lambda m, i, j: (m.n, m.edges, (i, j)))
+    counting(matchings, "sign", lambda m: (m.n, m.edges))
+    counting(matchings, "weight", lambda m, x: (m.n, m.edges))
+    assert lemma_report(n_max=4)["passed"]
+
+    def made(name):
+        return Counter({key: c for (called, key), c in calls.items() if called == name})
+
+    cells = [(n, k) for n in range(1, 5) for k in range(n + 1)]
+    assert made("orbit_sum_identity") == Counter(cells)
+    assert made("enumerate_matchings") == Counter(cells)
+    assert made("random_symmetric") == Counter(range(1, 5))
+    # each matching's sign and weight taken once, in the orbit-sum report
+    assert made("sign") == made("weight") == Counter((m.n, m.edges) for m in all_matchings)
+    # one flip per (member, open cluster)
+    assert made("flip") == Counter(least_generators)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_max=st.integers(min_value=1, max_value=3),
+    seed=st.integers(),
+    bound=st.integers(min_value=0, max_value=20),
+)
+@example(n_max=3, seed=42, bound=0)  # the zero matrix
+def test_lemma_suite_passes_for_any_seed_and_bound(n_max, seed, bound):
+    assert lemma_report(n_max, seed, bound)["passed"]
 
 
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
@@ -512,28 +568,30 @@ def _matrix_doc(entries):
 
 
 @pytest.mark.parametrize(
-    "n,doc,message",
+    "n,k,doc,message",
     [
-        pytest.param(2, _matrix_doc([["1", "2"], ["3", "4"]]), "symmetric",
+        pytest.param(2, 1, _matrix_doc([["1", "2"], ["3", "4"]]), "symmetric",
                      id="2-entries0-symmetric"),  # asymmetric X
-        pytest.param(2, _matrix_doc([["1", "2", "3"], ["2", "4", "5"], ["3", "5", "6"]]), "3x3",
+        pytest.param(2, 1, _matrix_doc([["1", "2", "3"], ["2", "4", "5"], ["3", "5", "6"]]), "3x3",
                      id="2-entries1-3x3"),  # --n 2, 3x3 X
-        pytest.param(2, _matrix_doc([[0.1, "2"], ["2", "3"]]), "0.1",
+        pytest.param(2, 1, _matrix_doc([[0.1, "2"], ["2", "3"]]), "0.1",
                      id="2-entries2-0.1"),  # float entry
-        pytest.param(1, "[1, 2]", "JSON object", id="top-level-list"),
-        pytest.param(1, '{"rows": 1, "cols": 1, "entries": 5}', "list of entry rows",
+        pytest.param(1, 1, "[1, 2]", "JSON object", id="top-level-list"),
+        pytest.param(1, 1, '{"rows": 1, "cols": 1, "entries": 5}', "list of entry rows",
                      id="entries-not-a-list"),
-        pytest.param(1, '{"rows": 1, "cols": 1, "entries": [5]}', "grid", id="row-not-a-list"),
-        pytest.param(1, '{"rows": 1, "cols": 1, "entries": [["1/0"]]}', "zero denominator",
+        pytest.param(1, 1, '{"rows": 1, "cols": 1, "entries": [5]}', "grid", id="row-not-a-list"),
+        pytest.param(1, 1, '{"rows": 1, "cols": 1, "entries": [["1/0"]]}', "zero denominator",
                      id="zero-denominator"),
-        pytest.param(1, '{"rows": true, "cols": 1, "entries": [["1"]]}', "integer rows",
+        pytest.param(1, 1, '{"rows": true, "cols": 1, "entries": [["1"]]}', "integer rows",
                      id="bool-rows"),
+        pytest.param(0, 0, '{"rows": 0, "cols": 0, "entries": []}', "n must be >= 1",
+                     id="empty-0x0"),  # as `--n 0` without --matrix
     ],
 )
-def test_main_orbit_audit_bad_matrix_is_input_error(tmp_path, capsys, n, doc, message):
+def test_main_orbit_audit_bad_matrix_is_input_error(tmp_path, capsys, n, k, doc, message):
     mat = tmp_path / "x.json"
     mat.write_text(doc)
-    assert main(["orbit-audit", "--n", str(n), "--k", "1", "--matrix", str(mat)]) == 2
+    assert main(["orbit-audit", "--n", str(n), "--k", str(k), "--matrix", str(mat)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err

@@ -15,7 +15,7 @@ from canadaday.exact_linalg import (
     random_symmetric,
     t_matrix,
 )
-from canadaday import lemmas, matchings
+from canadaday import matchings
 from canadaday.matchings import (
     Cluster,
     ClusterDecomposition,
@@ -27,7 +27,6 @@ from canadaday.matchings import (
     orbit_sum_identity,
     partition_into_orbits,
     sign,
-    sign_flip_law_check,
     weight,
 )
 from canadaday.minor_sums import (
@@ -307,13 +306,6 @@ def test_clusters_traced_once_per_instance(monkeypatch):
     assert len(traced) == 2
 
 
-def test_sign_flip_law_suite_traces_each_instance_at_most_once(monkeypatch):
-    traced = _count_traces(monkeypatch)
-    assert lemmas._check_matchings(3, 42, 9, False) == ((True, None),) * 3
-    # the list keeps every traced instance alive, so ids are not reused
-    assert traced and len({id(m) for m in traced}) == len(traced)
-
-
 def test_cluster_decomposition_worked_example():
     dec = decompose_clusters(TAU8)
     by_edges = {c.edges: c for c in dec.clusters}
@@ -448,38 +440,57 @@ def test_classify_orbit_agrees_both_routes_exhaustively():
             assert o.classification == ("interlacing" if scan else "non-interlacing")
 
 
+def _reversed_cluster(m: Matching, image: Matching) -> Cluster:
+    """The one open cluster of m that the image holds reversed, found from the
+    edges the image lost and gained."""
+    lost = set(m.edges) - set(image.edges)
+    gained = set(image.edges) - set(m.edges)
+    (c,) = [c for c in decompose_clusters(m).open_clusters if set(c.edges) == lost]
+    assert gained == {(b, a) for a, b in c.edges}
+    return c
+
+
 def test_sign_flip_law_worked_example():
-    chk = sign_flip_law_check(TAU8, 2, 8)
-    assert chk.flipped and chk.holds and chk.separation == 6
+    image = flip(TAU8, 2, 8)
+    assert _reversed_cluster(TAU8, image).separation == 6
+    assert sign(image) == sign(TAU8)
 
 
 def test_sign_flip_law_separation_zero_preserves_sign():
     m = Matching(2, ((1, 2),))
-    chk = sign_flip_law_check(m, 1, 2)
-    assert chk.flipped and chk.holds and chk.separation == 0
-    assert sign(flip(m, 1, 2)) == sign(m) == 1
+    image = flip(m, 1, 2)
+    assert _reversed_cluster(m, image).separation == 0
+    assert sign(image) == sign(m) == 1
 
 
 def test_sign_flip_law_two_edge_case():
+    # one open cluster 3 -> 1 -> 2, reversed by both f_12 and f_13
     m = Matching(3, ((1, 2), (3, 1)))
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            assert sign_flip_law_check(m, i, j).holds
+    moving = [(i, j) for i, j in combinations(range(1, 4), 2) if flip(m, i, j) is not m]
+    assert moving == [(1, 2), (1, 3)]
+    for i, j in moving:
+        image = flip(m, i, j)
+        assert sign(image) == (-1) ** _reversed_cluster(m, image).separation * sign(m)
 
 
 def test_sign_flip_law_vacuous_flag():
-    chk = sign_flip_law_check(TAU8, 1, 6)  # closed cluster: no flip happens
-    assert not chk.flipped and chk.holds and chk.separation is None
-    assert chk.image is TAU8
+    assert flip(TAU8, 1, 6) is TAU8  # closed cluster: no flip happens
 
 
-def test_sign_flip_law_image_is_flip_exhaustively():
+def test_sign_flip_law_per_generator_exhaustively():
+    # every generator f_ij that moves a matching of K_{4,4} multiplies its
+    # sign by (-1)^separation of the cluster it reverses
+    moved = 0
     for k in range(0, 5):
         for m in enumerate_matchings(4, k):
             for i, j in combinations(range(1, 5), 2):
-                chk = sign_flip_law_check(m, i, j)
-                assert chk.image == flip(m, i, j)
-                assert chk.flipped == (chk.image != m)
+                image = flip(m, i, j)
+                if image == m:
+                    assert image is m
+                    continue
+                assert sign(image) == (-1) ** _reversed_cluster(m, image).separation * sign(m)
+                moved += 1
+    assert moved == 252
 
 
 def test_orbit_sum_identity_n2_hand_value():
