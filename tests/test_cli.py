@@ -235,6 +235,44 @@ def test_lemma_suite_work_counts(monkeypatch):
     assert made("flip") == Counter(least_generators)
 
 
+def test_lemma_suite_walks_each_matching_set_once(monkeypatch):
+    walked = Counter()
+    real_enumerate = lemmas.enumerate_matchings
+
+    def counting_enumerate(n, k):
+        walked[n, k] += 1
+        return real_enumerate(n, k)
+
+    # brute force, before `flip` is wrapped: the generators i < j that move
+    # each k-edge matching, k >= 1
+    acting = {
+        (m.edges, n, i, j)
+        for n in range(1, 4)
+        for k in range(1, n + 1)
+        for m in real_enumerate(n, k)
+        for i, j in combinations(range(1, n + 1), 2)
+        if matchings.flip(m, i, j) != m
+    }
+    assert len(acting) == 26
+
+    flipped = Counter()
+    real_flip = lemmas.flip
+
+    def counting_flip(m, i, j):
+        flipped[m.edges, m.n, i, j] += 1
+        return real_flip(m, i, j)
+
+    monkeypatch.setattr(lemmas, "enumerate_matchings", counting_enumerate)
+    monkeypatch.setattr(lemmas, "flip", counting_flip)
+    assert lemma_report(n_max=3)["passed"]
+    assert walked == Counter({(n, k): 1 for n in range(1, 4) for k in range(n + 1)})
+    # at most one flip per acting generator of each k-edge matching, and
+    # every matching that some generator moves is flipped
+    assert set(flipped.values()) == {1}
+    assert set(flipped) <= acting
+    assert {key[:2] for key in flipped} == {key[:2] for key in acting}
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n_max=st.integers(min_value=1, max_value=3),

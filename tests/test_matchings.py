@@ -15,7 +15,7 @@ from canadaday.exact_linalg import (
     random_symmetric,
     t_matrix,
 )
-from canadaday import matchings
+from canadaday import lemmas, matchings
 from canadaday.matchings import (
     Cluster,
     ClusterDecomposition,
@@ -304,6 +304,13 @@ def test_clusters_traced_once_per_instance(monkeypatch):
     twin = Matching(8, TAU8.edges)
     assert twin == m and decompose_clusters(twin) == first
     assert len(traced) == 2
+
+
+def test_sign_flip_law_suite_traces_each_instance_at_most_once(monkeypatch):
+    traced = _count_traces(monkeypatch)
+    assert lemmas._check_orbits(3, 42, 9, False) == ((True, None),) * 5
+    # the list keeps every traced instance alive, so ids are not reused
+    assert traced and len({id(m) for m in traced}) == len(traced)
 
 
 def test_cluster_decomposition_worked_example():
