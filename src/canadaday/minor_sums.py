@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, product
 from operator import add
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .exact_linalg import (
     DimensionError,
@@ -43,6 +43,7 @@ __all__ = [
     "SymmetryError",
     "check_size_guard",
     "interlacing_sum",
+    "interlaces",
     "is_interlacing",
     "p_value",
     "sum_all_minors",
@@ -86,10 +87,15 @@ def check_size_guard(n: int) -> None:
 def is_interlacing(I: IndexSet, J: IndexSet) -> bool:
     """True iff i_1 <= j_1 <= i_2 <= j_2 <= ... <= i_k <= j_k."""
     _check_pair(I, J)
-    for a, b in zip(I.elems, J.elems):
+    return interlaces(I.elems, J.elems)
+
+
+def interlaces(I: Sequence[int], J: Sequence[int]) -> bool:
+    """`is_interlacing` on two increasing sequences of equal length, unchecked."""
+    for a, b in zip(I, J):
         if a > b:
             return False
-    for b, a_next in zip(J.elems, I.elems[1:]):
+    for b, a_next in zip(J, I[1:]):
         if b > a_next:
             return False
     return True

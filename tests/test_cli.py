@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from canadaday import cli, lemmas, lgv, matchings, peakon
 from canadaday.cli import main
-from canadaday.exact_linalg import matrix_to_json_dict, random_symmetric
+from canadaday.exact_linalg import MinorLevel, matrix_to_json_dict, random_symmetric
 from canadaday.lemmas import lemma_report
 from canadaday.matchings import orbit_audit
 from canadaday.minor_sums import theorem_campaign
@@ -64,10 +64,15 @@ def test_lemma_suite_corrupt_sign_hook():
 
 
 def test_lemma_suite_t_minor_witness_is_failing_audit_row(monkeypatch):
-    real_minor = lgv.minor
-    monkeypatch.setattr(
-        lgv, "minor", lambda m, rows, cols: real_minor(m, rows, cols) + Fraction(1, 2)
-    )
+    real_levels = lgv.minor_levels
+
+    def shifted_levels(m):
+        # every minor plus 1/2: (2 * scaled + scale) / (2 * scale)
+        for level in real_levels(m):
+            scaled = tuple(tuple(2 * v + level.scale for v in row) for row in level.scaled)
+            yield MinorLevel(level.n, level.k, 2 * level.scale, scaled)
+
+    monkeypatch.setattr(lgv, "minor_levels", shifted_levels)
     doc = lemma_report(n_max=2)
     (check,) = [c for c in doc["checks"] if not c["passed"]]
     assert check["name"] == "t_minor_three_way"
@@ -379,6 +384,54 @@ def test_main_campaign_size_guard_checked_first(monkeypatch, capsys, argv, heavy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the guard 12" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,heavy,count,cap",
+    [
+        (["orbit-audit", "--n", "12", "--k", "6"],
+         [f"matchings.{name}" for name in
+          ("_edge_tuples", "enumerate_matchings", "orbit", "interlacing_sum", "sum_all_minors")],
+         614_718_720, "MAX_MATCHINGS = 250000"),
+        (["verify-lemmas", "--n", "12"],
+         [f"lemmas.{name}" for name in
+          ("random_symmetric", "orbit_sum_identity", "audit_table", "enumerate_matchings")],
+         56_993_634_220, "MAX_WALK = 250000"),
+        (["verify-lemmas", "--n", "8"],
+         [f"lemmas.{name}" for name in
+          ("random_symmetric", "orbit_sum_identity", "audit_table", "enumerate_matchings")],
+         1_587_776, "MAX_WALK = 250000"),
+        (["lgv-audit", "--n", "12"],
+         [f"lgv.{name}" for name in
+          ("build_network", "minor_levels", "_paths_from", "count_disjoint_families")],
+         2_704_155, "MAX_TABLE_ROWS = 250000"),
+    ],
+    ids=["orbit-audit", "verify-lemmas", "verify-lemmas-n8", "lgv-audit"],
+)
+def test_main_walk_cap_checked_first(monkeypatch, capsys, argv, heavy, count, cap):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the walk cap")
+
+    for name in heavy:
+        monkeypatch.setattr(f"canadaday.{name}", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{count} " in captured.err and f"over the cap {cap}" in captured.err
+
+
+def test_lemma_walk_cap_admits_no_inner_refusal():
+    # Every n_max that lemmas.MAX_WALK admits stays under the caps of the
+    # partitions and tables it walks, so no walk is refused half done.
+    admitted = [
+        n_max for n_max in range(1, 13)
+        if sum(matchings.matching_count(n, k) for n in range(1, n_max + 1) for k in range(n + 1))
+        <= lemmas.MAX_WALK
+    ]
+    assert admitted == list(range(1, 8))
+    for n in admitted:
+        assert math.comb(2 * n, n) - 1 <= lgv.MAX_TABLE_ROWS
+        assert all(matchings.matching_count(n, k) <= matchings.MAX_MATCHINGS for k in range(n + 1))
 
 
 def test_main_verify_theorem_exit_zero(tmp_path):

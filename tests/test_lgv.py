@@ -1,9 +1,10 @@
-from fractions import Fraction
+from collections import Counter
+from math import comb
 
 import pytest
 
 from canadaday import lgv
-from canadaday.exact_linalg import ExactMatrix, IndexSet, k_subsets, minor, t_matrix
+from canadaday.exact_linalg import ExactMatrix, IndexSet, MinorLevel, k_subsets, minor, t_matrix
 from canadaday.lgv import (
     LayeredNetwork,
     audit_table,
@@ -86,16 +87,44 @@ def test_audit_table():
     assert {"k", "I", "J", "formula_value", "det_value", "lgv_count", "agree"} == set(table[0])
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_audit_table_walks_paths_once_per_source_and_minors_once(monkeypatch, n):
+    calls = Counter()
+    for name in ("_paths_from", "minor_levels"):
+
+        def counting(*args, _name=name, _real=getattr(lgv, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(lgv, name, counting)
+    assert all(row["agree"] for row in audit_table(n))
+    assert calls == {"_paths_from": n, "minor_levels": 1}
+
+
+def test_audit_table_cap_checked_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("did work past the table-row cap")
+
+    for name in ("build_network", "minor_levels", "_paths_from", "count_disjoint_families"):
+        monkeypatch.setattr(lgv, name, refuse)
+    over = min(n for n in range(1, 13) if comb(2 * n, n) - 1 > lgv.MAX_TABLE_ROWS)
+    with pytest.raises(ValueError, match=f"over the cap MAX_TABLE_ROWS = {lgv.MAX_TABLE_ROWS}"):
+        audit_table(over)
+
+
 def test_audit_table_compares_exact_values(monkeypatch):
     # |T_{(2),(1)}| = 2; a determinant of 5/2 must not truncate into agreement
-    real_minor = lgv.minor
+    real_levels = lgv.minor_levels
 
-    def fake_minor(m, rows, cols):
-        if (rows.elems, cols.elems) == ((2,), (1,)):
-            return Fraction(5, 2)
-        return real_minor(m, rows, cols)
+    def planted_levels(m):
+        # every minor over twice the scale, and 5 over it for rows (2), cols (1)
+        for level in real_levels(m):
+            scaled = [[2 * v for v in row] for row in level.scaled]
+            if level.k == 1:
+                scaled[1][0] = 5
+            yield MinorLevel(level.n, level.k, 2 * level.scale, tuple(map(tuple, scaled)))
 
-    monkeypatch.setattr(lgv, "minor", fake_minor)
+    monkeypatch.setattr(lgv, "minor_levels", planted_levels)
     bad = [row for row in audit_table(2) if not row["agree"]]
     assert bad == [
         {"k": 1, "I": [1], "J": [2], "formula_value": 2, "det_value": 2, "lgv_count": 2,

@@ -23,6 +23,7 @@ from canadaday.matchings import (
     decompose_clusters,
     enumerate_matchings,
     flip,
+    matching_count,
     orbit,
     orbit_sum_identity,
     partition_into_orbits,
@@ -273,6 +274,17 @@ def test_partition_traces_one_member_per_orbit(monkeypatch):
     assert len(traced) == len(orbits)
 
 
+def test_partition_builds_members_without_flips(monkeypatch):
+    flipped = []
+    real = matchings._flip_cluster
+    monkeypatch.setattr(
+        matchings, "_flip_cluster", lambda m, c: flipped.append(m) or real(m, c)
+    )
+    orbits = partition_into_orbits(5, 3)
+    assert sum(len(o.members) for o in orbits) == matching_count(5, 3)
+    assert flipped == []
+
+
 def test_flip_images_carry_their_traced_clusters():
     for n in range(1, 6):
         for k in range(1, n + 1):
@@ -420,6 +432,24 @@ def test_orbit_sizes_are_powers_of_two():
                 assert len(o.members) == 2 ** p_value(rep.row_set(), rep.col_set())
 
 
+def test_matching_count():
+    assert [matching_count(4, k) for k in range(5)] == [1, 16, 72, 96, 24]
+    assert matching_count(12, 6) == 614_718_720
+    with pytest.raises(ValueError, match="k must satisfy 0 <= k <= n, got k=-1, n=3"):
+        matching_count(3, -1)
+
+
+def test_partition_into_orbits_cap_checked_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated matchings past the cap")
+
+    for name in ("_edge_tuples", "enumerate_matchings", "orbit"):
+        monkeypatch.setattr(matchings, name, refuse)
+    over = min(k for k in range(9) if matching_count(8, k) > matchings.MAX_MATCHINGS)
+    with pytest.raises(ValueError, match=f"over the cap MAX_MATCHINGS = {matchings.MAX_MATCHINGS}"):
+        partition_into_orbits(8, over)
+
+
 def test_partition_into_orbits_size_guard_checked_first(monkeypatch):
     def refuse(n, k):
         raise AssertionError("enumerated matchings past the size guard")
@@ -564,6 +594,24 @@ def test_orbit_sum_identity_checks_orbit_sizes(monkeypatch):
     monkeypatch.setattr(matchings, "p_value", lambda I, J: p_value(I, J) + 1)
     rep = orbit_sum_identity(random_symmetric(3, 57, 9), 2)
     assert rep.failed_checks == ("orbit_sizes_match_p",)
+
+
+def test_orbit_sum_identity_sums_unequal_weights_member_by_member(monkeypatch):
+    # One member of a sign-balanced orbit gets weight + 1.  The shortcut
+    # weight * sum(signs) would then give 0; the member sum is that
+    # member's sign.
+    x = random_symmetric(4, 58, 9)
+    target = next(o for o in partition_into_orbits(4, 2) if o.classification == "non-interlacing")
+    odd = target.members[0]
+    monkeypatch.setattr(
+        matchings, "weight", lambda m, x: weight(m, x) + (m.edges == odd.edges)
+    )
+    rep = orbit_sum_identity(x, 2)
+    assert "weight_constant_on_orbits" in rep.failed_checks
+    at = rep.orbits.index(target)
+    sgs, ws = rep.signs[at], rep.weights[at]
+    assert ws == tuple(weight(m, x) + (m is odd) for m in target.members)
+    assert rep.orbit_sums[at] == sum(sg * w for sg, w in zip(sgs, ws)) == sgs[0]
 
 
 def test_orbit_sum_identity_rejects_asymmetric():
