@@ -393,6 +393,10 @@ def test_main_campaign_size_guard_checked_first(monkeypatch, capsys, argv, heavy
          [f"matchings.{name}" for name in
           ("_edge_tuples", "enumerate_matchings", "orbit", "interlacing_sum", "sum_all_minors")],
          614_718_720, "MAX_MATCHINGS = 250000"),
+        (["orbit-audit", "--n", "8", "--k", "5"],
+         [f"matchings.{name}" for name in
+          ("_edge_tuples", "enumerate_matchings", "orbit", "interlacing_sum", "sum_all_minors")],
+         376_320, "MAX_MATCHINGS = 250000"),
         (["verify-lemmas", "--n", "12"],
          [f"lemmas.{name}" for name in
           ("random_symmetric", "orbit_sum_identity", "audit_table", "enumerate_matchings")],
@@ -405,8 +409,13 @@ def test_main_campaign_size_guard_checked_first(monkeypatch, capsys, argv, heavy
          [f"lgv.{name}" for name in
           ("build_network", "minor_levels", "_paths_from", "count_disjoint_families")],
          2_704_155, "MAX_TABLE_ROWS = 250000"),
+        (["lgv-audit", "--n", "11"],
+         [f"lgv.{name}" for name in
+          ("build_network", "minor_levels", "_paths_from", "count_disjoint_families")],
+         705_431, "MAX_TABLE_ROWS = 250000"),
     ],
-    ids=["orbit-audit", "verify-lemmas", "verify-lemmas-n8", "lgv-audit"],
+    ids=["orbit-audit", "orbit-audit-n8-k5", "verify-lemmas", "verify-lemmas-n8", "lgv-audit",
+         "lgv-audit-n11"],
 )
 def test_main_walk_cap_checked_first(monkeypatch, capsys, argv, heavy, count, cap):
     def refuse(*args, **kwargs):

@@ -1,5 +1,4 @@
 from collections import Counter
-from math import comb
 
 import pytest
 
@@ -99,17 +98,6 @@ def test_audit_table_walks_paths_once_per_source_and_minors_once(monkeypatch, n)
         monkeypatch.setattr(lgv, name, counting)
     assert all(row["agree"] for row in audit_table(n))
     assert calls == {"_paths_from": n, "minor_levels": 1}
-
-
-def test_audit_table_cap_checked_first(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("did work past the table-row cap")
-
-    for name in ("build_network", "minor_levels", "_paths_from", "count_disjoint_families"):
-        monkeypatch.setattr(lgv, name, refuse)
-    over = min(n for n in range(1, 13) if comb(2 * n, n) - 1 > lgv.MAX_TABLE_ROWS)
-    with pytest.raises(ValueError, match=f"over the cap MAX_TABLE_ROWS = {lgv.MAX_TABLE_ROWS}"):
-        audit_table(over)
 
 
 def test_audit_table_compares_exact_values(monkeypatch):

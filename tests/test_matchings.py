@@ -439,17 +439,6 @@ def test_matching_count():
         matching_count(3, -1)
 
 
-def test_partition_into_orbits_cap_checked_first(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("enumerated matchings past the cap")
-
-    for name in ("_edge_tuples", "enumerate_matchings", "orbit"):
-        monkeypatch.setattr(matchings, name, refuse)
-    over = min(k for k in range(9) if matching_count(8, k) > matchings.MAX_MATCHINGS)
-    with pytest.raises(ValueError, match=f"over the cap MAX_MATCHINGS = {matchings.MAX_MATCHINGS}"):
-        partition_into_orbits(8, over)
-
-
 def test_partition_into_orbits_size_guard_checked_first(monkeypatch):
     def refuse(n, k):
         raise AssertionError("enumerated matchings past the size guard")
