@@ -19,6 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from math import exp, isfinite
+from operator import lt, sub
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -126,82 +129,93 @@ def load_state(path: str) -> PeakonState:
 
 
 class _Stepper(NamedTuple):
-    y: np.ndarray  # the packed state (x, m), advanced in place by step
-    step: Callable  # step(): one RK4 step of y
+    y: list  # the packed state x + m, as floats, advanced in place by step
+    step: Callable  # step(): one RK4 step of y; None, or why a stage could not be taken
     health: Callable  # health(collision_epsilon): None, or why y cannot go on
 
 
-def _stepper(n: int, dt: float) -> _Stepper:
-    """Classical RK4 with step dt for n peakons on the packed state
-    y = (x, m), with every buffer and view allocated here, once.
+def _fault(x: list, m: list, collision_epsilon: float) -> str | None:
+    """None, or why the state (x, m) cannot be stepped: "numerical failure"
+    when an entry is not finite, else "collision" when two neighbouring
+    positions are less than collision_epsilon apart, or out of order."""
+    if not (all(map(isfinite, x)) and all(map(isfinite, m))):
+        return "numerical failure"
+    if len(x) > 1:
+        closest = min(map(sub, x[1:], x))
+        if closest <= 0 or closest < collision_epsilon:
+            return "collision"
+    return None
 
-    Each elementwise operation keeps the order and association of the array
-    formulas u = E m, x' = u**2, m' = m * u * slope and y + dt/6 * (k1 + 2 k2
-    + 2 k3 + k4), so every state comes out bit for bit as those give it.  u
-    and slope are two matrix-vector products: one product over the stacked
-    [E; sgn(D) E] rounds differently from the pair for some n (9 to 11 on
-    OpenBLAS).
+
+def _rhs(x: list, m: list) -> list | None:
+    """x' + m', the right-hand side at positions x and amplitudes m (lists of
+    floats), in O(n) with no n x n array; None when x is not finite and
+    strictly increasing, so that no exp is taken at a crossed state.
+
+    With q_l = exp(x_l - x_{l+1}), the parts of u(x_k) from the peakons
+    strictly left and right of k are
+
+        L_k = q_{k-1} (L_{k-1} + m_{k-1}),   R_k = q_k (R_{k+1} + m_{k+1}),
+
+    with L_1 = R_n = 0, so u_k = m_k + L_k + R_k, x'_k = u_k^2 and
+    m'_k = m_k u_k (L_k - R_k).  The recurrences add and multiply positive
+    terms only, and each exp gets a negative argument.
     """
-    y, z, k, acc = (np.empty(2 * n) for _ in range(4))  # state, stage, slope, sum
-    d, e, se = (np.empty((n, n)) for _ in range(3))  # x_i - x_j, E, sgn(D) E
-    slope = np.empty(n)
-    finite = np.empty(2 * n, dtype=bool)
-    gaps = np.empty(max(n - 1, 0))
+    right_of = x[1:]
+    # Strictly increasing neighbours leave no NaN, and an infinity only at
+    # an end.
+    if not (all(map(lt, x, right_of)) and isfinite(x[0]) and isfinite(x[-1])):
+        return None
+    q = list(map(exp, map(sub, x, right_of)))
+    left, acc = [0.0], 0.0
+    for ql, ml in zip(q, m):
+        acc = ql * (acc + ml)
+        left.append(acc)
+    # k = n, ..., 1, carrying R_k; the 0.0 goes with k = 1, whose R_0 is not
+    # needed.
+    kx, km, r = [], [], 0.0
+    for mk, lk, ql in zip(reversed(m), reversed(left), chain(reversed(q), (0.0,))):
+        uk = mk + lk + r
+        kx.append(uk * uk)
+        km.append(mk * uk * (lk - r))
+        r = ql * (r + mk)
+    kx.reverse()
+    km.reverse()
+    return kx + km
 
-    def views(v):
-        return v[:n, None], v[None, :n], v[n:]
 
-    at_y, at_z = views(y), views(z)
-    into_k, into_acc = (k[:n], k[n:]), (acc[:n], acc[n:])
-    x_hi, x_lo = y[1:n], y[: n - 1]
-    # 0-d arrays: a Python float operand is converted again on every call
-    half, full, sixth = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0))
+def _stepper(s0: PeakonState, dt: float) -> _Stepper:
+    """Classical RK4 with step dt from s0, on the packed state y = x + m held
+    as a list of Python floats, with the O(n) right-hand side `_rhs`.
 
-    subtract, multiply, add, matmul = np.subtract, np.multiply, np.add, np.matmul
-    absolute, negative, exp, sign, square = np.abs, np.negative, np.exp, np.sign, np.square
-    isfinite = np.isfinite
-
-    def rhs(col, row, m, kx, km):
-        subtract(col, row, d)
-        absolute(d, se)
-        negative(se, se)
-        exp(se, e)
-        sign(d, se)
-        multiply(se, e, se)
-        matmul(e, m, kx)  # u
-        matmul(se, m, slope)
-        multiply(m, kx, km)
-        multiply(km, slope, km)
-        square(kx, kx)
+    A stage whose positions are not finite and strictly increasing is not
+    evaluated: step leaves y as it was and returns "collision" for a finite
+    gap <= 0, "numerical failure" for a non-finite position.  A non-finite
+    amplitude in a stage carries into the stepped state, where health finds
+    it.  The stages combine as y + dt/6 * (k1 + 2 k2 + 2 k3 + k4) in the
+    order of the array formulas, which stay in the tests as the oracle; the
+    states match them to rounding, not bit for bit.
+    """
+    n = s0.n
+    y = s0.x.tolist() + s0.m.tolist()
+    half, sixth = 0.5 * dt, dt / 6.0
 
     def step():
-        rhs(*at_y, *into_acc)  # acc = k1
-        multiply(acc, half, z)
-        add(y, z, z)
-        rhs(*at_z, *into_k)  # k = k2
-        multiply(k, half, z)
-        add(y, z, z)
-        add(k, k, k)  # 2.0 * k, exactly
-        add(acc, k, acc)
-        rhs(*at_z, *into_k)  # k = k3
-        multiply(k, full, z)
-        add(y, z, z)
-        add(k, k, k)
-        add(acc, k, acc)
-        rhs(*at_z, *into_k)  # k = k4
-        add(acc, k, acc)
-        multiply(acc, sixth, acc)
-        add(y, acc, y)
+        z, ks = y, []
+        for h in (half, half, dt, None):
+            k = _rhs(z[:n], z[n:])
+            if k is None:
+                return _fault(z[:n], z[n:], 0.0)
+            ks.append(k)
+            if h is not None:
+                z = [a + h * b for a, b in zip(y, k)]
+        y[:] = [
+            a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) for a, k1, k2, k3, k4 in zip(y, *ks)
+        ]
+        return None
 
     def health(collision_epsilon):
-        if not isfinite(y, finite).all():
-            return "numerical failure"
-        if n > 1:
-            # The positions are finite here, so a gap <= 0 shows in the minimum.
-            closest = subtract(x_hi, x_lo, gaps).min()
-            if closest <= 0 or closest < collision_epsilon:
-                return "collision"
-        return None
+        return _fault(y[:n], y[n:], collision_epsilon)
 
     return _Stepper(y, step, health)
 
@@ -343,8 +357,7 @@ def simulate(
     samples: list[dict] = []
     states: list[PeakonState] = []
     status = "ok"
-    y, step_y, health = _stepper(n, dt)
-    y[:n], y[n:] = s0.x, s0.m
+    y, step_y, health = _stepper(s0, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
             bad = health(collision_epsilon)
@@ -353,7 +366,7 @@ def simulate(
                 break
             if step % sample_every == 0 or step == steps:
                 # t0 + step*dt, not the sum of the steps, which drifts.
-                s = PeakonState(s0.t + step * dt, y[:n].copy(), y[n:].copy())
+                s = PeakonState(s0.t + step * dt, y[:n], y[n:])
                 h = constants_of_motion(s)
                 c = char_poly_coefficients(s)
                 if not (np.isfinite(h).all() and np.isfinite(c).all()):
@@ -363,7 +376,10 @@ def simulate(
                 samples.append({"t": s.t, "H": h.tolist(), "c": c.tolist(), "identity_gap": gap})
                 states.append(s)
             if step < steps:
-                step_y()
+                bad = step_y()
+                if bad is not None:
+                    status = bad
+                    break
 
     drift = _max_relative_drift(samples, n)
     return ConservationReport(

@@ -1,9 +1,11 @@
 """Test oracles: the one exponential (Leibniz) oracle for determinants and
 minors, the batched-determinant float sum of all k x k minors that checks
 the peakon constants of motion up to n = 8, the exact H_k of a float peakon
-state, and the canonical sign-reversing involution that pairs the members
-of non-interlacing orbits."""
+state, the peakon right-hand side in 50-digit decimals, and the canonical
+sign-reversing involution that pairs the members of non-interlacing
+orbits."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -75,6 +77,25 @@ def exact_h(s) -> list[Fraction]:
     )
     c = char_poly(t_matrix(s.n) @ x)
     return [(-1) ** k * c[k] for k in range(1, s.n + 1)]
+
+
+def decimal_rhs(s) -> list[tuple[Decimal, Decimal, Decimal]]:
+    """Per peakon k of a float state: x'_k = u_k^2, m'_k = m_k u_k (L_k - R_k)
+    and the scale m_k u_k (L_k + R_k) of m'_k's terms, in 50-digit decimals
+    from the state's own floats.  L_k and R_k are the sums of m_j e^{-|x_k -
+    x_j|} over j < k and j > k, taken term by term from the textbook formula:
+    the referee of the stepper's O(n) recurrences."""
+    x, m = s.x.tolist(), s.m.tolist()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        xd, md = [Decimal(v) for v in x], [Decimal(v) for v in m]
+        out = []
+        for k in range(s.n):
+            terms = [md[j] * (-abs(xd[k] - xd[j])).exp() for j in range(s.n)]
+            left, right = sum(terms[:k], Decimal(0)), sum(terms[k + 1 :], Decimal(0))
+            u = md[k] + left + right
+            out.append((u * u, md[k] * u * (left - right), md[k] * u * (left + right)))
+    return out
 
 
 def canonical_involution(m: Matching) -> Matching:
