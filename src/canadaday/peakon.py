@@ -158,8 +158,8 @@ def _rhs(x: list, m: list) -> list | None:
         L_k = q_{k-1} (L_{k-1} + m_{k-1}),   R_k = q_k (R_{k+1} + m_{k+1}),
 
     with L_1 = R_n = 0, so u_k = m_k + L_k + R_k, x'_k = u_k^2 and
-    m'_k = m_k u_k (L_k - R_k).  The recurrences add and multiply positive
-    terms only, and each exp gets a negative argument.
+    m'_k = m_k u_k (L_k - R_k).  The recurrences take no difference, and
+    each exp gets a negative argument.
     """
     right_of = x[1:]
     # Strictly increasing neighbours leave no NaN, and an infinity only at
