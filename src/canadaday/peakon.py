@@ -40,13 +40,14 @@ __all__ = [
     "waveform",
 ]
 
-# simulate refuses more RK4 steps than this; one step at n=6 took 46 us on
-# a shared 2-vCPU Xeon VM, so the cap is about eight minutes of stepping.
+# simulate refuses more RK4 steps than this; one step at n=6 took 28 us on
+# a shared 2-vCPU Xeon VM, so the cap is about five minutes of stepping.
 MAX_STEPS = 10**7
 
-# simulate refuses more peakons than this: the stepper and each sample hold
-# several n x n float arrays, 8 MB apiece at the cap, and a state file of
-# 10^5 positions would ask for hundreds of GB.
+# simulate refuses more peakons than this: each sample's H_k and c_k hold
+# several n x n float arrays, 33 MB at their peak at the cap (the stepper
+# holds O(n) floats, 0.49 MB at its peak), and a state file of 10^5
+# positions would ask for hundreds of GB.
 MAX_PEAKONS = 1000
 
 DEFAULT_COLLISION_EPSILON = 1e-6
@@ -148,9 +149,10 @@ def _fault(x: list, m: list, collision_epsilon: float) -> str | None:
 
 
 def _rhs(x: list, m: list) -> list | None:
-    """x' + m', the right-hand side at positions x and amplitudes m (lists of
-    floats), in O(n) with no n x n array; None when x is not finite and
-    strictly increasing, so that no exp is taken at a crossed state.
+    """x' + m' (one list), the right-hand side at positions x and amplitudes
+    m (lists of floats), in O(n) with no n x n array; None when x is not
+    finite and strictly increasing, so that no exp is taken at a crossed
+    state.
 
     With q_l = exp(x_l - x_{l+1}), the parts of u(x_k) from the peakons
     strictly left and right of k are
@@ -158,7 +160,7 @@ def _rhs(x: list, m: list) -> list | None:
         L_k = q_{k-1} (L_{k-1} + m_{k-1}),   R_k = q_k (R_{k+1} + m_{k+1}),
 
     with L_1 = R_n = 0, so u_k = m_k + L_k + R_k, x'_k = u_k^2 and
-    m'_k = m_k u_k (L_k - R_k).  The recurrences take no difference, and
+    m'_k = m_k u_k (L_k - R_k).  The recurrences have no subtraction, and
     each exp gets a negative argument.
     """
     right_of = x[1:]
@@ -194,7 +196,7 @@ def _stepper(s0: PeakonState, dt: float) -> _Stepper:
     amplitude in a stage carries into the stepped state, where health finds
     it.  The stages combine as y + dt/6 * (k1 + 2 k2 + 2 k3 + k4) in the
     order of the array formulas, which stay in the tests as the oracle; the
-    states match them to rounding, not bit for bit.
+    states match them to rounding, not exactly.
     """
     n = s0.n
     y = s0.x.tolist() + s0.m.tolist()

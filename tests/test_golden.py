@@ -3,9 +3,11 @@
 Each case runs one command in both output formats and compares the report,
 and the exit code, with the files under tests/golden/; the CSV cases do the
 same for the `wave` and `peakon --wave-out` files.  The peakon figures are
-floats, so their golden files hold for one numpy/BLAS build.  A report is
-only meant to change on purpose; regenerate the files from the current code
-with
+floats: the states come from the stepper's plain float arithmetic, H_k, c_k
+and the wave profile from numpy products and eigenvalues, so their golden
+files hold for one numpy/BLAS build, and they change whenever the stepper's
+rounding does.  A report is only meant to change on purpose; regenerate the
+files from the current code with
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -473,12 +473,16 @@ def test_rhs_matches_decimal_referee(n, spread):
      [-math.inf, 0.0], [0.0, math.inf], [math.inf, math.inf]],
 )
 def test_rhs_refuses_positions_not_finite_and_increasing(monkeypatch, x):
-    monkeypatch.setattr(peakon, "exp", _no_call)
+    args = _record_exp(monkeypatch)
     assert peakon._rhs(x, [1.0] * len(x)) is None
+    assert args == []
 
 
-def _no_call(*args):
-    raise AssertionError(f"called with {args}")
+def _record_exp(monkeypatch):
+    """The argument of every exp that peakon takes from here on."""
+    args = []
+    monkeypatch.setattr(peakon, "exp", lambda v: args.append(v) or math.exp(v))
+    return args
 
 
 # Stage 2 of the first step puts the positions at 2.545 and 2.192.
@@ -486,8 +490,7 @@ CROSSING = PeakonState(0.0, [0.0, 0.1], [10.0, 0.1])
 
 
 def test_simulate_ends_at_a_crossed_stage_as_collision(monkeypatch):
-    args = []
-    monkeypatch.setattr(peakon, "exp", lambda v: args.append(v) or math.exp(v))
+    args = _record_exp(monkeypatch)
     r = simulate(CROSSING, 0.05, 1.0)
     assert r.status == "collision" and len(r.samples) == 1
     assert args and max(args) < 0
@@ -499,8 +502,7 @@ def test_step_ends_at_a_non_finite_stage_as_numerical_failure(monkeypatch):
     # x'_2 = (1e160)^2 overflows, so stage 2 puts x_2 at +inf; x_1 stays
     # finite (u_1 = 1, as e^-800 underflows), so the two stay in order.
     s = PeakonState(0.0, [0.0, 800.0], [1.0, 1e160])
-    args = []
-    monkeypatch.setattr(peakon, "exp", lambda v: args.append(v) or math.exp(v))
+    args = _record_exp(monkeypatch)
     y, step, health = peakon._stepper(s, 1e-3)
     assert health(0.0) is None
     assert step() == "numerical failure" and y == [0.0, 800.0, 1.0, 1e160]
