@@ -79,7 +79,9 @@ def build_network(n: int) -> LayeredNetwork:
     Layer 0 realizes the bidiagonal factor (edges i->i, and i->i-1 for i >= 2);
     layer t in 1..n-1 realizes one elementary factor of the lower-triangular
     all-ones matrix (edges i->i plus the single edge (n-t+1)->(n-t)).  The
-    path matrix is checked against t_matrix(n) at construction.
+    path matrix, the product of the layers taken in ints from their edges,
+    is checked against t_matrix(n) at construction; `path_matrix` is the
+    same product through `ExactMatrix`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -90,7 +92,16 @@ def build_network(n: int) -> LayeredNetwork:
         step.add((n - t + 1, n - t))
         layers.append(frozenset(step))
     net = LayeredNetwork(n, tuple(layers))
-    if path_matrix(net) != t_matrix(n):
+    # One edge a -> c of a layer adds column a of the running product to
+    # column c of the next.
+    paths = [[int(r == c) for c in range(n)] for r in range(n)]
+    for layer in layers:
+        after = [[0] * n for _ in range(n)]
+        for a, c in layer:
+            for row, out in zip(paths, after):
+                out[c - 1] += row[a - 1]
+        paths = after
+    if [v for row in paths for v in row] != list(t_matrix(n).entries):
         raise RuntimeError(f"constructed network has wrong path matrix for n={n}")
     return net
 

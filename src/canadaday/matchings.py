@@ -240,8 +240,9 @@ def flip(m: Matching, i: int, j: int) -> Matching:
 
 
 def _flip_cluster(m: Matching, cluster: Cluster) -> Matching:
-    """Reverse the edges of `cluster`, an open cluster of m."""
-    return _assemble(m.n, [_reversed(c) if c == cluster else c for c in m._clusters])
+    """Reverse the edges of `cluster`, one of m's own open cluster objects
+    (picked by identity, so no cluster's edges are compared)."""
+    return _assemble(m.n, [_reversed(c) if c is cluster else c for c in m._clusters])
 
 
 def _reversed(cluster: Cluster) -> Cluster:
@@ -252,24 +253,33 @@ def _reversed(cluster: Cluster) -> Cluster:
     return Cluster(edges, "open", (b, a), cluster.separation)
 
 
+def _trusted(n: int, edges: tuple[tuple[int, int], ...], **cached) -> Matching:
+    """The Matching of n and `edges`, built without `__post_init__`.
+
+    Every caller passes edges that are already sorted and a valid matching
+    by construction; `cached` presets cached properties such as `_clusters`.
+    Tests check each caller's results against a validated construction and
+    a fresh trace.
+    """
+    m = object.__new__(Matching)
+    # Past the frozen __setattr__, as cached_property does; a cached
+    # property's own slot is its name in the instance __dict__.
+    m.__dict__.update(n=n, edges=edges, **cached)
+    return m
+
+
 def _assemble(n: int, clusters) -> Matching:
     """The matching whose edges are the union of `clusters`, carrying them.
 
     Every caller passes the clusters of a valid matching with some open
     clusters reversed, which is again a valid matching with exactly those
-    clusters, so it is built without re-validation and without a trace.
-    Tests check the result against a validated construction and a fresh
-    trace.
+    clusters, so it needs no re-validation and no trace.
     """
-    image = object.__new__(Matching)
-    # Past the frozen __setattr__, as cached_property does; "_clusters" is
-    # the cached_property's own slot in the instance __dict__.
-    image.__dict__.update(
-        n=n,
-        edges=tuple(sorted(e for c in clusters for e in c.edges)),
+    return _trusted(
+        n,
+        tuple(sorted(e for c in clusters for e in c.edges)),
         _clusters=tuple(sorted(clusters, key=lambda c: c.edges)),
     )
-    return image
 
 
 @dataclass(frozen=True)
@@ -373,7 +383,7 @@ def partition_into_orbits(n: int, k: int) -> list[Orbit]:
     for edges in _edge_tuples(n, k):
         if edges in seen:
             continue
-        o = orbit(Matching(n, edges))
+        o = orbit(_trusted(n, edges))
         for member in o.members:
             seen.add(member.edges)
         orbits.append(o)
@@ -407,6 +417,8 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         s = interlacing_sum(x, k)
         all_minors = sum_all_minors(x, k)
 
+    # p_value of each orbit's first member, on these k-subsets, validated once.
+    subsets = {s.elems: s for s in k_subsets(n, k)}
     signs = []
     weights = []
     orbit_sums = []
@@ -415,9 +427,12 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
     for o in orbits:
         ws = tuple(weight(m, x) for m in o.members)
         sgs = tuple(sign(m) for m in o.members)
-        first = o.members[0]
-        sizes_match &= len(o.members) == 2 ** p_value(first.row_set(), first.col_set())
-        constant = len(set(ws)) == 1
+        edges = o.members[0].edges
+        I = subsets[tuple(i for i, _ in edges)]
+        J = subsets[tuple(sorted(j for _, j in edges))]
+        sizes_match &= len(o.members) == 2 ** p_value(I, J)
+        # By equality: a set would hash every Fraction, a modular inverse each.
+        constant = all(w == ws[0] for w in ws)
         weight_constant &= constant
         signed = sum(sgs)
         if o.classification == "interlacing":

@@ -30,6 +30,28 @@ def test_path_matrix_equals_t(n):
     assert path_matrix(build_network(n)) == t_matrix(n)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_build_network_refuses_a_path_matrix_other_than_t(monkeypatch, n):
+    def t_off_by_one(size):
+        rows = t_matrix(size).to_rows()
+        rows[-1][-1] += 1
+        return ExactMatrix.from_rows(rows)
+
+    monkeypatch.setattr(lgv, "t_matrix", t_off_by_one)
+    with pytest.raises(RuntimeError, match=f"wrong path matrix for n={n}"):
+        build_network(n)
+
+
+def test_audit_table_takes_no_exact_matrix_product(monkeypatch):
+    products = []
+    real = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__", lambda a, b: products.append(1) or real(a, b))
+    assert all(row["agree"] for row in audit_table(4))
+    assert products == []
+    path_matrix(build_network(4))  # the counter sees path_matrix's n products
+    assert len(products) == 4
+
+
 def test_identity_layers_give_identity_path_matrix():
     ident = frozenset((i, i) for i in range(1, 4))
     net = LayeredNetwork(3, (ident, ident))

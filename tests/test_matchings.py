@@ -264,6 +264,50 @@ def test_flipped_orbit_members_carry_their_traced_clusters():
                     assert carried == _union_find_clusters(fresh)
 
 
+def test_partition_seeds_equal_validated_matchings(monkeypatch):
+    # Each orbit grows from an unvalidated seed built from _edge_tuples;
+    # before its trace it must hold what Matching(n, edges) holds, and its
+    # clusters must equal a fresh trace of that validated construction.
+    seeds = []
+    real = matchings.orbit
+
+    def recording(m):
+        seeds.append((m, dict(vars(m))))
+        return real(m)
+
+    monkeypatch.setattr(matchings, "orbit", recording)
+    for n in range(1, 6):
+        for k in range(0, n + 1):
+            seeds.clear()
+            orbits = partition_into_orbits(n, k)
+            assert len(seeds) == len(orbits)
+            for (seed, untraced), o in zip(seeds, orbits):
+                fresh = Matching(n, seed.edges)
+                assert type(seed) is Matching and untraced == vars(fresh)
+                assert seed == fresh and hash(seed) == hash(fresh)
+                assert decompose_clusters(seed).clusters == matchings._trace_clusters(fresh)
+                assert any(member is seed for member in o.members)
+
+
+def test_flip_picks_the_cluster_by_identity(monkeypatch):
+    # flip hands _flip_cluster one of m's own cluster objects, so no two
+    # clusters need comparing; the images stay what they were.
+    cases = [
+        (m, i, j)
+        for n in range(2, 5)
+        for k in range(1, n + 1)
+        for m in enumerate_matchings(n, k)
+        for i, j in combinations(range(1, n + 1), 2)
+    ]
+    images = [flip(m, i, j).edges for m, i, j in cases]
+
+    def no_eq(a, b):
+        raise AssertionError("clusters compared")
+
+    monkeypatch.setattr(Cluster, "__eq__", no_eq)
+    assert [flip(Matching(m.n, m.edges), i, j).edges for m, i, j in cases] == images
+
+
 def test_partition_traces_one_member_per_orbit(monkeypatch):
     traced = _count_traces(monkeypatch)
     orbits = partition_into_orbits(5, 3)
