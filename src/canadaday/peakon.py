@@ -137,14 +137,16 @@ class _Stepper(NamedTuple):
     health: Callable  # health(collision_epsilon): None, or why y cannot go on
 
 
-def _fault(x: list, m: list, collision_epsilon: float) -> str | None:
-    """None, or why the state (x, m) cannot be stepped: "numerical failure"
-    when an entry is not finite, else "collision" when two neighbouring
-    positions are less than collision_epsilon apart, or out of order."""
-    if not (all(map(isfinite, x)) and all(map(isfinite, m))):
+def _fault(y: list, n: int, collision_epsilon: float) -> str | None:
+    """None, or why the packed state y = x + m of n peakons cannot be
+    stepped: "numerical failure" when an entry is not finite, else
+    "collision" when two neighbouring positions are less than
+    collision_epsilon apart, or out of order."""
+    if not all(map(isfinite, y)):
         return "numerical failure"
-    if len(x) > 1:
-        closest = min(map(sub, x[1:], x))
+    if n > 1:
+        # x_{l+1} - x_l for l = 1..n-1: map stops at the end of y[1:n].
+        closest = min(map(sub, y[1:n], y))
         if closest <= 0 or closest < collision_epsilon:
             return "collision"
     return None
@@ -217,7 +219,7 @@ def _stepper(s0: PeakonState, dt: float) -> _Stepper:
             z = [a + h * b for a, b in zip(y, ks[-1])]
             k = _rhs(z[:n], z[n:])
             if k is None:
-                return _fault(z[:n], z[n:], 0.0)
+                return _fault(z, n, 0.0)
             ks.append(k)
         y[:] = [
             a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) for a, k1, k2, k3, k4 in zip(y, *ks)
@@ -225,7 +227,7 @@ def _stepper(s0: PeakonState, dt: float) -> _Stepper:
         return None
 
     def health(collision_epsilon):
-        return _fault(y[:n], y[n:], collision_epsilon)
+        return _fault(y, n, collision_epsilon)
 
     return _Stepper(y, step, health)
 
