@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import comb
 
 from .exact_linalg import DimensionError, ExactMatrix, IndexSet, k_subsets, minor_levels, t_matrix
@@ -79,9 +79,7 @@ def build_network(n: int) -> LayeredNetwork:
     Layer 0 realizes the bidiagonal factor (edges i->i, and i->i-1 for i >= 2);
     layer t in 1..n-1 realizes one elementary factor of the lower-triangular
     all-ones matrix (edges i->i plus the single edge (n-t+1)->(n-t)).  The
-    path matrix, the product of the layers taken in ints from their edges,
-    is checked against t_matrix(n) at construction; `path_matrix` is the
-    same product through `ExactMatrix`.
+    path matrix is checked against t_matrix(n) at construction.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -92,32 +90,26 @@ def build_network(n: int) -> LayeredNetwork:
         step.add((n - t + 1, n - t))
         layers.append(frozenset(step))
     net = LayeredNetwork(n, tuple(layers))
-    # One edge a -> c of a layer adds column a of the running product to
-    # column c of the next.
+    if path_matrix(net) != t_matrix(n):
+        raise RuntimeError(f"constructed network has wrong path matrix for n={n}")
+    return net
+
+
+def path_matrix(net: LayeredNetwork) -> ExactMatrix:
+    """Entry (a, b) counts directed paths from source a to sink b: the product
+    of the per-layer adjacency matrices, taken in ints from the layer edges
+    and converted to an `ExactMatrix` once."""
+    n = net.n
     paths = [[int(r == c) for c in range(n)] for r in range(n)]
-    for layer in layers:
+    for layer in net.layers:
+        # Edge a -> c adds column a of the running product to column c of
+        # the next.
         after = [[0] * n for _ in range(n)]
         for a, c in layer:
             for row, out in zip(paths, after):
                 out[c - 1] += row[a - 1]
         paths = after
-    if [v for row in paths for v in row] != list(t_matrix(n).entries):
-        raise RuntimeError(f"constructed network has wrong path matrix for n={n}")
-    return net
-
-
-def _layer_matrix(n: int, layer: frozenset[Edge]) -> ExactMatrix:
-    rows = [[0] * n for _ in range(n)]
-    for a, c in layer:
-        rows[a - 1][c - 1] += 1
-    return ExactMatrix.from_rows(rows)
-
-
-def path_matrix(net: LayeredNetwork) -> ExactMatrix:
-    """Entry (a, b) counts directed paths from source a to sink b: the product
-    of the per-layer adjacency matrices."""
-    mats = [_layer_matrix(net.n, layer) for layer in net.layers]
-    return reduce(lambda x, y: x @ y, mats, ExactMatrix.identity(net.n))
+    return ExactMatrix.from_rows(paths)
 
 
 def _paths_from(net: LayeredNetwork, source: int) -> list[tuple[int, ...]]:

@@ -131,9 +131,7 @@ def load_state(path: str) -> PeakonState:
 
 class _Stepper(NamedTuple):
     y: list  # the packed state x + m, as floats, advanced in place by step
-    # step(): one RK4 step of a y that passed health; None, or why a stage
-    # could not be taken
-    step: Callable
+    step: Callable  # step(): one RK4 step of y; None, or why a stage could not be taken
     health: Callable  # health(collision_epsilon): None, or why y cannot go on
 
 
@@ -167,16 +165,12 @@ def _rhs(x: list, m: list) -> list | None:
     m'_k = m_k u_k (L_k - R_k).  The recurrences have no subtraction, and
     each exp gets a negative argument.
     """
+    right_of = x[1:]
     # Strictly increasing neighbours leave no NaN, and an infinity only at
     # an end.
-    if not (all(map(lt, x, x[1:])) and isfinite(x[0]) and isfinite(x[-1])):
+    if not (all(map(lt, x, right_of)) and isfinite(x[0]) and isfinite(x[-1])):
         return None
-    return _ordered_rhs(x, m)
-
-
-def _ordered_rhs(x: list, m: list) -> list:
-    """`_rhs` at positions x already known finite and strictly increasing."""
-    q = list(map(exp, map(sub, x, x[1:])))
+    q = list(map(exp, map(sub, x, right_of)))
     left, acc = [0.0], 0.0
     for ql, ml in zip(q, m):
         acc = ql * (acc + ml)
@@ -198,29 +192,27 @@ def _stepper(s0: PeakonState, dt: float) -> _Stepper:
     """Classical RK4 with step dt from s0, on the packed state y = x + m held
     as a list of Python floats, with the O(n) right-hand side `_rhs`.
 
-    step expects y to have passed health, as `simulate` checks every state
-    before it steps it: health's scan covers `_rhs`'s guard, so stage 1
-    takes no guard of its own.  A later stage whose positions are not
-    finite and strictly increasing is not evaluated: step leaves y as it
-    was and returns "collision" for a finite gap <= 0, "numerical failure"
-    for a non-finite position.  A non-finite amplitude in a stage carries
-    into the stepped state, where health finds it.  The stages combine as
-    y + dt/6 * (k1 + 2 k2 + 2 k3 + k4) in the order of the array formulas,
-    which stay in the tests as the oracle; the states match them to
-    rounding, not exactly.
+    A stage whose positions are not finite and strictly increasing is not
+    evaluated: step leaves y as it was and returns "collision" for a finite
+    gap <= 0, "numerical failure" for a non-finite position.  A non-finite
+    amplitude in a stage carries into the stepped state, where health finds
+    it.  The stages combine as y + dt/6 * (k1 + 2 k2 + 2 k3 + k4) in the
+    order of the array formulas, which stay in the tests as the oracle; the
+    states match them to rounding, not exactly.
     """
     n = s0.n
     y = s0.x.tolist() + s0.m.tolist()
     half, sixth = 0.5 * dt, dt / 6.0
 
     def step():
-        ks = [_ordered_rhs(y[:n], y[n:])]
-        for h in (half, half, dt):
-            z = [a + h * b for a, b in zip(y, ks[-1])]
+        z, ks = y, []
+        for h in (half, half, dt, None):
             k = _rhs(z[:n], z[n:])
             if k is None:
                 return _fault(z, n, 0.0)
             ks.append(k)
+            if h is not None:
+                z = [a + h * b for a, b in zip(y, k)]
         y[:] = [
             a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) for a, k1, k2, k3, k4 in zip(y, *ks)
         ]

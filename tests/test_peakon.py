@@ -509,16 +509,6 @@ def test_step_ends_at_a_non_finite_stage_as_numerical_failure(monkeypatch):
     assert args and max(args) < 0
 
 
-def test_simulate_guards_only_the_stages_health_has_not_checked(monkeypatch):
-    # health checks each state before it is stepped, which covers _rhs's
-    # guard, so stage 1 of a step goes unguarded: 3 guarded stages a step.
-    guarded = []
-    real = peakon._rhs
-    monkeypatch.setattr(peakon, "_rhs", lambda x, m: guarded.append(1) or real(x, m))
-    r = simulate(PeakonState(0.0, [-1.0, 1.0], [1.0, 2.0]), 1e-2, 1.0)
-    assert r.status == "ok" and len(guarded) == 3 * 100
-
-
 def test_stepper_memory_far_below_one_square_array():
     # the array stepper held three n x n float arrays, 24 MB at the cap; the
     # lists of this one measured 0.49 MB at their peak
