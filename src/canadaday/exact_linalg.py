@@ -14,7 +14,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, groupby
 from math import lcm
 from operator import mul
@@ -108,17 +107,6 @@ class ExactMatrix:
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # The dataclass hash of the fields, taken once per instance: it
-        # hashes n^2 Fractions, and a matrix is a cache key (minor_sums).
-        # cached_property writes the instance __dict__, past the frozen
-        # __setattr__; dataclass eq and repr see only the fields.
-        return hash((self.rows, self.cols, self.entries))
-
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> ExactMatrix:
         r = len(rows)
@@ -126,12 +114,6 @@ class ExactMatrix:
         if any(len(row) != c for row in rows):
             raise DimensionError("ragged rows")
         return ExactMatrix(r, c, tuple(v for row in rows for v in row))
-
-    @staticmethod
-    def identity(n: int) -> ExactMatrix:
-        return ExactMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
 
     def entry(self, i: int, j: int) -> Rational:
         """Entry at row i, column j (both 1-based)."""
@@ -142,11 +124,6 @@ class ExactMatrix:
     def to_rows(self) -> list[list[Rational]]:
         c = self.cols
         return [list(self.entries[r * c : (r + 1) * c]) for r in range(self.rows)]
-
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix.from_rows(
-            [[self.entries[r * self.cols + c] for r in range(self.rows)] for c in range(self.cols)]
-        )
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -391,4 +368,8 @@ def matrix_from_json_dict(d: dict) -> ExactMatrix:
 
 def load_matrix(path) -> ExactMatrix:
     with open(path) as fh:
-        return matrix_from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return matrix_from_json_dict(doc)

@@ -31,10 +31,9 @@ from .exact_linalg import (
 from .minor_sums import (
     SymmetryError,
     check_size_guard,
-    interlacing_sum,
     interlaces,
+    level_sums,
     p_value,
-    sum_all_minors,
 )
 
 __all__ = [
@@ -288,7 +287,6 @@ class Orbit:
 
     members: tuple[Matching, ...]
     classification: str  # "interlacing" or "non-interlacing"
-    representative: Matching | None  # the unique interlacing member, when any
 
     def to_json_dict(self, signs: Sequence[int], weights: Sequence[Rational]) -> dict:
         return {
@@ -329,9 +327,7 @@ def orbit(m: Matching) -> Orbit:
             f"orbit classification inconsistency for {m}: even={all_even}, "
             f"interlacing members={len(interlacing_members)}"
         )
-    if interlacing_members:
-        return Orbit(tuple(members), "interlacing", interlacing_members[0])
-    return Orbit(tuple(members), "non-interlacing", None)
+    return Orbit(tuple(members), "interlacing" if all_even else "non-interlacing")
 
 
 @dataclass(frozen=True)
@@ -414,8 +410,8 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
     if k == 0:
         s = all_minors = Fraction(1)  # the single empty pair contributes the empty minor
     else:
-        s = interlacing_sum(x, k)
-        all_minors = sum_all_minors(x, k)
+        sums = level_sums(x, k)
+        s, all_minors = sums.interlacing, sums.all
 
     # p_value of each orbit's first member, on these k-subsets, validated once.
     subsets = {s.elems: s for s in k_subsets(n, k)}

@@ -5,20 +5,20 @@ For an n x n matrix X and 1 <= k <= n the theorem asserts that three sums
 agree: the principal k x k minors of T@X, all k x k minors of X (needs X
 symmetric), and the interlacing-pair sum S = sum over I <= J of
 2^p(I,J) * |X_IJ|.  The last two are exact reductions over level k of X's
-minor table (`exact_linalg.minor_levels`), built once per matrix and
-extended as larger k are asked for, over interlacing pairs built once per
-(n, k).  The principal sums of T@X are (-1)^k c_k(TX), from its Berkowitz
-characteristic polynomial, so a fault in the table cannot make all three
-agree.  Bareiss `minor` stays the independent route the tests check both.
+minor table (`exact_linalg.minor_levels`), over interlacing pairs built
+once per (n, k).  Every call is stateless and walks the table afresh; the
+verify-theorem campaign walks each matrix's table once for all its k.  The
+principal sums of T@X are (-1)^k c_k(TX), from its Berkowitz characteristic
+polynomial, so a fault in the table cannot make all three agree.  Bareiss
+`minor` stays the independent route the tests check both.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, product
+from functools import lru_cache
+from itertools import accumulate, combinations, islice, product
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -45,6 +45,7 @@ __all__ = [
     "interlacing_sum",
     "interlaces",
     "is_interlacing",
+    "level_sums",
     "p_value",
     "sum_all_minors",
     "sum_principal_minors",
@@ -57,11 +58,6 @@ __all__ = [
 # k=6), and the orbit and path audits enumerate as many matchings and path
 # families; beyond this n they stop being desk-scale, so refuse.
 SIZE_GUARD = 12
-
-# Minor tables kept, keyed by matrix; each keeps the char poly of its T@X.
-# The callers here walk k = 1..n on one matrix at a time, so one suffices,
-# and a kept table holds a whole level (about 35 MB at n=12, k=6).
-_TABLE_MEMO = 1
 
 
 class SymmetryError(ValueError):
@@ -148,58 +144,37 @@ def _reduce(level: MinorLevel) -> _Sums:
     return _Sums(*(Fraction(v, level.scale) for v in (principal, everything, interlacing)))
 
 
-class _MinorTable:
-    """The three sums of one square matrix X for k = 1, 2, ..., extended from
-    its `minor_levels` only as far as callers ask, and the principal sums of
-    TX from its char poly."""
-
-    def __init__(self, m: ExactMatrix) -> None:
-        self._matrix = m
-        self._sums: list[_Sums] = []
-        self._levels = minor_levels(m)
-        self._lock = threading.Lock()
-
-    def at(self, k: int) -> _Sums:
-        with self._lock:
-            while len(self._sums) < k:
-                self._sums.append(_reduce(next(self._levels)))
-            return self._sums[k - 1]
-
-    @cached_property
-    def principal_of_tx(self) -> list[Rational]:
-        """(-1)^k c_k(TX) for k = 0..n, in integers: row i of d*TX is
-        s_(i-1) + s_i, for s_i the sum of rows 0..i of d*X."""
-        d, rows = scaled_to_integers(self._matrix)
-        s = list(accumulate(rows, lambda u, v: list(map(add, u, v))))
-        tx = [list(map(add, u, v)) for u, v in zip([[0] * len(rows)] + s, s)]
-        return [Fraction(-c if k % 2 else c, d**k) for k, c in enumerate(integer_char_poly(tx))]
-
-
-@lru_cache(maxsize=_TABLE_MEMO)
-def _table(m: ExactMatrix) -> _MinorTable:
-    return _MinorTable(m)
-
-
-def _checked_table(m: ExactMatrix, k: int) -> _MinorTable:
+def level_sums(m: ExactMatrix, k: int) -> _Sums:
+    """The principal, all and interlacing sums of the k x k minors of the
+    square matrix m, from one walk of its minor table up to level k."""
     if not m.is_square():
         raise DimensionError(f"need a square matrix, got {m.rows}x{m.cols}")
     if not 1 <= k <= m.rows:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={m.rows}")
     check_size_guard(m.rows)
-    return _table(m)
+    return _reduce(next(islice(minor_levels(m), k - 1, None)))
+
+
+def _principal_of_tx(m: ExactMatrix) -> list[Rational]:
+    """(-1)^k c_k(TX) for k = 0..n, in integers: row i of d*TX is
+    s_(i-1) + s_i, for s_i the sum of rows 0..i of d*X."""
+    d, rows = scaled_to_integers(m)
+    s = list(accumulate(rows, lambda u, v: list(map(add, u, v))))
+    tx = [list(map(add, u, v)) for u, v in zip([[0] * len(rows)] + s, s)]
+    return [Fraction(-c if k % 2 else c, d**k) for k, c in enumerate(integer_char_poly(tx))]
 
 
 def sum_principal_minors(m: ExactMatrix, k: int) -> Rational:
-    return _checked_table(m, k).at(k).principal
+    return level_sums(m, k).principal
 
 
 def sum_all_minors(m: ExactMatrix, k: int) -> Rational:
-    return _checked_table(m, k).at(k).all
+    return level_sums(m, k).all
 
 
 def interlacing_sum(m: ExactMatrix, k: int) -> Rational:
     """S = sum over interlacing pairs I <= J of 2^p(I,J) * |X_IJ|."""
-    return _checked_table(m, k).at(k).interlacing
+    return level_sums(m, k).interlacing
 
 
 @dataclass(frozen=True)
@@ -229,6 +204,24 @@ class CanadaDayReport:
         }
 
 
+def _report(n: int, k: int, principal: Rational, sums: _Sums) -> CanadaDayReport:
+    return CanadaDayReport(
+        n=n,
+        k=k,
+        principal_of_tx=principal,
+        all_of_x=sums.all,
+        interlacing_s=sums.interlacing,
+        all_equal=principal == sums.all == sums.interlacing,
+    )
+
+
+def _refuse_asymmetric(m: ExactMatrix) -> None:
+    if not m.is_symmetric():
+        raise SymmetryError(
+            "matrix is not symmetric; pass allow_asymmetric=True to evaluate anyway"
+        )
+
+
 def verify_canada_day(m: ExactMatrix, k: int, *, allow_asymmetric: bool = False) -> CanadaDayReport:
     """Evaluate all three sums for m and report whether they agree.
 
@@ -236,21 +229,10 @@ def verify_canada_day(m: ExactMatrix, k: int, *, allow_asymmetric: bool = False)
     all-minors identity presumes symmetry; the principal-of-TX vs S equality
     holds regardless and is exposed as `part_a_equal` on the report.
     """
-    table = _checked_table(m, k)
-    if not m.is_symmetric() and not allow_asymmetric:
-        raise SymmetryError(
-            "matrix is not symmetric; pass allow_asymmetric=True to evaluate anyway"
-        )
-    sums = table.at(k)
-    principal = table.principal_of_tx[k]
-    return CanadaDayReport(
-        n=m.rows,
-        k=k,
-        principal_of_tx=principal,
-        all_of_x=sums.all,
-        interlacing_s=sums.interlacing,
-        all_equal=principal == sums.all == sums.interlacing,
-    )
+    if m.is_square() and not allow_asymmetric:
+        _refuse_asymmetric(m)
+    sums = level_sums(m, k)
+    return _report(m.rows, k, _principal_of_tx(m)[k], sums)
 
 
 def theorem_campaign(
@@ -261,28 +243,35 @@ def theorem_campaign(
     bound: int = 9,
     asymmetric: bool = False,
 ) -> dict:
-    """The verify-theorem report: verify_canada_day over the (n, trial, k)
-    grid with seeded random matrices.  In asymmetric mode only the
-    principal-of-TX vs S equality is required to hold; the all-minors sum
-    is reported so witnesses of its failure are visible."""
+    """The verify-theorem report: the three sums over the (n, trial, k)
+    grid with seeded random matrices, from one walk of each matrix's minor
+    table up to the grid's largest k and one char poly of its T@X.  In
+    asymmetric mode only the principal-of-TX vs S equality is required to
+    hold; the all-minors sum is reported so witnesses of its failure are
+    visible."""
     check_size_guard(n_max)
+    gen = random_matrix if asymmetric else random_symmetric
     cells = []
     witnesses = []
     for n in range(1, n_max + 1):
-        ks = [k] if k is not None else list(range(1, n + 1))
+        ks = [kk for kk in ([k] if k is not None else range(1, n + 1)) if 1 <= kk <= n]
+        if not ks:
+            continue
         for trial in range(trials):
-            gen = random_matrix if asymmetric else random_symmetric
             mat = gen(n, child_seed(seed, n, trial), bound)
-            for kk in ks:
-                if not 1 <= kk <= n:
+            if not asymmetric:
+                _refuse_asymmetric(mat)
+            principal = _principal_of_tx(mat)
+            for level in islice(minor_levels(mat), ks[-1]):
+                if level.k not in ks:
                     continue
-                rep = verify_canada_day(mat, kk, allow_asymmetric=asymmetric)
+                rep = _report(n, level.k, principal[level.k], _reduce(level))
                 ok = rep.part_a_equal if asymmetric else rep.all_equal
                 cell = {"trial": trial, **rep.to_json_dict(), "part_a_equal": rep.part_a_equal}
                 cells.append(cell)
                 if not ok:
                     witnesses.append(
-                        {"n": n, "k": kk, "trial": trial, "matrix": matrix_to_json_dict(mat)}
+                        {"n": n, "k": level.k, "trial": trial, "matrix": matrix_to_json_dict(mat)}
                     )
     if not cells:
         raise ValueError("no (n, k) cell to check: need n >= 1, trials >= 1 and 1 <= k <= n")

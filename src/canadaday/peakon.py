@@ -116,7 +116,10 @@ def load_state(path: str) -> PeakonState:
     initial state (finite numbers, positions strictly increasing, amplitudes
     positive)."""
     with open(path) as fh:
-        d = json.load(fh)
+        try:
+            d = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected a JSON object with x and m")
     arrays = []

@@ -3,7 +3,8 @@ minors, the batched-determinant float sum of all k x k minors that checks
 the peakon constants of motion up to n = 8, the exact H_k of a float peakon
 state, the peakon right-hand side in 50-digit decimals, and the canonical
 sign-reversing involution that pairs the members of non-interlacing
-orbits."""
+orbits.  Also the identity and the transpose of an `ExactMatrix`, which
+only the tests need."""
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -21,6 +22,16 @@ from canadaday.exact_linalg import (
     t_matrix,
 )
 from canadaday.matchings import Cluster, Matching, decompose_clusters, flip, sign, weight
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        [[m.entries[r * m.cols + c] for r in range(m.rows)] for c in range(m.cols)]
+    )
 
 
 def minor_via_matchings(x: ExactMatrix, I: IndexSet, J: IndexSet) -> Rational:

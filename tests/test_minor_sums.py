@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from canadaday import minor_sums
 from canadaday.cli import main
 from canadaday.exact_linalg import (
     DimensionError,
+    child_seed,
     ExactMatrix,
     IndexSet,
     MinorLevel,
@@ -26,8 +29,10 @@ from canadaday.minor_sums import (
     sum_all_minors,
     sum_principal_minors,
     t_minor_formula,
+    theorem_campaign,
     verify_canada_day,
 )
+from oracles import identity
 
 # symmetric X with (a..f) = (2, 3, 5, 7, 11, 13), the worked 3x3 example
 PRIMES_X = ExactMatrix.from_rows([[2, 3, 5], [3, 7, 11], [5, 11, 13]])
@@ -104,7 +109,7 @@ def test_sum_principal_kn_is_determinant():
 def test_sum_principal_identity_counts_subsets(k):
     from math import comb
 
-    assert sum_principal_minors(ExactMatrix.identity(4), k) == comb(4, k)
+    assert sum_principal_minors(identity(4), k) == comb(4, k)
 
 
 def test_sum_all_k1_is_entry_sum():
@@ -113,7 +118,7 @@ def test_sum_all_k1_is_entry_sum():
 
 
 def test_sum_all_identity2_k1():
-    assert sum_all_minors(ExactMatrix.identity(2), 1) == 2
+    assert sum_all_minors(identity(2), 1) == 2
 
 
 def test_sum_all_kn_is_determinant():
@@ -137,11 +142,10 @@ def test_size_guard_and_override(monkeypatch):
             yield level
 
     monkeypatch.setattr(minor_sums, "minor_levels", counting_levels)
-    minor_sums._table.cache_clear()
     with pytest.raises(ValueError, match="exceeds the guard 12"):
-        sum_principal_minors(ExactMatrix.identity(13), 1)
+        sum_principal_minors(identity(13), 1)
     assert built == []  # refused before any level is built
-    assert sum_principal_minors(ExactMatrix.identity(12), 1) == 12
+    assert sum_principal_minors(identity(12), 1) == 12
     assert built == [1]  # only the level asked for is built
 
 
@@ -164,12 +168,10 @@ def _bareiss_sums(m, k):
     "ks", [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [3, 5, 1, 4, 2]], ids=["up", "down", "mixed"]
 )
 def test_sums_match_bareiss_in_any_k_order(ks):
-    # one rational symmetric X; the memoised table is dropped first so that
-    # each order builds it afresh and extends it as k grows
+    # one rational symmetric X, its k asked for in any order
     rows = [[Fraction(i + j - 3, 1 + (i * j) % 4) for j in range(5)] for i in range(5)]
     m = ExactMatrix.from_rows(rows)
     assert m.is_symmetric() and any(v.denominator > 1 for v in m.entries)
-    minor_sums._table.cache_clear()
     for k in ks:
         r = verify_canada_day(m, k)
         assert (r.principal_of_tx, r.all_of_x, r.interlacing_s) == _bareiss_sums(m, k)
@@ -177,21 +179,31 @@ def test_sums_match_bareiss_in_any_k_order(ks):
 
 
 def test_walking_k_builds_only_the_table_of_x(monkeypatch):
-    # the principal sums of TX come from its char poly, so walking k = 1..n
-    # on one matrix builds one minor table, X's, and no table of T@X
-    built = []
-    real = minor_sums.minor_levels
+    # the campaign walks each matrix's minor table once for all its k and
+    # takes the principal sums of TX from one char poly: no table of T@X
+    built, polys = [], []
+    real_levels, real_poly = minor_sums.minor_levels, minor_sums.integer_char_poly
+    monkeypatch.setattr(minor_sums, "minor_levels", lambda m: built.append(m) or real_levels(m))
+    monkeypatch.setattr(
+        minor_sums, "integer_char_poly", lambda a: polys.append(a) or real_poly(a)
+    )
+    doc = theorem_campaign(4, trials=2)
+    assert doc["passed"] and doc["cell_count"] == 2 * (1 + 2 + 3 + 4)
+    assert built == [
+        random_symmetric(n, child_seed(42, n, trial), 9) for n in range(1, 5) for trial in range(2)
+    ]
+    assert len(polys) == 8
 
-    def counting_levels(m):
-        built.append(m)
-        return real(m)
 
-    monkeypatch.setattr(minor_sums, "minor_levels", counting_levels)
-    minor_sums._table.cache_clear()
+def test_sums_keep_no_matrix_alive():
+    # every sum is a stateless call: nothing keeps the matrix or its table
     m = random_symmetric(4, 41, 9)
-    for k in range(1, 5):
-        assert verify_canada_day(m, k).all_equal
-    assert built == [m]
+    verify_canada_day(m, 2)
+    sum_all_minors(m, 3)
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.fixture
@@ -208,9 +220,6 @@ def odd_levels_negated(monkeypatch):
             yield level
 
     monkeypatch.setattr(minor_sums, "minor_levels", negated)
-    minor_sums._table.cache_clear()
-    yield
-    minor_sums._table.cache_clear()
 
 
 def test_negated_odd_levels_fail_verify_canada_day(odd_levels_negated):
@@ -243,7 +252,7 @@ def test_interlacing_sum_kn_is_determinant():
 
 
 def test_interlacing_sum_identity_k1():
-    assert interlacing_sum(ExactMatrix.identity(5), 1) == 5
+    assert interlacing_sum(identity(5), 1) == 5
 
 
 def cauchy_binet_check(A, B, rows, cols):
@@ -260,7 +269,7 @@ def cauchy_binet_check(A, B, rows, cols):
 
 def test_cauchy_binet_identity_matrices():
     full = IndexSet(3, (1, 2, 3))
-    assert cauchy_binet_check(ExactMatrix.identity(3), ExactMatrix.identity(3), full, full)
+    assert cauchy_binet_check(identity(3), identity(3), full, full)
 
 
 def test_cauchy_binet_t_times_symmetric_all_pairs():
