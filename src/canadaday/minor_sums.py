@@ -229,6 +229,7 @@ def verify_canada_day(m: ExactMatrix, k: int, *, allow_asymmetric: bool = False)
     all-minors identity presumes symmetry; the principal-of-TX vs S equality
     holds regardless and is exposed as `part_a_equal` on the report.
     """
+    # Refused before any minor is taken; level_sums refuses a non-square m.
     if m.is_square() and not allow_asymmetric:
         _refuse_asymmetric(m)
     sums = level_sums(m, k)
