@@ -348,7 +348,8 @@ def matrix_to_json_dict(m: ExactMatrix) -> dict:
 def matrix_from_json_dict(d: dict) -> ExactMatrix:
     """Inverse of `matrix_to_json_dict`.  rows and cols must be integers and
     entries a list of rows of exact entries, integers or strings such as
-    "-3/4"; anything else, floats and booleans included, raises ValueError."""
+    "-3/4" or "0.25", with no exponent; anything else, floats, booleans and
+    "1e9" included, raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"a matrix must be a JSON object, got {type(d).__name__}")
     rows, cols, entries = d["rows"], d["cols"], d["entries"]
@@ -360,6 +361,9 @@ def matrix_from_json_dict(d: dict) -> ExactMatrix:
         for v in row:
             if isinstance(v, bool) or not isinstance(v, (int, str)):
                 raise ValueError(f"matrix entries must be integers or exact strings, got {v!r}")
+            # Fraction would expand an exponent in full: "1e100000000" hangs.
+            if isinstance(v, str) and ("e" in v or "E" in v):
+                raise ValueError(f"matrix entries take no exponent, got {v!r}")
     try:
         return ExactMatrix.from_rows(entries)
     except ZeroDivisionError:

@@ -18,16 +18,9 @@ from .matchings import (
     matching_count,
     orbit_sum_identity,
 )
-from .minor_sums import check_size_guard
+from .minor_sums import check_size_guard, check_walk
 
-__all__ = ["MAX_WALK", "Check", "lemma_report", "lemma_suite"]
-
-# lemma_suite refuses a walk over more matchings, summed over every M_{n,k}
-# with n <= n_max, than this.  verify-lemmas --n 7 walked 146,047 matchings
-# in about 35 us each on a shared 2-vCPU Xeon VM, so the cap is about 9 s;
-# it admits n_max <= 7, whose largest M_{n,k} and T-minor table are far
-# under matchings.MAX_MATCHINGS and lgv.MAX_TABLE_ROWS.
-MAX_WALK = 250_000
+__all__ = ["Check", "lemma_report", "lemma_suite"]
 
 
 class Check(NamedTuple):
@@ -83,7 +76,9 @@ def _check_orbits(n_max: int, seed: int, bound: int, corrupt: bool):
             for o, sgs, ws in zip(rep.orbits, rep.signs, rep.weights):
                 read = {m.edges: (sg, w) for m, sg, w in zip(o.members, sgs, ws)}
                 for m, sg, w in zip(o.members, sgs, ws):
-                    for c in decompose_clusters(m).open_clusters:
+                    for c in decompose_clusters(m):
+                        if c.kind != "open":
+                            continue
                         i, j = min((min(e), max(e)) for e in c.edges)
                         image = read.get(flip(m, i, j).edges)
                         if weight_ok[0] and (image is None or image[1] != w):
@@ -115,11 +110,12 @@ def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[C
     if n_max < 1:
         raise ValueError(f"nothing to check: need n >= 1, got {n_max}")
     check_size_guard(n_max)
-    walk = sum(matching_count(n, k) for n in range(1, n_max + 1) for k in range(n + 1))
-    if walk > MAX_WALK:
-        raise ValueError(
-            f"n <= {n_max} walks {walk} matchings, over the cap MAX_WALK = {MAX_WALK}"
-        )
+    # Each M_{n,k} and T-minor table walked below is part of this walk, so
+    # no inner walk is refused half done.
+    check_walk(
+        sum(matching_count(n, k) for n in range(1, n_max + 1) for k in range(n + 1)),
+        f"matchings in every M_{{n,k}} with n <= {n_max}",
+    )
     matching_count_check, weight_invariance, sign_law, orbit_structure, grand_sum = _check_orbits(
         n_max, seed, bound, corrupt_sign
     )

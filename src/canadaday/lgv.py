@@ -16,10 +16,9 @@ from functools import cached_property
 from math import comb
 
 from .exact_linalg import DimensionError, ExactMatrix, IndexSet, k_subsets, minor_levels, t_matrix
-from .minor_sums import check_size_guard, t_minor_formula
+from .minor_sums import check_size_guard, check_walk, t_minor_formula
 
 __all__ = [
-    "MAX_TABLE_ROWS",
     "LayeredNetwork",
     "audit",
     "audit_table",
@@ -29,11 +28,6 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]  # (left row, right row) within one layer
-
-# audit_table refuses more rows than this.  At n=10 (184,755 rows) a row
-# took about 37 us and 1.3 KB of peak memory on a shared 2-vCPU Xeon VM, so
-# the cap is about 9 s and 330 MB; it admits n <= 10.
-MAX_TABLE_ROWS = 250_000
 
 
 @dataclass(frozen=True)
@@ -166,13 +160,10 @@ def audit_table(n: int) -> list[dict]:
     of T (rows J, cols I), and the backtracking path-family count.  The
     minors are read from one pass of T's minor table (`minor_levels`).
     `agree` compares the exact values; the table shows them as integers.
-    Refuses, before any work, more than MAX_TABLE_ROWS rows."""
+    Refuses, before any work, more than MAX_WALK rows."""
     check_size_guard(n)
-    rows = comb(2 * n, n) - 1  # sum of C(n,k)^2 over k = 1..n, by Vandermonde
-    if rows > MAX_TABLE_ROWS:
-        raise ValueError(
-            f"n={n} needs {rows} table rows, over the cap MAX_TABLE_ROWS = {MAX_TABLE_ROWS}"
-        )
+    # sum of C(n,k)^2 over k = 1..n, by Vandermonde
+    check_walk(comb(2 * n, n) - 1, f"table rows at n={n}")
     net = build_network(n)
     table = []
     for level in minor_levels(t_matrix(n)):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .exact_linalg import (
     DimensionError,
@@ -31,15 +31,14 @@ from .exact_linalg import (
 from .minor_sums import (
     SymmetryError,
     check_size_guard,
+    check_walk,
     interlaces,
     level_sums,
     p_value,
 )
 
 __all__ = [
-    "MAX_MATCHINGS",
     "Cluster",
-    "ClusterDecomposition",
     "Matching",
     "Orbit",
     "OrbitSumReport",
@@ -54,12 +53,6 @@ __all__ = [
     "sign",
     "weight",
 ]
-
-
-# partition_into_orbits refuses an M_{n,k} of more matchings than this.  An
-# orbit-audit took about 36 us and 3 KB of peak memory per matching at
-# n=8, k=4 on a shared 2-vCPU Xeon VM, so the cap is about 9 s and 750 MB.
-MAX_MATCHINGS = 250_000
 
 
 @dataclass(frozen=True)
@@ -171,27 +164,18 @@ class Cluster:
     separation: int
 
 
-@dataclass(frozen=True)
-class ClusterDecomposition:
-    matching: Matching
-    clusters: tuple[Cluster, ...]
-
-    @property
-    def open_clusters(self) -> tuple[Cluster, ...]:
-        return tuple(c for c in self.clusters if c.kind == "open")
-
-
-def decompose_clusters(m: Matching) -> ClusterDecomposition:
+def decompose_clusters(m: Matching) -> tuple[Cluster, ...]:
     """Partition the edges into clusters: connected components after
     temporarily adding auxiliary edges r -> r for every r in both I and J.
 
     With those links the matching is the partial permutation tau of the node
     labels, so each open cluster is the path that starts at a left node in
     I - J and follows tau through I & J until it reaches a node of J - I,
-    and each closed cluster is a cycle of tau on I & J.  The clusters are
-    traced once per Matching instance, one step per edge, and kept on it.
+    and each closed cluster is a cycle of tau on I & J.  The clusters come
+    sorted by their edges; they are traced once per Matching instance, one
+    step per edge, and kept on it.
     """
-    return ClusterDecomposition(m, m._clusters)
+    return m._clusters
 
 
 def _trace_clusters(m: Matching) -> tuple[Cluster, ...]:
@@ -229,19 +213,15 @@ def _trace_clusters(m: Matching) -> tuple[Cluster, ...]:
 def flip(m: Matching, i: int, j: int) -> Matching:
     """Generator f_ij of the flip group: if an open cluster contains the edge
     i -> j or j -> i, reverse every edge of that cluster; otherwise return m
-    unchanged."""
+    unchanged.  The cluster is picked by identity, so no two clusters are
+    compared."""
     if not 1 <= i < j <= m.n:
         raise ValueError(f"flip generators need 1 <= i < j <= n, got ({i}, {j})")
-    for c in decompose_clusters(m).open_clusters:
-        if (i, j) in c.edges or (j, i) in c.edges:
-            return _flip_cluster(m, c)
+    clusters = decompose_clusters(m)
+    for c in clusters:
+        if c.kind == "open" and ((i, j) in c.edges or (j, i) in c.edges):
+            return _assemble(m.n, [_reversed(d) if d is c else d for d in clusters])
     return m
-
-
-def _flip_cluster(m: Matching, cluster: Cluster) -> Matching:
-    """Reverse the edges of `cluster`, one of m's own open cluster objects
-    (picked by identity, so no cluster's edges are compared)."""
-    return _assemble(m.n, [_reversed(c) if c is cluster else c for c in m._clusters])
 
 
 def _reversed(cluster: Cluster) -> Cluster:
@@ -288,18 +268,6 @@ class Orbit:
     members: tuple[Matching, ...]
     classification: str  # "interlacing" or "non-interlacing"
 
-    def to_json_dict(self, signs: Sequence[int], weights: Sequence[Rational]) -> dict:
-        return {
-            "classification": self.classification,
-            "members": [m.to_json_dict() for m in self.members],
-            "signs": list(signs),
-            "separations": [
-                [c.separation for c in decompose_clusters(m).clusters]
-                for m in self.members
-            ],
-            "weights": [str(w) for w in weights],
-        }
-
 
 def orbit(m: Matching) -> Orbit:
     """Materialize the orbit of m under all cluster flips.
@@ -310,7 +278,7 @@ def orbit(m: Matching) -> Orbit:
     interlacing iff every cluster separation is even), cross-checked against
     an explicit scan for an interlacing member.
     """
-    clusters = m._clusters
+    clusters = decompose_clusters(m)
     closed = [c for c in clusters if c.kind == "closed"]
     picks = product(*((c, _reversed(c)) for c in clusters if c.kind == "open"))
     next(picks)  # every open cluster as in m: m itself
@@ -366,14 +334,10 @@ class OrbitSumReport:
 
 def partition_into_orbits(n: int, k: int) -> list[Orbit]:
     """All of M_{n,k} grouped into flip-group orbits, in canonical order.
-    Refuses, before any enumeration, an M_{n,k} of more than MAX_MATCHINGS
+    Refuses, before any enumeration, an M_{n,k} of more than MAX_WALK
     matchings."""
     check_size_guard(n)
-    count = matching_count(n, k)
-    if count > MAX_MATCHINGS:
-        raise ValueError(
-            f"M_{{{n},{k}}} has {count} matchings, over the cap MAX_MATCHINGS = {MAX_MATCHINGS}"
-        )
+    check_walk(matching_count(n, k), f"matchings in M_{{{n},{k}}}")
     seen: set[tuple[tuple[int, int], ...]] = set()
     orbits = []
     for edges in _edge_tuples(n, k):
@@ -482,7 +446,14 @@ def orbit_audit(x: ExactMatrix, k: int) -> dict:
         "matrix": matrix_to_json_dict(x),
         "orbit_count": len(rep.orbits),
         "orbits": [
-            {**o.to_json_dict(sgs, ws), "orbit_sum": str(total)}
+            {
+                "classification": o.classification,
+                "members": [m.to_json_dict() for m in o.members],
+                "signs": list(sgs),
+                "separations": [[c.separation for c in decompose_clusters(m)] for m in o.members],
+                "weights": [str(w) for w in ws],
+                "orbit_sum": str(total),
+            }
             for o, sgs, ws, total in zip(rep.orbits, rep.signs, rep.weights, rep.orbit_sums)
         ],
         "totals": {

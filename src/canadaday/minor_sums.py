@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, islice
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -38,10 +38,12 @@ from .exact_linalg import (
 )
 
 __all__ = [
+    "MAX_WALK",
     "SIZE_GUARD",
     "CanadaDayReport",
     "SymmetryError",
     "check_size_guard",
+    "check_walk",
     "interlacing_sum",
     "interlaces",
     "is_interlacing",
@@ -58,6 +60,13 @@ __all__ = [
 # k=6), and the orbit and path audits enumerate as many matchings and path
 # families; beyond this n they stop being desk-scale, so refuse.
 SIZE_GUARD = 12
+
+# An exhaustive walk refuses more items than this: the matchings of
+# orbit-audit's M_{n,k}, of verify-lemmas's every M_{n,k} with n <= n_max,
+# or lgv-audit's table rows.  Each item took 35 to 37 us on a shared 2-vCPU
+# Xeon VM (orbit-audit n=8 k=4, verify-lemmas --n 7, lgv-audit --n 10), so
+# the cap is about 9 s.
+MAX_WALK = 250_000
 
 
 class SymmetryError(ValueError):
@@ -78,6 +87,13 @@ def check_size_guard(n: int) -> None:
     this before any of its work."""
     if n > SIZE_GUARD:
         raise ValueError(f"n={n} exceeds the guard {SIZE_GUARD}")
+
+
+def check_walk(count: int, what: str) -> None:
+    """Refuse a walk over `count` items, named by `what`, past MAX_WALK.
+    Every exhaustive walk calls this before any of its work."""
+    if count > MAX_WALK:
+        raise ValueError(f"{count} {what}, over the cap MAX_WALK = {MAX_WALK}")
 
 
 def is_interlacing(I: IndexSet, J: IndexSet) -> bool:
@@ -115,18 +131,13 @@ def t_minor_formula(I: IndexSet, J: IndexSet) -> Rational:
 @lru_cache(maxsize=SIZE_GUARD * (SIZE_GUARD + 1) // 2)
 def _interlacing_ranks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """Every interlacing pair (I, J) of k-subsets of range(n), as (rank of I,
-    rank of J, p(I, J)) with ranks in `combinations` order.
-
-    For each I, j_t ranges over [i_t, i_(t+1)] (j_k over [i_k, n-1]); of
-    those choices, J must still strictly increase.
-    """
+    rank of J, p(I, J)) with ranks in `combinations` order, I first."""
     subsets = list(combinations(range(n), k))
-    rank = {s: r for r, s in enumerate(subsets)}
     return tuple(
-        (rank[I], rank[J], k - len(set(I).intersection(J)))
-        for I in subsets
-        for J in product(*(range(lo, hi + 1) for lo, hi in zip(I, I[1:] + (n - 1,))))
-        if all(a < b for a, b in zip(J, J[1:]))
+        (r, c, k - len(set(I).intersection(J)))
+        for r, I in enumerate(subsets)
+        for c, J in enumerate(subsets)
+        if interlaces(I, J)
     )
 
 

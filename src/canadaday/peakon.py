@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import exp, isfinite
 from operator import lt, sub
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +44,7 @@ __all__ = [
 MAX_STEPS = 10**7
 
 # simulate refuses more peakons than this: each sample's H_k and c_k hold
-# several n x n float arrays, 33 MB at their peak at the cap (the stepper
+# several n x n float arrays, 33 MB at their peak at the cap (an RK4 step
 # holds O(n) floats, 0.49 MB at its peak), and a state file of 10^5
 # positions would ask for hundreds of GB.
 MAX_PEAKONS = 1000
@@ -132,12 +131,6 @@ def load_state(path: str) -> PeakonState:
     return state
 
 
-class _Stepper(NamedTuple):
-    y: list  # the packed state x + m, as floats, advanced in place by step
-    step: Callable  # step(): one RK4 step of y; None, or why a stage could not be taken
-    health: Callable  # health(collision_epsilon): None, or why y cannot go on
-
-
 def _fault(y: list, n: int, collision_epsilon: float) -> str | None:
     """None, or why the packed state y = x + m of n peakons cannot be
     stepped: "numerical failure" when an entry is not finite, else
@@ -191,40 +184,30 @@ def _rhs(x: list, m: list) -> list | None:
     return kx + km
 
 
-def _stepper(s0: PeakonState, dt: float) -> _Stepper:
-    """Classical RK4 with step dt from s0, on the packed state y = x + m held
-    as a list of Python floats, with the O(n) right-hand side `_rhs`.
+def _step(y: list, n: int, dt: float) -> str | None:
+    """One classical RK4 step of dt, in place, on the packed state y = x + m
+    of n peakons, a list of Python floats, with the O(n) right-hand side
+    `_rhs`; None, or why a stage could not be taken.
 
     A stage whose positions are not finite and strictly increasing is not
-    evaluated: step leaves y as it was and returns "collision" for a finite
-    gap <= 0, "numerical failure" for a non-finite position.  A non-finite
-    amplitude in a stage carries into the stepped state, where health finds
-    it.  The stages combine as y + dt/6 * (k1 + 2 k2 + 2 k3 + k4) in the
-    order of the array formulas, which stay in the tests as the oracle; the
-    states match them to rounding, not exactly.
+    evaluated: y is left as it was, and the step returns "collision" for a
+    finite gap <= 0, "numerical failure" for a non-finite position.  A
+    non-finite amplitude in a stage carries into the stepped state, where
+    `_fault` finds it.  The stages combine as y + dt/6 * (k1 + 2 k2 + 2 k3
+    + k4) in the order of the array formulas, which stay in the tests as the
+    oracle; the states match them to rounding, not exactly.
     """
-    n = s0.n
-    y = s0.x.tolist() + s0.m.tolist()
-    half, sixth = 0.5 * dt, dt / 6.0
-
-    def step():
-        z, ks = y, []
-        for h in (half, half, dt, None):
-            k = _rhs(z[:n], z[n:])
-            if k is None:
-                return _fault(z, n, 0.0)
-            ks.append(k)
-            if h is not None:
-                z = [a + h * b for a, b in zip(y, k)]
-        y[:] = [
-            a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) for a, k1, k2, k3, k4 in zip(y, *ks)
-        ]
-        return None
-
-    def health(collision_epsilon):
-        return _fault(y, n, collision_epsilon)
-
-    return _Stepper(y, step, health)
+    z, ks = y, []
+    for h in (0.5 * dt, 0.5 * dt, dt, None):
+        k = _rhs(z[:n], z[n:])
+        if k is None:
+            return _fault(z, n, 0.0)
+        ks.append(k)
+        if h is not None:
+            z = [a + h * b for a, b in zip(y, k)]
+    sixth = dt / 6.0
+    y[:] = [a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) for a, k1, k2, k3, k4 in zip(y, *ks)]
+    return None
 
 
 def constants_of_motion(s: PeakonState) -> np.ndarray:
@@ -364,10 +347,10 @@ def simulate(
     samples: list[dict] = []
     states: list[PeakonState] = []
     status = "ok"
-    y, step_y, health = _stepper(s0, dt)
+    y = s0.x.tolist() + s0.m.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps + 1):
-            bad = health(collision_epsilon)
+            bad = _fault(y, n, collision_epsilon)
             if bad is not None:
                 status = bad
                 break
@@ -383,7 +366,7 @@ def simulate(
                 samples.append({"t": s.t, "H": h.tolist(), "c": c.tolist(), "identity_gap": gap})
                 states.append(s)
             if step < steps:
-                bad = step_y()
+                bad = _step(y, n, dt)
                 if bad is not None:
                     status = bad
                     break

@@ -119,8 +119,8 @@ def canonical_involution(m: Matching) -> Matching:
     """
     odd_opens = [
         c
-        for c in decompose_clusters(m).open_clusters
-        if c.separation % 2 == 1
+        for c in decompose_clusters(m)
+        if c.kind == "open" and c.separation % 2 == 1
     ]
     if not odd_opens:
         raise ValueError(

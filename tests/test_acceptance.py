@@ -6,6 +6,7 @@ drift and cross-check tolerances.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -43,6 +44,9 @@ from canadaday.peakon import PeakonState, simulate
 TRIALS = 100
 BOUND = 9
 SEED = 20120616
+
+# A `python -m canadaday` child imports the package the way this process does.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
 
 def _seed(*parts: int) -> int:
@@ -146,12 +150,12 @@ def test_criterion_5_orbit_structure_exhaustive():
                 # parity criterion, both directions, on every member
                 for m in o.members:
                     evens = all(
-                        c.separation % 2 == 0 for c in decompose_clusters(m).clusters
+                        c.separation % 2 == 0 for c in decompose_clusters(m)
                     )
                     assert evens == (o.classification == "interlacing"), m
             # the cluster-flip sign law for every (tau, i, j) that flips
             for m in matchings:
-                opens = decompose_clusters(m).open_clusters
+                opens = [c for c in decompose_clusters(m) if c.kind == "open"]
                 for i, j in gens:
                     image = flip(m, i, j)
                     held = [c for c in opens if (i, j) in c.edges or (j, i) in c.edges]
@@ -187,7 +191,7 @@ def test_criterion_6_grand_matching_sum():
 def test_criterion_7_worked_example_fidelity():
     tau = Matching(8, ((1, 6), (2, 8), (3, 4), (4, 2), (5, 5), (6, 1), (8, 7)))
     dec = decompose_clusters(tau)
-    kinds = {c.edges: (c.kind, c.endpoints, c.separation) for c in dec.clusters}
+    kinds = {c.edges: (c.kind, c.endpoints, c.separation) for c in dec}
     assert kinds[((2, 8), (3, 4), (4, 2), (8, 7))] == ("open", (3, 7), 6)
     assert kinds[((1, 6), (6, 1))] == ("closed", None, 0)
     assert kinds[((5, 5),)] == ("closed", None, 0)
@@ -241,7 +245,7 @@ def test_criterion_9_campaign_determinism(tmp_path):
             "verify-theorem", "--n", "3", "--trials", "5", "--seed", "11",
             "--format", "json",
         ]
-        outputs.append(subprocess.run(cmd, capture_output=True, check=True).stdout)
+        outputs.append(subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV).stdout)
     assert outputs[0] == outputs[1]
 
     audits = []
@@ -250,6 +254,6 @@ def test_criterion_9_campaign_determinism(tmp_path):
             sys.executable, "-m", "canadaday",
             "orbit-audit", "--n", "3", "--k", "2", "--seed", "11", "--format", "json",
         ]
-        audits.append(subprocess.run(cmd, capture_output=True, check=True).stdout)
+        audits.append(subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV).stdout)
     assert audits[0] == audits[1]
     _verdict("9 determinism", "byte-identical JSON for repeated campaigns")

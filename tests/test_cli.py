@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter, OrderedDict
@@ -14,13 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canadaday import cli, lemmas, lgv, matchings, peakon
+from canadaday import cli, lemmas, lgv, matchings, minor_sums, peakon
 from canadaday.cli import main
 from canadaday.exact_linalg import MinorLevel, matrix_to_json_dict, random_symmetric
 from canadaday.lemmas import lemma_report
 from canadaday.matchings import orbit_audit
 from canadaday.minor_sums import theorem_campaign
 from canadaday.peakon import MAX_PEAKONS, MAX_WAVE_POINTS, load_state
+
+# A `python -m canadaday` child imports the package the way this process does.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
 
 def test_theorem_campaign_passes():
@@ -204,7 +208,8 @@ def test_lemma_suite_work_counts(monkeypatch):
     least_generators = [
         (m.n, m.edges, min((min(e), max(e)) for e in c.edges))
         for m in all_matchings
-        for c in matchings.decompose_clusters(m).open_clusters
+        for c in matchings.decompose_clusters(m)
+        if c.kind == "open"
     ]
     assert len(least_generators) == 176
 
@@ -393,11 +398,11 @@ def test_main_campaign_size_guard_checked_first(monkeypatch, capsys, argv, heavy
         (["orbit-audit", "--n", "12", "--k", "6"],
          [f"matchings.{name}" for name in
           ("_edge_tuples", "enumerate_matchings", "orbit", "level_sums")],
-         614_718_720, "MAX_MATCHINGS = 250000"),
+         614_718_720, "MAX_WALK = 250000"),
         (["orbit-audit", "--n", "8", "--k", "5"],
          [f"matchings.{name}" for name in
           ("_edge_tuples", "enumerate_matchings", "orbit", "level_sums")],
-         376_320, "MAX_MATCHINGS = 250000"),
+         376_320, "MAX_WALK = 250000"),
         (["verify-lemmas", "--n", "12"],
          [f"lemmas.{name}" for name in
           ("random_symmetric", "orbit_sum_identity", "audit_table", "enumerate_matchings")],
@@ -409,11 +414,11 @@ def test_main_campaign_size_guard_checked_first(monkeypatch, capsys, argv, heavy
         (["lgv-audit", "--n", "12"],
          [f"lgv.{name}" for name in
           ("build_network", "minor_levels", "_paths_from", "count_disjoint_families")],
-         2_704_155, "MAX_TABLE_ROWS = 250000"),
+         2_704_155, "MAX_WALK = 250000"),
         (["lgv-audit", "--n", "11"],
          [f"lgv.{name}" for name in
           ("build_network", "minor_levels", "_paths_from", "count_disjoint_families")],
-         705_431, "MAX_TABLE_ROWS = 250000"),
+         705_431, "MAX_WALK = 250000"),
     ],
     ids=["orbit-audit", "orbit-audit-n8-k5", "verify-lemmas", "verify-lemmas-n8", "lgv-audit",
          "lgv-audit-n11"],
@@ -431,17 +436,18 @@ def test_main_walk_cap_checked_first(monkeypatch, capsys, argv, heavy, count, ca
 
 
 def test_lemma_walk_cap_admits_no_inner_refusal():
-    # Every n_max that lemmas.MAX_WALK admits stays under the caps of the
-    # partitions and tables it walks, so no walk is refused half done.
+    # Every n_max that MAX_WALK admits for a lemma walk admits each partition
+    # and table the walk is made of, so no walk is refused half done.
+    cap = minor_sums.MAX_WALK
     admitted = [
         n_max for n_max in range(1, 13)
         if sum(matchings.matching_count(n, k) for n in range(1, n_max + 1) for k in range(n + 1))
-        <= lemmas.MAX_WALK
+        <= cap
     ]
     assert admitted == list(range(1, 8))
     for n in admitted:
-        assert math.comb(2 * n, n) - 1 <= lgv.MAX_TABLE_ROWS
-        assert all(matchings.matching_count(n, k) <= matchings.MAX_MATCHINGS for k in range(n + 1))
+        assert math.comb(2 * n, n) - 1 <= cap
+        assert all(matchings.matching_count(n, k) <= cap for k in range(n + 1))
 
 
 def test_main_verify_theorem_exit_zero(tmp_path):
@@ -705,6 +711,20 @@ def test_main_orbit_audit_bad_matrix_is_input_error(tmp_path, capsys, n, k, doc,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("entry", ["1e100000000", "1e-100000000", "2.5e999999999"])
+def test_orbit_audit_refuses_a_matrix_entry_exponent(tmp_path, entry):
+    # Fraction expands an exponent in full, so these hung instead of exiting 2;
+    # in a child, so that a hang is a timeout rather than a stuck suite.
+    mat = tmp_path / "x.json"
+    mat.write_text(_matrix_doc([[entry]]))
+    cmd = [sys.executable, "-m", "canadaday", "orbit-audit", "--n", "1", "--k", "1",
+           "--matrix", str(mat)]
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=20, env=CHILD_ENV)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: ") and "exponent" in run.stderr
+    assert run.stderr.count("\n") == 1
+
+
 def test_json_output_is_deterministic(tmp_path):
     paths = []
     for name in ("a.json", "b.json"):
@@ -723,8 +743,8 @@ def test_console_invocation_deterministic():
         sys.executable, "-m", "canadaday",
         "orbit-audit", "--n", "2", "--k", "1", "--seed", "9", "--format", "json",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"{")
 

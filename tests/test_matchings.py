@@ -18,7 +18,6 @@ from canadaday.exact_linalg import (
 from canadaday import lemmas, matchings
 from canadaday.matchings import (
     Cluster,
-    ClusterDecomposition,
     Matching,
     decompose_clusters,
     enumerate_matchings,
@@ -240,13 +239,13 @@ def test_traced_clusters_equal_union_find_exhaustively():
     for n in range(0, 6):
         for k in range(0, n + 1):
             for m in enumerate_matchings(n, k):
-                assert decompose_clusters(m) == ClusterDecomposition(m, _union_find_clusters(m))
+                assert decompose_clusters(m) == _union_find_clusters(m)
 
 
 @settings(max_examples=300, deadline=None)
 @given(m=_matchings())
 def test_traced_clusters_equal_union_find_random(m):
-    assert decompose_clusters(m).clusters == _union_find_clusters(m)
+    assert decompose_clusters(m) == _union_find_clusters(m)
 
 
 def test_flipped_orbit_members_carry_their_traced_clusters():
@@ -259,7 +258,7 @@ def test_flipped_orbit_members_carry_their_traced_clusters():
                 for member in o.members:
                     fresh = Matching(n, member.edges)
                     assert member == fresh and type(member.edges) is tuple
-                    carried = decompose_clusters(member).clusters
+                    carried = decompose_clusters(member)
                     assert carried == matchings._trace_clusters(fresh)
                     assert carried == _union_find_clusters(fresh)
 
@@ -285,13 +284,13 @@ def test_partition_seeds_equal_validated_matchings(monkeypatch):
                 fresh = Matching(n, seed.edges)
                 assert type(seed) is Matching and untraced == vars(fresh)
                 assert seed == fresh and hash(seed) == hash(fresh)
-                assert decompose_clusters(seed).clusters == matchings._trace_clusters(fresh)
+                assert decompose_clusters(seed) == matchings._trace_clusters(fresh)
                 assert any(member is seed for member in o.members)
 
 
 def test_flip_picks_the_cluster_by_identity(monkeypatch):
-    # flip hands _flip_cluster one of m's own cluster objects, so no two
-    # clusters need comparing; the images stay what they were.
+    # flip reverses one of m's own cluster objects, picked by identity, so
+    # no two clusters need comparing; the images stay what they were.
     cases = [
         (m, i, j)
         for n in range(2, 5)
@@ -320,9 +319,9 @@ def test_partition_traces_one_member_per_orbit(monkeypatch):
 
 def test_partition_builds_members_without_flips(monkeypatch):
     flipped = []
-    real = matchings._flip_cluster
+    real = matchings.flip
     monkeypatch.setattr(
-        matchings, "_flip_cluster", lambda m, c: flipped.append(m) or real(m, c)
+        matchings, "flip", lambda m, i, j: flipped.append(m) or real(m, i, j)
     )
     orbits = partition_into_orbits(5, 3)
     assert sum(len(o.members) for o in orbits) == matching_count(5, 3)
@@ -336,7 +335,7 @@ def test_flip_images_carry_their_traced_clusters():
                 for i, j in combinations(range(1, n + 1), 2):
                     image = flip(m, i, j)
                     fresh = Matching(n, image.edges)
-                    assert decompose_clusters(image).clusters == matchings._trace_clusters(fresh)
+                    assert decompose_clusters(image) == matchings._trace_clusters(fresh)
 
 
 def _count_traces(monkeypatch) -> list[Matching]:
@@ -371,26 +370,26 @@ def test_sign_flip_law_suite_traces_each_instance_at_most_once(monkeypatch):
 
 def test_cluster_decomposition_worked_example():
     dec = decompose_clusters(TAU8)
-    by_edges = {c.edges: c for c in dec.clusters}
+    by_edges = {c.edges: c for c in dec}
     c1 = by_edges[((2, 8), (3, 4), (4, 2), (8, 7))]
     c2 = by_edges[((1, 6), (6, 1))]
     c3 = by_edges[((5, 5),)]
     assert (c1.kind, c1.endpoints, c1.separation) == ("open", (3, 7), 6)
     assert (c2.kind, c2.separation) == ("closed", 0)
     assert (c3.kind, c3.separation) == ("closed", 0)
-    assert len(dec.clusters) == 3
+    assert len(dec) == 3
 
 
 def test_identity_matching_all_closed_singletons():
     m = Matching(4, ((1, 1), (3, 3)))
     dec = decompose_clusters(m)
-    assert sorted(c.edges for c in dec.clusters) == [((1, 1),), ((3, 3),)]
-    assert all(c.kind == "closed" for c in dec.clusters)
+    assert sorted(c.edges for c in dec) == [((1, 1),), ((3, 3),)]
+    assert all(c.kind == "closed" for c in dec)
 
 
 def test_single_offdiagonal_edge_is_open():
     dec = decompose_clusters(Matching(4, ((2, 4),)))
-    (c,) = dec.clusters
+    (c,) = dec
     assert (c.kind, c.endpoints) == ("open", (2, 4))
 
 
@@ -399,19 +398,20 @@ def test_open_cluster_count_equals_p():
         for k in range(0, n + 1):
             for m in enumerate_matchings(n, k):
                 dec = decompose_clusters(m)
-                assert len(dec.open_clusters) == p_value(m.row_set(), m.col_set())
+                opens = [c for c in dec if c.kind == "open"]
+                assert len(opens) == p_value(m.row_set(), m.col_set())
 
 
 def test_endpoint_separation_worked_example():
     dec = decompose_clusters(TAU8)
-    c1 = next(c for c in dec.clusters if c.kind == "open")
+    c1 = next(c for c in dec if c.kind == "open")
     assert c1.separation == 6
-    closed = next(c for c in dec.clusters if c.kind == "closed")
+    closed = next(c for c in dec if c.kind == "closed")
     assert closed.separation == 0
 
 
 def test_endpoint_separation_small_edge():
-    (c,) = decompose_clusters(Matching(3, ((1, 2),))).clusters
+    (c,) = decompose_clusters(Matching(3, ((1, 2),)))
     assert c.separation == 0
 
 
@@ -506,7 +506,7 @@ def test_classify_orbit_agrees_both_routes_exhaustively():
         for m in enumerate_matchings(3, k):
             o = orbit(m)
             scan = any(is_interlacing(t.row_set(), t.col_set()) for t in o.members)
-            even = all(c.separation % 2 == 0 for c in decompose_clusters(o.members[0]).clusters)
+            even = all(c.separation % 2 == 0 for c in decompose_clusters(o.members[0]))
             assert scan == even
             assert o.classification == ("interlacing" if scan else "non-interlacing")
 
@@ -516,7 +516,7 @@ def _reversed_cluster(m: Matching, image: Matching) -> Cluster:
     edges the image lost and gained."""
     lost = set(m.edges) - set(image.edges)
     gained = set(image.edges) - set(m.edges)
-    (c,) = [c for c in decompose_clusters(m).open_clusters if set(c.edges) == lost]
+    (c,) = [c for c in decompose_clusters(m) if c.kind == "open" and set(c.edges) == lost]
     assert gained == {(b, a) for a, b in c.edges}
     return c
 

@@ -2,6 +2,7 @@ import gc
 import json
 import weakref
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -88,6 +89,24 @@ def test_interlacing_iff_reduced_sets_strictly_interlace():
                     ip = [e for e in I.elems if e not in common]
                     jp = [e for e in J.elems if e not in common]
                     assert is_interlacing(I, J) == strictly(ip, jp)
+
+
+def test_interlacing_ranks_match_a_range_construction():
+    # For each I, j_t ranges over [i_t, i_(t+1)] (j_k over [i_k, n-1]); of
+    # those choices, J must still strictly increase.
+    def ranks(n, k):
+        subsets = list(combinations(range(n), k))
+        rank = {s: r for r, s in enumerate(subsets)}
+        return tuple(
+            (rank[I], rank[J], k - len(set(I).intersection(J)))
+            for I in subsets
+            for J in product(*(range(lo, hi + 1) for lo, hi in zip(I, I[1:] + (n - 1,))))
+            if all(a < b for a, b in zip(J, J[1:]))
+        )
+
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            assert minor_sums._interlacing_ranks(n, k) == ranks(n, k), (n, k)
 
 
 def test_classify_pair_fields():

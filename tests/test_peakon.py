@@ -494,8 +494,8 @@ def test_simulate_ends_at_a_crossed_stage_as_collision(monkeypatch):
     r = simulate(CROSSING, 0.05, 1.0)
     assert r.status == "collision" and len(r.samples) == 1
     assert args and max(args) < 0
-    y, step, _ = peakon._stepper(CROSSING, 0.05)
-    assert step() == "collision" and y == [0.0, 0.1, 10.0, 0.1]
+    y = CROSSING.x.tolist() + CROSSING.m.tolist()
+    assert peakon._step(y, 2, 0.05) == "collision" and y == [0.0, 0.1, 10.0, 0.1]
 
 
 def test_step_ends_at_a_non_finite_stage_as_numerical_failure(monkeypatch):
@@ -503,9 +503,9 @@ def test_step_ends_at_a_non_finite_stage_as_numerical_failure(monkeypatch):
     # finite (u_1 = 1, as e^-800 underflows), so the two stay in order.
     s = PeakonState(0.0, [0.0, 800.0], [1.0, 1e160])
     args = _record_exp(monkeypatch)
-    y, step, health = peakon._stepper(s, 1e-3)
-    assert health(0.0) is None
-    assert step() == "numerical failure" and y == [0.0, 800.0, 1.0, 1e160]
+    y = s.x.tolist() + s.m.tolist()
+    assert peakon._fault(y, 2, 0.0) is None
+    assert peakon._step(y, 2, 1e-3) == "numerical failure" and y == [0.0, 800.0, 1.0, 1e160]
     assert args and max(args) < 0
 
 
@@ -516,8 +516,8 @@ def test_stepper_memory_far_below_one_square_array():
     s = PeakonState(0.0, np.arange(n, dtype=float), np.linspace(0.5, 2.0, n))
     tracemalloc.start()
     try:
-        _, step, _ = peakon._stepper(s, 1e-3)
-        assert [step() for _ in range(3)] == [None] * 3
+        y = s.x.tolist() + s.m.tolist()
+        assert [peakon._step(y, n, 1e-3) for _ in range(3)] == [None] * 3
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
