@@ -31,18 +31,19 @@ class Check(NamedTuple):
     witness: dict | None
 
 
-def _check_t_minor_three_way(n_max: int):
-    for n in range(1, n_max + 1):
-        for row in audit_table(n):
-            if not row["agree"]:
-                return False, {"n": n, **row}
-    return True, None
+_CHECKS = (
+    "t_minor_three_way",
+    "matching_count",
+    "weight_flip_invariance",
+    "sign_flip_law",
+    "orbit_structure",
+    "grand_matching_sum",
+)
 
 
-def _check_orbits(n_max: int, seed: int, bound: int, corrupt: bool):
-    """The matching_count, weight_flip_invariance, sign_flip_law,
-    orbit_structure and grand_matching_sum results, from one orbit-sum
-    report per (n, k).
+def _failures(n_max: int, seed: int, bound: int, corrupt: bool):
+    """Yield (check name, witness) for every failed check, in walk order:
+    the T-minor tables, then the orbit-sum report of each (n, k).
 
     The flip checks read each member's sign and weight from the report and
     flip the member once per open cluster, through the cluster's least
@@ -50,23 +51,23 @@ def _check_orbits(n_max: int, seed: int, bound: int, corrupt: bool):
     same weight and sign * (-1)^separation.  An image missing from the orbit
     fails both checks.  matching_count counts `enumerate_matchings` apart
     from the orbits, so a lost matching is caught even where orbit closure
-    would regenerate it.  Each check keeps its own first witness, in orbit
-    order."""
-    count_ok = weight_ok = sign_ok = structure = grand = (True, None)
-    corrupt_pending = corrupt
+    would regenerate it."""
+    for n in range(1, n_max + 1):
+        for row in audit_table(n):
+            if not row["agree"]:
+                yield "t_minor_three_way", {"n": n, **row}
     for n in range(1, n_max + 1):
         x = random_symmetric(n, child_seed(seed, 2, n), bound)
         for k in range(0, n + 1):
             count = sum(1 for _ in enumerate_matchings(n, k))
             expected = matching_count(n, k)
-            if count_ok[0] and count != expected:
-                count_ok = False, {"n": n, "k": k, "count": count, "expected": expected}
+            if count != expected:
+                yield "matching_count", {"n": n, "k": k, "count": count, "expected": expected}
             rep = orbit_sum_identity(x, k)
-            if structure[0] and rep.failed_checks:
-                structure = False, {"n": n, "k": k, "failed": list(rep.failed_checks)}
-            partitioned = "orbits_partition_matchings" not in rep.failed_checks
-            if grand[0] and not (partitioned and rep.sums_equal):
-                grand = False, {
+            if rep.failed_checks:
+                yield "orbit_structure", {"n": n, "k": k, "failed": list(rep.failed_checks)}
+            if "orbits_partition_matchings" in rep.failed_checks or not rep.sums_equal:
+                yield "grand_matching_sum", {
                     "n": n,
                     "k": k,
                     "matching_sum": str(rep.matching_sum),
@@ -81,32 +82,31 @@ def _check_orbits(n_max: int, seed: int, bound: int, corrupt: bool):
                             continue
                         i, j = min((min(e), max(e)) for e in c.edges)
                         image = read.get(flip(m, i, j).edges)
-                        if weight_ok[0] and (image is None or image[1] != w):
-                            weight_ok = False, {
+                        if image is None or image[1] != w:
+                            yield "weight_flip_invariance", {
                                 "n": n, "matching": m.to_json_dict(), "i": i, "j": j,
                             }
                         holds = image is not None and image[0] == sg * (-1) ** c.separation
-                        if corrupt_pending:
+                        if corrupt:
                             # Self-test hook: falsify one result to prove the
                             # harness surfaces a witness.
-                            holds = not holds
-                            corrupt_pending = False
-                        if sign_ok[0] and not holds:
-                            sign_ok = False, {
+                            holds, corrupt = not holds, False
+                        if not holds:
+                            yield "sign_flip_law", {
                                 "n": n,
                                 "matching": m.to_json_dict(),
                                 "i": i,
                                 "j": j,
                                 "separation": c.separation,
                             }
-    if corrupt_pending:
+    if corrupt:
         raise ValueError(f"--corrupt-sign has no flipped pair to corrupt at n <= {n_max}")
-    return count_ok, weight_ok, sign_ok, structure, grand
 
 
 def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[Check]:
-    """Every lemma checked exhaustively up to n_max, in report order.
-    corrupt_sign falsifies one sign-law result, to show a failing witness."""
+    """Every lemma checked exhaustively up to n_max, in report order, each
+    with its first witness.  corrupt_sign falsifies one sign-law result, to
+    show a failing witness."""
     if n_max < 1:
         raise ValueError(f"nothing to check: need n >= 1, got {n_max}")
     check_size_guard(n_max)
@@ -116,17 +116,10 @@ def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[C
         sum(matching_count(n, k) for n in range(1, n_max + 1) for k in range(n + 1)),
         f"matchings in every M_{{n,k}} with n <= {n_max}",
     )
-    matching_count_check, weight_invariance, sign_law, orbit_structure, grand_sum = _check_orbits(
-        n_max, seed, bound, corrupt_sign
-    )
-    return [
-        Check("t_minor_three_way", *_check_t_minor_three_way(n_max)),
-        Check("matching_count", *matching_count_check),
-        Check("weight_flip_invariance", *weight_invariance),
-        Check("sign_flip_law", *sign_law),
-        Check("orbit_structure", *orbit_structure),
-        Check("grand_matching_sum", *grand_sum),
-    ]
+    first: dict[str, dict] = {}
+    for name, witness in _failures(n_max, seed, bound, corrupt_sign):
+        first.setdefault(name, witness)
+    return [Check(name, name not in first, first.get(name)) for name in _CHECKS]
 
 
 def lemma_report(n_max: int = 4, seed: int = 42, bound: int = 9, corrupt_sign: bool = False) -> dict:

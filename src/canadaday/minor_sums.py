@@ -197,12 +197,16 @@ class CanadaDayReport:
     principal_of_tx: Rational
     all_of_x: Rational
     interlacing_s: Rational
-    all_equal: bool
 
     @property
     def part_a_equal(self) -> bool:
         """Principal minors of TX against S; holds for any X, symmetric or not."""
         return self.principal_of_tx == self.interlacing_s
+
+    @property
+    def all_equal(self) -> bool:
+        """All three sums agree; the all-minors sum needs X symmetric."""
+        return self.part_a_equal and self.all_of_x == self.interlacing_s
 
     def to_json_dict(self) -> dict:
         return {
@@ -215,24 +219,6 @@ class CanadaDayReport:
         }
 
 
-def _report(n: int, k: int, principal: Rational, sums: _Sums) -> CanadaDayReport:
-    return CanadaDayReport(
-        n=n,
-        k=k,
-        principal_of_tx=principal,
-        all_of_x=sums.all,
-        interlacing_s=sums.interlacing,
-        all_equal=principal == sums.all == sums.interlacing,
-    )
-
-
-def _refuse_asymmetric(m: ExactMatrix) -> None:
-    if not m.is_symmetric():
-        raise SymmetryError(
-            "matrix is not symmetric; pass allow_asymmetric=True to evaluate anyway"
-        )
-
-
 def verify_canada_day(m: ExactMatrix, k: int, *, allow_asymmetric: bool = False) -> CanadaDayReport:
     """Evaluate all three sums for m and report whether they agree.
 
@@ -241,10 +227,10 @@ def verify_canada_day(m: ExactMatrix, k: int, *, allow_asymmetric: bool = False)
     holds regardless and is exposed as `part_a_equal` on the report.
     """
     # Refused before any minor is taken; level_sums refuses a non-square m.
-    if m.is_square() and not allow_asymmetric:
-        _refuse_asymmetric(m)
+    if m.is_square() and not allow_asymmetric and not m.is_symmetric():
+        raise SymmetryError("matrix is not symmetric; pass allow_asymmetric=True to evaluate anyway")
     sums = level_sums(m, k)
-    return _report(m.rows, k, _principal_of_tx(m)[k], sums)
+    return CanadaDayReport(m.rows, k, _principal_of_tx(m)[k], sums.all, sums.interlacing)
 
 
 def theorem_campaign(
@@ -271,13 +257,12 @@ def theorem_campaign(
             continue
         for trial in range(trials):
             mat = gen(n, child_seed(seed, n, trial), bound)
-            if not asymmetric:
-                _refuse_asymmetric(mat)
             principal = _principal_of_tx(mat)
             for level in islice(minor_levels(mat), ks[-1]):
                 if level.k not in ks:
                     continue
-                rep = _report(n, level.k, principal[level.k], _reduce(level))
+                sums = _reduce(level)
+                rep = CanadaDayReport(n, level.k, principal[level.k], sums.all, sums.interlacing)
                 ok = rep.part_a_equal if asymmetric else rep.all_equal
                 cell = {"trial": trial, **rep.to_json_dict(), "part_a_equal": rep.part_a_equal}
                 cells.append(cell)
