@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import lcm
@@ -32,6 +33,7 @@ __all__ = [
     "char_poly",
     "child_seed",
     "determinant",
+    "exact_str",
     "integer_char_poly",
     "k_subsets",
     "load_matrix",
@@ -335,13 +337,23 @@ def random_matrix(n: int, seed: int, entry_bound: int) -> ExactMatrix:
     )
 
 
+def exact_str(v: Rational) -> str:
+    """`str(v)`, also past Python's limit on int-to-str digits, which a
+    product of k admitted entries can exceed; `decimal` has no such limit."""
+    try:
+        return str(v)
+    except ValueError:
+        num = str(Decimal(v.numerator))
+        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
+
+
 def matrix_to_json_dict(m: ExactMatrix) -> dict:
     """Serialize to {"rows", "cols", "entries"} with entries as exact strings:
     integers as plain strings, non-integers as "p/q" in lowest terms."""
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[str(v) for v in row] for row in m.to_rows()],
+        "entries": [[exact_str(v) for v in row] for row in m.to_rows()],
     }
 
 

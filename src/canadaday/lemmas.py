@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact_linalg import child_seed, random_symmetric
+from .exact_linalg import child_seed, exact_str, random_symmetric
 from .lgv import audit_table
 from .matchings import (
     decompose_clusters,
@@ -70,9 +70,9 @@ def _failures(n_max: int, seed: int, bound: int, corrupt: bool):
                 yield "grand_matching_sum", {
                     "n": n,
                     "k": k,
-                    "matching_sum": str(rep.matching_sum),
-                    "interlacing_S": str(rep.interlacing_s),
-                    "all_minors": str(rep.all_minors),
+                    "matching_sum": exact_str(rep.matching_sum),
+                    "interlacing_S": exact_str(rep.interlacing_s),
+                    "all_minors": exact_str(rep.all_minors),
                 }
             for o, sgs, ws in zip(rep.orbits, rep.signs, rep.weights):
                 read = {m.edges: (sg, w) for m, sg, w in zip(o.members, sgs, ws)}

@@ -25,6 +25,7 @@ from .exact_linalg import (
     ExactMatrix,
     IndexSet,
     Rational,
+    exact_str,
     k_subsets,
     matrix_to_json_dict,
 )
@@ -451,17 +452,17 @@ def orbit_audit(x: ExactMatrix, k: int) -> dict:
                 "members": [m.to_json_dict() for m in o.members],
                 "signs": list(sgs),
                 "separations": [[c.separation for c in decompose_clusters(m)] for m in o.members],
-                "weights": [str(w) for w in ws],
-                "orbit_sum": str(total),
+                "weights": [exact_str(w) for w in ws],
+                "orbit_sum": exact_str(total),
             }
             for o, sgs, ws, total in zip(rep.orbits, rep.signs, rep.weights, rep.orbit_sums)
         ],
         "totals": {
-            "matching_sum": str(rep.matching_sum),
-            "interlacing_orbit_sum": str(rep.interlacing_orbit_sum),
-            "non_interlacing_orbit_sum": str(rep.non_interlacing_orbit_sum),
-            "interlacing_S": str(rep.interlacing_s),
-            "all_minors_of_X": str(rep.all_minors),
+            "matching_sum": exact_str(rep.matching_sum),
+            "interlacing_orbit_sum": exact_str(rep.interlacing_orbit_sum),
+            "non_interlacing_orbit_sum": exact_str(rep.non_interlacing_orbit_sum),
+            "interlacing_S": exact_str(rep.interlacing_s),
+            "all_minors_of_X": exact_str(rep.all_minors),
         },
         "passed": rep.all_checks_pass,
     }

@@ -29,6 +29,7 @@ from .exact_linalg import (
     MinorLevel,
     Rational,
     child_seed,
+    exact_str,
     integer_char_poly,
     matrix_to_json_dict,
     minor_levels,
@@ -212,9 +213,9 @@ class CanadaDayReport:
         return {
             "n": self.n,
             "k": self.k,
-            "principal_of_TX": str(self.principal_of_tx),
-            "all_of_X": str(self.all_of_x),
-            "interlacing_S": str(self.interlacing_s),
+            "principal_of_TX": exact_str(self.principal_of_tx),
+            "all_of_X": exact_str(self.all_of_x),
+            "interlacing_S": exact_str(self.interlacing_s),
             "all_equal": self.all_equal,
         }
 

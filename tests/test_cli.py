@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 
 from canadaday import cli, lemmas, lgv, matchings, minor_sums, peakon
 from canadaday.cli import main
-from canadaday.exact_linalg import MinorLevel, matrix_to_json_dict, random_symmetric
+from canadaday.exact_linalg import (
+    ExactMatrix,
+    MinorLevel,
+    child_seed,
+    determinant,
+    matrix_from_json_dict,
+    matrix_to_json_dict,
+    random_symmetric,
+)
 from canadaday.lemmas import lemma_report
 from canadaday.matchings import orbit_audit
 from canadaday.minor_sums import theorem_campaign
@@ -40,6 +48,17 @@ def test_theorem_campaign_asymmetric_mode():
     assert doc["part_b_inequality_count"] > 0
     n3k2 = [c for c in doc["cells"] if c["n"] == 3 and c["k"] == 2 and not c["all_equal"]]
     assert n3k2  # witness that part (b) needs symmetry
+
+
+def test_theorem_campaign_non_symmetric_draw_is_a_failing_cell(monkeypatch, capsys):
+    # a draw that is not symmetric is the campaign's fault, not bad input:
+    # its cells fail, with the matrix as witness
+    monkeypatch.setattr(minor_sums, "random_symmetric", minor_sums.random_matrix)
+    doc = theorem_campaign(n_max=3, trials=4, seed=42, bound=9)
+    assert not doc["passed"] and doc["witnesses"]
+    assert not any(matrix_from_json_dict(w["matrix"]).is_symmetric() for w in doc["witnesses"])
+    assert main(["verify-theorem", "--n", "3", "--trials", "4"]) == 1
+    assert capsys.readouterr().out.endswith("FAIL\n")
 
 
 def test_lemma_suite_passes():
@@ -568,6 +587,7 @@ DEEP_JSON = "[" * 200_000 + "]" * 200_000
         ("[[0.0, 1.0], [1.0, 1.0]]", ["peakon"]),
         ('{"x": [0.0, 1.0], "m": [true, 1.0]}', ["peakon"]),
         ('{"x": [0.0, "1"], "m": [1.0, 1.0]}', ["peakon"]),
+        ('{"x": 1.0, "m": [1.0]}', ["peakon"]),
         ('{"x": [0.0, 1.0], "m": [1.0, 1' + "0" * 400 + ']}', ["peakon"]),
         (GOOD_STATE, ["peakon", "--t-end", "inf"]),
         (GOOD_STATE, ["peakon", "--dt", "1e-320"]),
@@ -576,6 +596,7 @@ DEEP_JSON = "[" * 200_000 + "]" * 200_000
         (GOOD_STATE, ["peakon", "--dt", "nan"]),
         (GOOD_STATE, ["peakon", "--tol", "nan"]),
         (GOOD_STATE, ["peakon", "--collision-epsilon", "nan"]),
+        (GOOD_STATE, ["peakon", "--sample-every", "0"]),
         (GOOD_STATE, ["peakon", "--wave-points", "0", "--wave-out", "WAVE"]),
         (GOOD_STATE, ["peakon", "--wave-min", "nan", "--wave-out", "WAVE"]),
         (GOOD_STATE, ["wave", "--points", "0"]),
@@ -587,8 +608,8 @@ DEEP_JSON = "[" * 200_000 + "]" * 200_000
     ],
     ids=[
         "x-infinity", "m-infinity", "t-nan", "top-level-list", "bool-entry", "string-entry",
-        "int-overflow", "t-end-inf", "dt-underflow", "dt-step-cap", "dt-inf", "dt-nan", "tol-nan",
-        "collision-epsilon-nan", "wave-points-0", "wave-min-nan", "wave-0-points",
+        "x-not-a-list", "int-overflow", "t-end-inf", "dt-underflow", "dt-step-cap", "dt-inf",
+        "dt-nan", "tol-nan", "collision-epsilon-nan", "sample-every-0", "wave-points-0", "wave-min-nan", "wave-0-points",
         "wave-points-cap", "wave-cap-points", "peakon-count-cap", "peakon-deep-json",
         "wave-deep-json",
     ],
@@ -723,6 +744,62 @@ def test_orbit_audit_refuses_a_matrix_entry_exponent(tmp_path, entry):
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.startswith("error: ") and "exponent" in run.stderr
     assert run.stderr.count("\n") == 1
+
+
+def _str_without_digit_limit(v):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+BIG = "7" + "3" * 2999  # a 3000-digit entry: its square is past the 4300-digit str limit
+BIG_BOUND = "9" * 2500
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv,x",
+    [
+        pytest.param(
+            ["orbit-audit", "--n", "2", "--k", "2", "--matrix", "MATRIX"],
+            ExactMatrix.from_rows([[BIG, 1], [1, BIG]]),
+            id="orbit-audit-matrix",
+        ),
+        pytest.param(
+            ["orbit-audit", "--n", "2", "--k", "2", "--bound", BIG_BOUND],
+            random_symmetric(2, child_seed(42, 2, 0), int(BIG_BOUND)),
+            id="orbit-audit-bound",
+        ),
+        pytest.param(
+            ["verify-theorem", "--n", "2", "--trials", "1", "--bound", BIG_BOUND],
+            random_symmetric(2, child_seed(42, 2, 0), int(BIG_BOUND)),
+            id="verify-theorem-bound",
+        ),
+    ],
+)
+def test_main_renders_exact_values_past_the_int_digit_limit(tmp_path, argv, x, fmt):
+    # the 2x2 minor of x has more digits than str() renders by default
+    mat, out = tmp_path / "x.json", tmp_path / "out"
+    mat.write_text(json.dumps(matrix_to_json_dict(x)))
+    argv = [str(mat) if a == "MATRIX" else a for a in argv]
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    det = _str_without_digit_limit(determinant(x))
+    assert len(det) > 4300
+    if fmt == "text":
+        text = out.read_text()
+        assert text.endswith("PASS\n")
+        if argv[0] == "orbit-audit":
+            assert f"  all_minors_of_X: {det}\n" in text
+        return
+    doc = json.loads(out.read_text())
+    if argv[0] == "orbit-audit":
+        assert doc["totals"]["all_minors_of_X"] == doc["totals"]["interlacing_S"] == det
+    else:
+        (cell,) = [c for c in doc["cells"] if c["k"] == 2]
+        assert cell["principal_of_TX"] == cell["all_of_X"] == cell["interlacing_S"] == det
 
 
 def test_json_output_is_deterministic(tmp_path):

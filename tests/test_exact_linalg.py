@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -14,6 +15,7 @@ from canadaday.exact_linalg import (
     IndexSet,
     char_poly,
     determinant,
+    exact_str,
     integer_char_poly,
     k_subsets,
     load_matrix,
@@ -249,6 +251,8 @@ def test_submatrix_prime_instantiated_example():
 def test_submatrix_out_of_range():
     with pytest.raises(IndexError):
         submatrix(t_matrix(3), IndexSet(4, (2, 4)), IndexSet(4, (1, 3)))
+    with pytest.raises(IndexError, match="column"):
+        submatrix(t_matrix(3), IndexSet(4, (1, 3)), IndexSet(4, (2, 4)))
 
 
 def test_minor_of_t4():
@@ -289,6 +293,13 @@ def test_is_symmetric_compares_mirrored_entries():
             assert m.is_symmetric() == (m == transpose(m))
 
 
+@pytest.mark.parametrize("gen", [random_symmetric, random_matrix])
+@pytest.mark.parametrize("n,bound", [(0, 9), (2, -1)])
+def test_random_generators_refuse_bad_arguments(gen, n, bound):
+    with pytest.raises(ValueError):
+        gen(n, 1, bound)
+
+
 def test_random_symmetric_bound_zero():
     assert random_symmetric(1, 77, 0).to_rows() == [[0]]
 
@@ -306,6 +317,7 @@ def test_index_set_validation():
     with pytest.raises(ValueError):
         IndexSet(3, (1, 4))
     assert len(IndexSet(5, ())) == 0
+    assert 2 in IndexSet(3, (1, 2)) and 3 not in IndexSet(3, (1, 2))
 
 
 def test_k_subsets_lexicographic():
@@ -370,6 +382,20 @@ def test_matrix_entry_is_one_based():
         m.entry(0, 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExactMatrix(-1, 0, ()),
+        lambda: ExactMatrix(2, 2, (1, 2, 3)),
+        lambda: ExactMatrix.from_rows([[1, 2], [3]]),
+    ],
+    ids=["negative-rows", "entry-count", "ragged-rows"],
+)
+def test_matrix_shape_validation(build):
+    with pytest.raises(DimensionError):
+        build()
+
+
 def test_matmul_dimension_check():
     with pytest.raises(DimensionError):
         t_matrix(3) @ t_matrix(4)
@@ -427,6 +453,23 @@ def test_json_accepts_ints_and_exact_strings():
 def test_json_rejects_inexact_entries(bad):
     with pytest.raises(ValueError):
         matrix_from_json_dict({"rows": 1, "cols": 2, "entries": [["1", bad]]})
+
+
+def _str_without_digit_limit(v):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_str_renders_past_the_int_digit_limit():
+    big = 10**6000 + 12345  # 6001 digits, past the 4300-digit default
+    for v in (big, -big, Fraction(big, 7), Fraction(-3, big), Fraction(big, big + 2)):
+        assert exact_str(Fraction(v)) == _str_without_digit_limit(Fraction(v))
+    for v in (0, Fraction(-3, 4), 10**4299):
+        assert exact_str(Fraction(v)) == str(Fraction(v))
 
 
 def test_save_and_load_matrix(tmp_path):

@@ -3,7 +3,15 @@ from collections import Counter
 import pytest
 
 from canadaday import lgv
-from canadaday.exact_linalg import ExactMatrix, IndexSet, MinorLevel, k_subsets, minor, t_matrix
+from canadaday.exact_linalg import (
+    DimensionError,
+    ExactMatrix,
+    IndexSet,
+    MinorLevel,
+    k_subsets,
+    minor,
+    t_matrix,
+)
 from canadaday.lgv import (
     LayeredNetwork,
     audit_table,
@@ -66,6 +74,8 @@ def test_layer_planarity_rejected():
     # 1->2 and 2->1 cross transversally
     with pytest.raises(ValueError):
         LayeredNetwork(2, (frozenset({(1, 2), (2, 1)}),))
+    with pytest.raises(ValueError, match="out of range"):
+        LayeredNetwork(2, (frozenset({(1, 3)}),))
 
 
 def test_count_example_two_windows():
@@ -77,6 +87,11 @@ def test_count_example_two_windows():
 def test_count_no_upward_path():
     net = build_network(3)
     assert count_disjoint_families(net, IndexSet(3, (1,)), IndexSet(3, (2,))) == 0
+
+
+def test_count_refuses_unequal_source_and_sink_sets():
+    with pytest.raises(DimensionError):
+        count_disjoint_families(build_network(3), IndexSet(3, (1, 2)), IndexSet(3, (1,)))
 
 
 def test_count_full_sets_single_family():

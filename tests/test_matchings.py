@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canadaday.exact_linalg import (
+    DimensionError,
     ExactMatrix,
     IndexSet,
     k_subsets,
@@ -118,6 +119,11 @@ def test_weight_worked_example_product():
     for i, j in ((1, 6), (2, 8), (3, 4), (4, 2), (5, 5), (6, 1), (8, 7)):
         expected *= 100 * i + j
     assert weight(TAU8, x) == expected
+
+
+def test_weight_refuses_a_matching_wider_than_the_matrix():
+    with pytest.raises(DimensionError):
+        weight(Matching(3, ((3, 1),)), random_symmetric(2, 1, 9))
 
 
 def test_weight_empty_matching_is_one():
@@ -457,6 +463,14 @@ def test_orbit_worked_example_size_two():
     assert [t for t in o.members if is_interlacing(t.row_set(), t.col_set())] == [TAU8]
 
 
+def test_orbit_classification_cross_check_fires(monkeypatch):
+    # all separations of TAU8 are even, so a scan that finds no interlacing
+    # member contradicts the parity criterion
+    monkeypatch.setattr(matchings, "interlaces", lambda I, J: False)
+    with pytest.raises(RuntimeError, match="orbit classification inconsistency"):
+        orbit(TAU8)
+
+
 def test_orbit_identity_matching_is_singleton():
     m = Matching(3, ((1, 1), (2, 2)))
     o = orbit(m)
@@ -651,6 +665,8 @@ def test_orbit_sum_identity_sums_unequal_weights_member_by_member(monkeypatch):
 def test_orbit_sum_identity_rejects_asymmetric():
     with pytest.raises(SymmetryError):
         orbit_sum_identity(ExactMatrix.from_rows([[1, 2], [3, 4]]), 1)
+    with pytest.raises(DimensionError):
+        orbit_sum_identity(ExactMatrix.from_rows([[1, 2]]), 1)
 
 
 def test_weight_constant_on_orbits():

@@ -150,6 +150,8 @@ def test_k_out_of_range():
     for bad_k in (0, 4):
         with pytest.raises(ValueError):
             sum_all_minors(m, bad_k)
+    with pytest.raises(DimensionError):
+        sum_all_minors(ExactMatrix.from_rows([[1, 2]]), 1)
 
 
 def test_size_guard_and_override(monkeypatch):
