@@ -4,8 +4,10 @@ the peakon constants of motion up to n = 8, the exact H_k of a float peakon
 state, the peakon right-hand side in 50-digit decimals, and the canonical
 sign-reversing involution that pairs the members of non-interlacing
 orbits.  Also the identity and the transpose of an `ExactMatrix`, which
-only the tests need."""
+only the tests need, and `str` with no limit on int digits, the reference
+for exact values rendered past that limit."""
 
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +34,15 @@ def transpose(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_rows(
         [[m.entries[r * m.cols + c] for r in range(m.rows)] for c in range(m.cols)]
     )
+
+
+def str_without_digit_limit(v) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def minor_via_matchings(x: ExactMatrix, I: IndexSet, J: IndexSet) -> Rational:

@@ -1,6 +1,5 @@
 import json
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -28,7 +27,7 @@ from canadaday.exact_linalg import (
     submatrix,
     t_matrix,
 )
-from oracles import identity, minor_via_matchings, transpose
+from oracles import identity, minor_via_matchings, str_without_digit_limit, transpose
 
 
 def test_t_matrix_n3_matches_worked_example():
@@ -455,19 +454,10 @@ def test_json_rejects_inexact_entries(bad):
         matrix_from_json_dict({"rows": 1, "cols": 2, "entries": [["1", bad]]})
 
 
-def _str_without_digit_limit(v):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(v)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def test_exact_str_renders_past_the_int_digit_limit():
     big = 10**6000 + 12345  # 6001 digits, past the 4300-digit default
     for v in (big, -big, Fraction(big, 7), Fraction(-3, big), Fraction(big, big + 2)):
-        assert exact_str(Fraction(v)) == _str_without_digit_limit(Fraction(v))
+        assert exact_str(Fraction(v)) == str_without_digit_limit(Fraction(v))
     for v in (0, Fraction(-3, 4), 10**4299):
         assert exact_str(Fraction(v)) == str(Fraction(v))
 
