@@ -338,13 +338,11 @@ def random_matrix(n: int, seed: int, entry_bound: int) -> ExactMatrix:
 
 
 def exact_str(v: Rational) -> str:
-    """`str(v)`, also past Python's limit on int-to-str digits, which a
-    product of k admitted entries can exceed; `decimal` has no such limit."""
-    try:
-        return str(v)
-    except ValueError:
-        num = str(Decimal(v.numerator))
-        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
+    """The digits of `str(v)`, also past Python's limit on int-to-str digits,
+    which a product of k admitted entries can exceed; `decimal` has no such
+    limit, and an int's `Decimal` prints exactly its `str`."""
+    num = str(Decimal(v.numerator))
+    return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
 
 
 def matrix_to_json_dict(m: ExactMatrix) -> dict:

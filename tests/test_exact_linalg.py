@@ -458,7 +458,7 @@ def test_exact_str_renders_past_the_int_digit_limit():
     big = 10**6000 + 12345  # 6001 digits, past the 4300-digit default
     for v in (big, -big, Fraction(big, 7), Fraction(-3, big), Fraction(big, big + 2)):
         assert exact_str(Fraction(v)) == str_without_digit_limit(Fraction(v))
-    for v in (0, Fraction(-3, 4), 10**4299):
+    for v in (0, -1, 7, Fraction(-3, 4), 10**4299, Fraction(1, 10**4299)):
         assert exact_str(Fraction(v)) == str(Fraction(v))
 
 
