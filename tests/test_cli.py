@@ -58,6 +58,8 @@ def test_theorem_campaign_non_symmetric_draw_is_a_failing_cell(monkeypatch, caps
     doc = theorem_campaign(n_max=3, trials=4, seed=42, bound=9)
     assert not doc["passed"] and doc["witnesses"]
     assert not any(matrix_from_json_dict(w["matrix"]).is_symmetric() for w in doc["witnesses"])
+    # det T = 1, so at k = n all three sums are det X for any X: no such cell fails
+    assert all(w["k"] < w["n"] for w in doc["witnesses"])
     assert main(["verify-theorem", "--n", "3", "--trials", "4"]) == 1
     assert capsys.readouterr().out.endswith("FAIL\n")
 
