@@ -5,7 +5,8 @@ This gives a second, determinant-free route to the minors of T: by the
 Lindstrom-Gessel-Viennot lemma, |T_{J,I}| counts vertex-disjoint path
 families from sources J to sinks I.  The counting here is plain backtracking
 over per-source path choices, deliberately independent of `exact_linalg`;
-each source's paths are enumerated once per network and kept on it.
+each source's paths are enumerated once per network and kept on it, and the
+path matrix is counted from those same paths.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def build_network(n: int) -> LayeredNetwork:
     Layer 0 realizes the bidiagonal factor (edges i->i, and i->i-1 for i >= 2);
     layer t in 1..n-1 realizes one elementary factor of the lower-triangular
     all-ones matrix (edges i->i plus the single edge (n-t+1)->(n-t)).  The
-    path matrix is checked against t_matrix(n) at construction.
+    path matrix, counted from the paths that `count_disjoint_families` uses,
+    is checked against t_matrix(n) at construction.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -90,37 +92,23 @@ def build_network(n: int) -> LayeredNetwork:
 
 
 def path_matrix(net: LayeredNetwork) -> ExactMatrix:
-    """Entry (a, b) counts directed paths from source a to sink b: the product
-    of the per-layer adjacency matrices, taken in ints from the layer edges
-    and converted to an `ExactMatrix` once."""
-    n = net.n
-    paths = [[int(r == c) for c in range(n)] for r in range(n)]
-    for layer in net.layers:
-        # Edge a -> c adds column a of the running product to column c of
-        # the next.
-        after = [[0] * n for _ in range(n)]
-        for a, c in layer:
-            for row, out in zip(paths, after):
-                out[c - 1] += row[a - 1]
-        paths = after
-    return ExactMatrix.from_rows(paths)
+    """Entry (a, b) counts the directed paths from source a to sink b: the
+    endpoints of the source's enumerated paths, converted to an `ExactMatrix`
+    once."""
+    rows = [[0] * net.n for _ in range(net.n)]
+    for row, paths in zip(rows, net._paths):
+        for p in paths:
+            row[p[-1] - 1] += 1
+    return ExactMatrix.from_rows(rows)
 
 
 def _paths_from(net: LayeredNetwork, source: int) -> list[tuple[int, ...]]:
-    """All directed paths from (0, source) to the sink column, as row tuples."""
-    depth = net.depth
-    done: list[tuple[int, ...]] = []
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, (source,))]
-    while stack:
-        b, path = stack.pop()
-        if b == depth:
-            done.append(path)
-            continue
-        r = path[-1]
-        for a, c in net.layers[b]:
-            if a == r:
-                stack.append((b + 1, path + (c,)))
-    return done
+    """All directed paths from (0, source) to the sink column, as row tuples,
+    extended one layer at a time."""
+    paths = [(source,)]
+    for layer in net.layers:
+        paths = [p + (c,) for p in paths for a, c in layer if a == p[-1]]
+    return paths
 
 
 def count_disjoint_families(net: LayeredNetwork, sources: IndexSet, sinks: IndexSet) -> int:

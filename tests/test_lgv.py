@@ -1,6 +1,9 @@
 from collections import Counter
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canadaday import lgv
 from canadaday.exact_linalg import (
@@ -47,6 +50,20 @@ def test_build_network_refuses_a_path_matrix_other_than_t(monkeypatch, n):
         return ExactMatrix.from_rows(rows)
 
     monkeypatch.setattr(lgv, "t_matrix", t_off_by_one)
+    with pytest.raises(RuntimeError, match=f"wrong path matrix for n={n}"):
+        build_network(n)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_build_network_refuses_paths_that_do_not_realize_t(monkeypatch, n):
+    # the construction check reads the same path lists the LGV counts use
+    real = lgv._paths_from
+
+    def short_by_one(net, source):
+        paths = real(net, source)
+        return paths[:-1] if len(paths) >= 2 else paths
+
+    monkeypatch.setattr(lgv, "_paths_from", short_by_one)
     with pytest.raises(RuntimeError, match=f"wrong path matrix for n={n}"):
         build_network(n)
 
@@ -154,3 +171,51 @@ def test_audit_table_compares_exact_values(monkeypatch):
         {"k": 1, "I": [1], "J": [2], "formula_value": 2, "det_value": 2, "lgv_count": 2,
          "agree": False}
     ]
+
+
+@st.composite
+def _planar_networks(draw):
+    """n <= 4 rows and 0-4 layers, each a random edge subset kept in draw
+    order except for the edges that cross one kept before them."""
+    n = draw(st.integers(1, 4))
+    edges = [(a, c) for a in range(1, n + 1) for c in range(1, n + 1)]
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        kept = []
+        for a, c in draw(st.lists(st.sampled_from(edges), unique=True)):
+            if all((a - a2) * (c - c2) >= 0 for a2, c2 in kept):
+                kept.append((a, c))
+        layers.append(frozenset(kept))
+    return LayeredNetwork(n, tuple(layers))
+
+
+def _layer_product(net):
+    """The path matrix as the product of the layers' adjacency matrices."""
+    n = net.n
+    result = identity(n)
+    for layer in net.layers:
+        adjacency = [[int((a, c) in layer) for c in range(1, n + 1)] for a in range(1, n + 1)]
+        result = result @ ExactMatrix.from_rows(adjacency)
+    return result
+
+
+def _brute_force_families(net, sources, sinks):
+    """One path per source in every combination; count those that end on
+    exactly the sinks and are pairwise vertex-disjoint."""
+    return sum(
+        {p[-1] for p in family} == set(sinks)
+        and all(
+            set(enumerate(p)).isdisjoint(enumerate(q)) for p, q in combinations(family, 2)
+        )
+        for family in product(*(net._paths[s - 1] for s in sources))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planar_networks())
+def test_path_matrix_and_counts_match_brute_force_on_planar_networks(net):
+    assert path_matrix(net) == _layer_product(net)
+    for k in range(net.n + 1):
+        for J in k_subsets(net.n, k):
+            for I in k_subsets(net.n, k):
+                assert count_disjoint_families(net, J, I) == _brute_force_families(net, J, I)
