@@ -82,9 +82,6 @@ class IndexSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.elems)
 
-    def __contains__(self, value: object) -> bool:
-        return value in self.elems
-
 
 def k_subsets(n: int, k: int) -> Iterator[IndexSet]:
     """Yield all k-element subsets of {1, ..., n} in lexicographic order."""
@@ -358,10 +355,13 @@ def matrix_to_json_dict(m: ExactMatrix) -> dict:
 def matrix_from_json_dict(d: dict) -> ExactMatrix:
     """Inverse of `matrix_to_json_dict`.  rows and cols must be integers and
     entries a list of rows of exact entries, integers or strings such as
-    "-3/4" or "0.25", with no exponent; anything else, floats, booleans and
-    "1e9" included, raises ValueError."""
+    "-3/4" or "0.25", with no exponent; anything else, a missing key, floats,
+    booleans and "1e9" included, raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"a matrix must be a JSON object, got {type(d).__name__}")
+    missing = [key for key in ("rows", "cols", "entries") if key not in d]
+    if missing:
+        raise ValueError(f"a matrix needs rows, cols and entries; missing {', '.join(missing)}")
     rows, cols, entries = d["rows"], d["cols"], d["entries"]
     if type(rows) is not int or type(cols) is not int or type(entries) is not list:
         raise ValueError("a matrix needs integer rows and cols and a list of entry rows")

@@ -735,6 +735,18 @@ def test_main_orbit_audit_bad_matrix_is_input_error(tmp_path, capsys, n, k, doc,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("key", ["rows", "cols", "entries"])
+def test_main_orbit_audit_matrix_missing_key_is_input_error(tmp_path, capsys, key):
+    doc = {"rows": 2, "cols": 2, "entries": [["1", "2"], ["2", "1"]]}
+    del doc[key]
+    mat = tmp_path / "x.json"
+    mat.write_text(json.dumps(doc))
+    assert main(["orbit-audit", "--n", "2", "--k", "1", "--matrix", str(mat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"missing {key}\n" in captured.err
+
+
 @pytest.mark.parametrize("entry", ["1e100000000", "1e-100000000", "2.5e999999999"])
 def test_orbit_audit_refuses_a_matrix_entry_exponent(tmp_path, entry):
     # Fraction expands an exponent in full, so these hung instead of exiting 2;

@@ -438,6 +438,14 @@ def test_json_rejects_malformed_documents(doc):
         matrix_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("key", ["rows", "cols", "entries"])
+def test_json_names_a_missing_key(key):
+    doc = {"rows": 1, "cols": 1, "entries": [["1"]]}
+    del doc[key]
+    with pytest.raises(ValueError, match=f"missing {key}$"):
+        matrix_from_json_dict(doc)
+
+
 def test_json_rejects_bad_shape():
     with pytest.raises(DimensionError):
         matrix_from_json_dict({"rows": 2, "cols": 2, "entries": [["1", "2"]]})
