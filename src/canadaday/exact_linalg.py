@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterator, Sequence
 
 # Matrix entries are stdlib Fractions: always in lowest terms, positive
@@ -30,6 +30,7 @@ __all__ = [
     "IndexSet",
     "MinorLevel",
     "Rational",
+    "as_index",
     "char_poly",
     "child_seed",
     "determinant",
@@ -53,6 +54,20 @@ class DimensionError(ValueError):
     """Raised when matrix or index-set dimensions are incompatible."""
 
 
+def as_index(v) -> int:
+    """`v` as a Python int.  Python and numpy integers pass, through
+    `operator.index`; a bool, float, string or any other value raises a
+    ValueError that names it, rather than being rounded or parsed."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, bool):  # operator.index would take True as 1
+        try:
+            return index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"an index must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True, order=True)
 class IndexSet:
     """A strictly increasing subset of {1, ..., n}, kept with its ambient size."""
@@ -61,7 +76,8 @@ class IndexSet:
     elems: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elems", tuple(self.elems))
+        object.__setattr__(self, "n", as_index(self.n))
+        object.__setattr__(self, "elems", tuple(map(as_index, self.elems)))
         if self.n < 0:
             raise ValueError(f"ambient size must be nonnegative, got {self.n}")
         prev = 0

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from math import comb, factorial
 from typing import Iterator
 
@@ -25,6 +25,7 @@ from .exact_linalg import (
     ExactMatrix,
     IndexSet,
     Rational,
+    as_index,
     exact_str,
     k_subsets,
     matrix_to_json_dict,
@@ -64,7 +65,8 @@ class Matching:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        edges = tuple(sorted((int(i), int(j)) for i, j in self.edges))
+        object.__setattr__(self, "n", as_index(self.n))
+        edges = tuple(sorted((as_index(i), as_index(j)) for i, j in self.edges))
         object.__setattr__(self, "edges", edges)
         lefts = [i for i, _ in edges]
         rights = [j for _, j in edges]
@@ -378,56 +380,48 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         sums = level_sums(x, k)
         s, all_minors = sums.interlacing, sums.all
 
-    # p_value of each orbit's first member, on these k-subsets, validated once.
+    # p(I, J) of a matching's row and column sets, on these k-subsets,
+    # validated once.
     subsets = {s.elems: s for s in k_subsets(n, k)}
-    signs = []
-    weights = []
-    orbit_sums = []
-    class_sums = {"interlacing": Fraction(0), "non-interlacing": Fraction(0)}
-    sizes_match = weight_constant = uniform_sign = balanced = True
-    for o in orbits:
-        ws = tuple(weight(m, x) for m in o.members)
-        sgs = tuple(sign(m) for m in o.members)
-        edges = o.members[0].edges
-        I = subsets[tuple(i for i, _ in edges)]
-        J = subsets[tuple(sorted(j for _, j in edges))]
-        sizes_match &= len(o.members) == 2 ** p_value(I, J)
-        # By equality: a set would hash every Fraction, a modular inverse each.
-        constant = all(w == ws[0] for w in ws)
-        weight_constant &= constant
-        signed = sum(sgs)
-        if o.classification == "interlacing":
-            uniform_sign &= len(set(sgs)) == 1
-        else:
-            balanced &= signed == 0
-        if constant:
-            orbit_sum = ws[0] * signed
-        else:
-            orbit_sum = sum((sg * w for sg, w in zip(sgs, ws)), Fraction(0))
-        class_sums[o.classification] += orbit_sum
-        signs.append(sgs)
-        weights.append(ws)
-        orbit_sums.append(orbit_sum)
-    member_count = sum(len(o.members) for o in orbits)
-    distinct = {m.edges for o in orbits for m in o.members}
+
+    def p(m: Matching) -> int:
+        rows, cols = tuple(i for i, _ in m.edges), tuple(sorted(j for _, j in m.edges))
+        return p_value(subsets[rows], subsets[cols])
+
+    weights = tuple(tuple(weight(m, x) for m in o.members) for o in orbits)
+    signs = tuple(tuple(sign(m) for m in o.members) for o in orbits)
+    # By equality: a set would hash every Fraction, a modular inverse each.
+    constant = tuple(all(w == ws[0] for w in ws) for ws in weights)
+    orbit_sums = tuple(
+        ws[0] * sum(sgs) if same else sum((sg * w for sg, w in zip(sgs, ws)), Fraction(0))
+        for sgs, ws, same in zip(signs, weights, constant)
+    )
+    interlacing = tuple(o.classification == "interlacing" for o in orbits)
+    non_interlacing = tuple(not il for il in interlacing)
     checks = {
-        "orbits_partition_matchings": len(distinct) == member_count == matching_count(n, k),
-        "orbit_sizes_match_p": sizes_match,
-        "weight_constant_on_orbits": weight_constant,
-        "interlacing_orbits_uniform_sign": uniform_sign,
-        "non_interlacing_orbits_balanced": balanced,
+        "orbits_partition_matchings": len({m.edges for o in orbits for m in o.members})
+        == sum(len(o.members) for o in orbits)
+        == matching_count(n, k),
+        "orbit_sizes_match_p": all(len(o.members) == 2 ** p(o.members[0]) for o in orbits),
+        "weight_constant_on_orbits": all(constant),
+        "interlacing_orbits_uniform_sign": all(
+            len(set(sgs)) == 1 for sgs in compress(signs, interlacing)
+        ),
+        "non_interlacing_orbits_balanced": all(
+            sum(sgs) == 0 for sgs in compress(signs, non_interlacing)
+        ),
     }
 
     return OrbitSumReport(
         n=n,
         k=k,
         orbits=tuple(orbits),
-        signs=tuple(signs),
-        weights=tuple(weights),
-        orbit_sums=tuple(orbit_sums),
+        signs=signs,
+        weights=weights,
+        orbit_sums=orbit_sums,
         failed_checks=tuple(name for name, ok in checks.items() if not ok),
-        interlacing_orbit_sum=class_sums["interlacing"],
-        non_interlacing_orbit_sum=class_sums["non-interlacing"],
+        interlacing_orbit_sum=sum(compress(orbit_sums, interlacing), Fraction(0)),
+        non_interlacing_orbit_sum=sum(compress(orbit_sums, non_interlacing), Fraction(0)),
         interlacing_s=s,
         all_minors=all_minors,
     )

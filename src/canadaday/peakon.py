@@ -371,12 +371,11 @@ def simulate(
                     status = bad
                     break
 
-    drift = _max_relative_drift(samples, n)
     return ConservationReport(
         n=n,
         dt=dt,
         samples=samples,
-        max_rel_drift=drift,
+        max_rel_drift=_max_relative_drift(samples),
         status=status,
         tol=tol,
         sampled_states=states,
@@ -389,12 +388,11 @@ def _identity_gap(h: np.ndarray, c: np.ndarray) -> float:
     return float((np.abs(np.abs(c[1:]) - h) / denom).max())
 
 
-def _max_relative_drift(samples: list[dict], n: int) -> list[float]:
+def _max_relative_drift(samples: list[dict]) -> list[float]:
+    """max over the samples of |H_k - H_k(0)| / |H_k(0)|, with denominator 1
+    where H_k(0) = 0."""
     if not samples:
         return []
-    h0 = samples[0]["H"]
-    out = []
-    for k in range(n):
-        denom = abs(h0[k]) if h0[k] != 0 else 1.0
-        out.append(max(abs(row["H"][k] - h0[k]) for row in samples) / denom)
-    return out
+    h = np.array([row["H"] for row in samples])
+    with np.errstate(over="ignore"):  # inf, silently, as float arithmetic gives
+        return (np.abs(h - h[0]).max(axis=0) / np.where(h[0] != 0, np.abs(h[0]), 1.0)).tolist()

@@ -1,9 +1,11 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from canadaday.exact_linalg import (
     DimensionError,
     ExactMatrix,
     IndexSet,
+    as_index,
     char_poly,
     determinant,
     exact_str,
@@ -317,6 +320,24 @@ def test_index_set_validation():
         IndexSet(3, (1, 4))
     assert len(IndexSet(5, ())) == 0
     assert 2 in IndexSet(3, (1, 2)) and 3 not in IndexSet(3, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "n,elems,bad",
+    [(3, (1.5, 2.5), "1.5"), (3, (1, "2"), "'2'"), (3, (True,), "True"), (3.7, (1, 2, 3), "3.7"),
+     (True, (1,), "True"), (3, (np.float64(2.0),), "2.0"), (3, (np.True_,), "True")],
+)
+def test_index_set_refuses_non_integers(n, elems, bad):
+    # int() would turn 1.5 into 1 and "2" into 2: a silent wrong subset
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        IndexSet(n, elems)
+
+
+def test_index_set_takes_numpy_integers_as_ints():
+    s = IndexSet(np.int64(3), [np.int32(1), np.int64(3)])
+    assert s == IndexSet(3, (1, 3))
+    assert [type(v) for v in (s.n, *s.elems)] == [int, int, int]
+    assert as_index(np.uint8(7)) == 7 and type(as_index(np.uint8(7))) is int
 
 
 def test_k_subsets_lexicographic():

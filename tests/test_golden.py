@@ -73,6 +73,14 @@ def test_csv_matches_golden(stem, argv, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()
 
 
+def test_golden_files_are_the_cases_and_their_inputs():
+    # a renamed case would otherwise leave its old files behind, read by nothing
+    expected = [f"{stem}.{ext}" for stem, _, _ in CASES for ext in FORMATS.values()]
+    expected += [f"{stem}.csv" for stem, _ in CSV_CASES] + [MATRIX.name, STATE.name]
+    assert len(set(expected)) == len(expected)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
+
+
 if __name__ == "__main__":
     for stem, argv, code in CASES:
         for fmt, ext in FORMATS.items():

@@ -1,8 +1,10 @@
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from canadaday import lemmas, matchings
 from canadaday.matchings import (
     Cluster,
     Matching,
+    Orbit,
     decompose_clusters,
     enumerate_matchings,
     flip,
@@ -74,6 +77,23 @@ def test_matching_validation():
         Matching(3, ((0, 2),))
     with pytest.raises(ValueError):
         Matching(3, ((1, 4),))
+
+
+@pytest.mark.parametrize(
+    "n,edges,bad",
+    [(3, ((1.5, 2),), "1.5"), (3, ((1, "2"),), "'2'"), (3, ((True, 2),), "True"),
+     (3.5, ((1, 2),), "3.5"), (3, ((1, np.float64(2.0)),), "2.0")],
+)
+def test_matching_refuses_non_integer_nodes(n, edges, bad):
+    # int() would make the edge (1.5, 2) into (1, 2): a silent wrong matching
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        Matching(n, edges)
+
+
+def test_matching_takes_numpy_integers_as_ints():
+    m = Matching(np.int64(3), ((np.int64(1), 2), (3, np.int32(1))))
+    assert m == Matching(3, ((1, 2), (3, 1)))
+    assert {type(v) for v in (m.n, *(v for e in m.edges for v in e))} == {int}
 
 
 def test_matching_edges_canonically_sorted():
@@ -642,6 +662,20 @@ def test_orbit_sum_identity_checks_orbit_sizes(monkeypatch):
     monkeypatch.setattr(matchings, "p_value", lambda I, J: p_value(I, J) + 1)
     rep = orbit_sum_identity(random_symmetric(3, 57, 9), 2)
     assert rep.failed_checks == ("orbit_sizes_match_p",)
+
+
+def test_orbit_sum_identity_checks_interlacing_orbits_have_one_sign(monkeypatch):
+    # One member of an interlacing orbit gets its sign negated: its weight,
+    # size and the partition still hold, so only the one-sign check fails.
+    interlacing = Orbit(
+        (Matching(3, ((1, 1), (2, 3))), Matching(3, ((1, 1), (3, 2)))), "interlacing"
+    )
+    assert interlacing in partition_into_orbits(3, 2)
+    flipped = interlacing.members[1]
+    monkeypatch.setattr(matchings, "sign", lambda m: -sign(m) if m == flipped else sign(m))
+    rep = orbit_sum_identity(random_symmetric(3, 59, 9), 2)
+    assert rep.failed_checks == ("interlacing_orbits_uniform_sign",)
+    assert set(rep.signs[rep.orbits.index(interlacing)]) == {1, -1}
 
 
 def test_orbit_sum_identity_sums_unequal_weights_member_by_member(monkeypatch):

@@ -67,6 +67,12 @@ def test_t_minor_formula_examples():
     assert t_minor_formula(IndexSet(4, (1, 2, 3)), IndexSet(4, (1, 2, 3))) == 1
 
 
+def test_t_minor_formula_never_sees_a_fractional_index_set():
+    # taken as given, (1.5, 2.5) against (2, 3) would give 4
+    with pytest.raises(ValueError, match="1.5"):
+        t_minor_formula(IndexSet(3, (1.5, 2.5)), IndexSet(3, (2, 3)))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_t_minor_formula_matches_determinant(n):
     big_t = t_matrix(n)
