@@ -7,75 +7,48 @@ sum of all k x k minors of X, and the interlacing-weighted sum
 S = sum_{I <= J} 2^p(I,J) |X_IJ| are all equal.  The subpackages check this
 three ways (exact determinants, planar path counting, matching flip orbits)
 and watch it run live as the conserved quantities of the Novikov peakon ODEs.
+
+The public names are loaded on first use (PEP 562): importing the package
+imports none of its modules, so a command pays only for the modules it runs,
+and only `peakon` imports numpy.
 """
 
-from .exact_linalg import (
-    DimensionError,
-    ExactMatrix,
-    IndexSet,
-    Rational,
-    determinant,
-    k_subsets,
-    load_matrix,
-    minor,
-    random_symmetric,
-    submatrix,
-    t_matrix,
-)
-from .lgv import build_network, count_disjoint_families, path_matrix
-from .matchings import (
-    Matching,
-    decompose_clusters,
-    enumerate_matchings,
-    orbit,
-    orbit_sum_identity,
-)
-from .minor_sums import (
-    CanadaDayReport,
-    SymmetryError,
-    interlacing_sum,
-    is_interlacing,
-    p_value,
-    sum_all_minors,
-    sum_principal_minors,
-    t_minor_formula,
-    verify_canada_day,
-)
-from .peakon import PeakonState, char_poly_coefficients, constants_of_motion, simulate
+from importlib import import_module
 
-__all__ = [
-    "CanadaDayReport",
-    "DimensionError",
-    "ExactMatrix",
-    "IndexSet",
-    "Matching",
-    "PeakonState",
-    "Rational",
-    "SymmetryError",
-    "build_network",
-    "char_poly_coefficients",
-    "constants_of_motion",
-    "count_disjoint_families",
-    "decompose_clusters",
-    "determinant",
-    "enumerate_matchings",
-    "interlacing_sum",
-    "is_interlacing",
-    "k_subsets",
-    "load_matrix",
-    "minor",
-    "orbit",
-    "orbit_sum_identity",
-    "p_value",
-    "path_matrix",
-    "random_symmetric",
-    "simulate",
-    "submatrix",
-    "sum_all_minors",
-    "sum_principal_minors",
-    "t_matrix",
-    "t_minor_formula",
-    "verify_canada_day",
-]
+# The home module of each public name.
+_HOMES = {
+    "exact_linalg": (
+        "DimensionError", "ExactMatrix", "IndexSet", "Rational", "determinant", "k_subsets",
+        "load_matrix", "minor", "random_symmetric", "submatrix", "t_matrix",
+    ),
+    "lgv": ("build_network", "count_disjoint_families", "path_matrix"),
+    "matchings": (
+        "Matching", "decompose_clusters", "enumerate_matchings", "orbit", "orbit_sum_identity",
+    ),
+    "minor_sums": (
+        "CanadaDayReport", "SymmetryError", "interlacing_sum", "is_interlacing", "p_value",
+        "sum_all_minors", "sum_principal_minors", "t_minor_formula", "verify_canada_day",
+    ),
+    "peakon": ("PeakonState", "char_poly_coefficients", "constants_of_motion", "simulate"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset(("cli", "lemmas", *_HOMES))
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

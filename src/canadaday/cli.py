@@ -5,23 +5,22 @@ text or JSON, or the wave profile as CSV.
 Every command is deterministic given its flags: the same config and seed
 produce byte-identical JSON.  Exit code 0 means every reported check passed;
 failures serialize a minimal witness for offline replay; bad input exits 2.
+
+Each handler imports its library module when it runs, so a process loads
+only the modules of its command: `exact_linalg` always, and numpy only for
+`peakon` and `wave`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
 from .exact_linalg import DimensionError, child_seed, load_matrix, random_symmetric
-from .lemmas import lemma_report
-from .lgv import audit
-from .matchings import orbit_audit
-from .minor_sums import theorem_campaign
-from .peakon import DEFAULT_COLLISION_EPSILON, DEFAULT_TOL, load_state, simulate, wave_grid, waveform
 
 __all__ = ["main"]
 
@@ -128,13 +127,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--dt", type=float, default=1e-3)
     pk.add_argument("--t-end", type=float, default=2.0)
     pk.add_argument("--sample-every", type=int, default=10)
+    # No default here for --tol and --collision-epsilon: `simulate`'s own apply.
     pk.add_argument(
         "--tol",
         type=float,
-        default=DEFAULT_TOL,
         help="max allowed relative drift of any H_k, and relative gap between |c_k| and H_k",
     )
-    pk.add_argument("--collision-epsilon", type=float, default=DEFAULT_COLLISION_EPSILON)
+    pk.add_argument("--collision-epsilon", type=float)
     pk.add_argument("--wave-out", default=None, help="CSV of u(x, t) at every sample")
     pk.add_argument("--wave-min", type=float, default=-10.0)
     pk.add_argument("--wave-max", type=float, default=10.0)
@@ -196,13 +195,29 @@ def _json_key(k) -> str:
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
     """Write rows of floats as CSV, each value as its repr."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([repr(float(v)) for v in row] for row in rows)
 
 
+def _theorem(a) -> dict:
+    from .minor_sums import theorem_campaign
+
+    return theorem_campaign(a.n, a.k, a.trials, a.seed, a.bound, a.asymmetric)
+
+
+def _lemmas(a) -> dict:
+    from .lemmas import lemma_report
+
+    return lemma_report(a.n, a.seed, a.bound, a.corrupt_sign)
+
+
 def _orbit_audit(a) -> dict:
+    from .matchings import orbit_audit
+
     if a.matrix is None:
         x = random_symmetric(a.n, child_seed(a.seed, a.n, 0), a.bound)
     else:
@@ -214,10 +229,21 @@ def _orbit_audit(a) -> dict:
     return orbit_audit(x, a.k)
 
 
+def _lgv_audit(a) -> dict:
+    from .lgv import audit
+
+    return audit(a.n)
+
+
 def _peakon(a) -> dict:
+    from .peakon import load_state, simulate, wave_grid, waveform
+
     state = load_state(a.state)
     grid = wave_grid(a.wave_min, a.wave_max, a.wave_points) if a.wave_out else None
-    report = simulate(state, a.dt, a.t_end, a.sample_every, a.collision_epsilon, a.tol)
+    limits = {"collision_epsilon": a.collision_epsilon, "tol": a.tol}
+    report = simulate(
+        state, a.dt, a.t_end, a.sample_every, **{k: v for k, v in limits.items() if v is not None}
+    )
     if grid is not None:
         states = report.sampled_states
         rows = ((s.t, xv, uv) for s in states for xv, uv in zip(grid, waveform(s, grid)))
@@ -226,6 +252,8 @@ def _peakon(a) -> dict:
 
 
 def _wave(a) -> int:
+    from .peakon import load_state, wave_grid, waveform
+
     state = load_state(a.state)
     grid = wave_grid(a.x_min, a.x_max, a.points)
     _write_csv(a.out, ("x", "u"), zip(grid, waveform(state, grid)))
@@ -253,23 +281,31 @@ def _reported(build, renderer):
 
 
 _COMMANDS = {
-    "verify-theorem": _reported(
-        lambda a: theorem_campaign(a.n, a.k, a.trials, a.seed, a.bound, a.asymmetric),
-        _render_theorem,
-    ),
-    "verify-lemmas": _reported(
-        lambda a: lemma_report(a.n, a.seed, a.bound, a.corrupt_sign), _render_lemmas
-    ),
+    "verify-theorem": _reported(_theorem, _render_theorem),
+    "verify-lemmas": _reported(_lemmas, _render_lemmas),
     "orbit-audit": _reported(_orbit_audit, _render_orbit_audit),
-    "lgv-audit": _reported(lambda a: audit(a.n), _render_lgv_audit),
+    "lgv-audit": _reported(_lgv_audit, _render_lgv_audit),
     "peakon": _reported(_peakon, _render_peakon),
     "wave": _wave,
 }
 
 
+def _require_out_paths(a) -> None:
+    """Refuse, before any work, an output path that is a directory or whose
+    directory is missing."""
+    for flag in ("out", "wave_out"):
+        path = getattr(a, flag, None) or ""
+        directory = os.path.dirname(path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"--{flag.replace('_', '-')} {path}: is a directory")
+        if directory and not os.path.isdir(directory):
+            raise FileNotFoundError(f"--{flag.replace('_', '-')} {path}: no directory {directory}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _require_out_paths(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -648,6 +648,92 @@ def test_load_state_accepts_int_entries(tmp_path):
     assert (s.t, s.x.tolist(), s.m.tolist()) == (1.0, [-1.0, 2.0], [3.0, 1.0])
 
 
+# (argv without the output path, output flag, module and name of the library
+# entry point that does the command's work)
+_OUTPUT_CASES = [
+    (["verify-theorem", "--n", "3"], "--out", minor_sums, "theorem_campaign"),
+    (["verify-lemmas", "--n", "3", "--format", "json"], "--out", lemmas, "lemma_report"),
+    (["orbit-audit", "--n", "3", "--k", "2"], "--out", matchings, "orbit_audit"),
+    (["lgv-audit", "--n", "3"], "--out", lgv, "audit"),
+    (["peakon", "--state", "STATE"], "--out", peakon, "load_state"),
+    (["peakon", "--state", "STATE"], "--wave-out", peakon, "load_state"),
+    (["wave", "--state", "STATE"], "--out", peakon, "load_state"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,module,name", _OUTPUT_CASES, ids=[f"{c[0][0]}{c[1]}" for c in _OUTPUT_CASES]
+)
+def test_main_missing_output_directory_is_refused_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, flag, module, name
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the output path was checked")
+
+    monkeypatch.setattr(module, name, refuse)
+    # A CLI that binds the entry point at import calls it under its own name.
+    monkeypatch.setattr(cli, name, refuse, raising=False)
+    state = tmp_path / "state.json"
+    state.write_text(GOOD_STATE)
+    target = tmp_path / "no-such-dir" / "report"
+    argv = [str(state) if a == "STATE" else a for a in argv]
+    assert main(argv + [flag, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {target}: no directory {target.parent}\n"
+
+
+def test_main_output_path_naming_a_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma_report ran before the output path was checked")
+
+    monkeypatch.setattr(lemmas, "lemma_report", refuse)
+    monkeypatch.setattr(cli, "lemma_report", refuse, raising=False)
+    assert main(["verify-lemmas", "--n", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --out {tmp_path}: is a directory\n"
+
+
+def test_main_peakon_without_tol_reports_the_library_default(tmp_path):
+    path, out = tmp_path / "state.json", tmp_path / "report.json"
+    path.write_text(GOOD_STATE)
+    argv = ["peakon", "--state", str(path), "--t-end", "0.01", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["tol"] == peakon.DEFAULT_TOL
+
+
+def test_main_peakon_without_collision_epsilon_stops_where_the_library_default_does(tmp_path):
+    # The gap shrinks from 2e-6; runs at the default, at 5e-7 and at 0 stop at
+    # three different steps, so the step names the epsilon that was applied.
+    s = peakon.PeakonState(0.0, [0.0, 2e-6], [2.0, 0.3])
+    stops = {}
+    for eps in (peakon.DEFAULT_COLLISION_EPSILON, 5e-7, 0.0):
+        r = peakon.simulate(s, 1e-3, 1.0, sample_every=1, collision_epsilon=eps)
+        stops[eps] = (r.status, len(r.samples))
+    assert len(set(stops.values())) == 3
+    path, out = tmp_path / "state.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"x": s.x.tolist(), "m": s.m.tolist()}))
+    argv = ["peakon", "--state", str(path), "--t-end", "1", "--sample-every", "1",
+            "--format", "json", "--out", str(out)]
+    assert main(argv) == 1  # a collision fails the run
+    doc = json.loads(out.read_text())
+    assert (doc["status"], len(doc["samples"])) == stops[peakon.DEFAULT_COLLISION_EPSILON]
+
+
+HELP = Path(__file__).parent / "help"
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_text_is_unchanged(command, monkeypatch, capsys):
+    """Each --help at 80 columns matches tests/help/, which holds the help
+    text of the CLI as it was before its imports became per command."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == 0
+    expected = (HELP / f"{command or 'canadaday'}.txt").read_text()
+    assert capsys.readouterr().out == expected
+
+
 def test_main_missing_state_file_is_input_error(tmp_path):
     assert main(["peakon", "--state", str(tmp_path / "nope.json")]) == 2
 
