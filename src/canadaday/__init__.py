@@ -18,8 +18,8 @@ from importlib import import_module
 # The home module of each public name.
 _HOMES = {
     "exact_linalg": (
-        "DimensionError", "ExactMatrix", "IndexSet", "Rational", "determinant", "k_subsets",
-        "load_matrix", "minor", "random_symmetric", "submatrix", "t_matrix",
+        "DimensionError", "ExactMatrix", "IndexSet", "Rational", "k_subsets", "load_matrix",
+        "random_symmetric", "t_matrix",
     ),
     "lgv": ("build_network", "count_disjoint_families", "path_matrix"),
     "matchings": (

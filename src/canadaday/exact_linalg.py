@@ -1,7 +1,8 @@
 """Exact rational linear algebra: dense matrices of arbitrary-precision
-rationals with fraction-free determinants, minors, the table of all k x k
-minors of a matrix, its division-free characteristic polynomial, and the
-structured lower-triangular matrix T with entries 1 + sgn(i - j).
+rationals, the table of all k x k minors of a matrix (the one minor engine
+of the package), its division-free characteristic polynomial, and the
+structured lower-triangular matrix T with entries 1 + sgn(i - j).  The
+Bareiss determinant that checks the minor table lives with the test oracles.
 
 All public interfaces are 1-based in row/column indices, so worked examples
 from the literature transcribe directly.  Internal storage is 0-based
@@ -33,19 +34,17 @@ __all__ = [
     "as_index",
     "char_poly",
     "child_seed",
-    "determinant",
     "exact_str",
     "integer_char_poly",
     "k_subsets",
     "load_matrix",
     "matrix_from_json_dict",
     "matrix_to_json_dict",
-    "minor",
     "minor_levels",
     "random_matrix",
     "random_symmetric",
+    "read_json",
     "scaled_to_integers",
-    "submatrix",
     "t_matrix",
 ]
 
@@ -114,6 +113,8 @@ class ExactMatrix:
     entries: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", as_index(self.rows))
+        object.__setattr__(self, "cols", as_index(self.cols))
         object.__setattr__(self, "entries", tuple(Fraction(v) for v in self.entries))
         if self.rows < 0 or self.cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
@@ -130,12 +131,6 @@ class ExactMatrix:
             raise DimensionError("ragged rows")
         return ExactMatrix(r, c, tuple(v for row in rows for v in row))
 
-    def entry(self, i: int, j: int) -> Rational:
-        """Entry at row i, column j (both 1-based)."""
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise IndexError(f"entry ({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return self.entries[(i - 1) * self.cols + (j - 1)]
-
     def to_rows(self) -> list[list[Rational]]:
         c = self.cols
         return [list(self.entries[r * c : (r + 1) * c]) for r in range(self.rows)]
@@ -149,19 +144,6 @@ class ExactMatrix:
         n, e = self.rows, self.entries
         return all(e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i + 1, n))
 
-    def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        a, b = self.to_rows(), other.to_rows()
-        return ExactMatrix.from_rows(
-            [
-                [sum(a[i][t] * b[t][j] for t in range(self.cols)) for j in range(other.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
 
 def t_matrix(n: int) -> ExactMatrix:
     """The n x n matrix with entries 1 + sgn(i - j): 0 above the diagonal,
@@ -171,59 +153,6 @@ def t_matrix(n: int) -> ExactMatrix:
     return ExactMatrix.from_rows(
         [[0 if i < j else (1 if i == j else 2) for j in range(n)] for i in range(n)]
     )
-
-
-def determinant(m: ExactMatrix) -> Rational:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    For integer matrices every intermediate value stays an integer; over
-    rationals the exact divisions are still exact.  The 0x0 determinant is 1.
-    """
-    if not m.is_square():
-        raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a = m.to_rows()
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) / prev
-            row_i[k] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def submatrix(m: ExactMatrix, rows: IndexSet, cols: IndexSet) -> ExactMatrix:
-    """Order-preserving slice of m by 1-based row and column index sets."""
-    if rows.elems and rows.elems[-1] > m.rows:
-        raise IndexError(f"row index {rows.elems[-1]} out of range for {m.rows} rows")
-    if cols.elems and cols.elems[-1] > m.cols:
-        raise IndexError(f"column index {cols.elems[-1]} out of range for {m.cols} columns")
-    return ExactMatrix.from_rows([[m.entry(i, j) for j in cols] for i in rows])
-
-
-def minor(m: ExactMatrix, rows: IndexSet, cols: IndexSet) -> Rational:
-    """The minor of m with the given row and column sets (equal cardinality)."""
-    if len(rows) != len(cols):
-        raise DimensionError(
-            f"minor needs equally many rows and columns, got {len(rows)} and {len(cols)}"
-        )
-    return determinant(submatrix(m, rows, cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,10 +325,15 @@ def matrix_from_json_dict(d: dict) -> ExactMatrix:
         raise ValueError("matrix entries must not have a zero denominator") from None
 
 
-def load_matrix(path) -> ExactMatrix:
+def read_json(path):
+    """The JSON document in the file at path; nesting too deep for the
+    parser raises ValueError, not RecursionError."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-    return matrix_from_json_dict(doc)
+
+
+def load_matrix(path) -> ExactMatrix:
+    return matrix_from_json_dict(read_json(path))

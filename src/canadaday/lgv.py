@@ -118,11 +118,17 @@ def count_disjoint_families(net: LayeredNetwork, sources: IndexSet, sinks: Index
     Exhaustive backtracking: each source in turn tries each of its paths whose
     endpoint is an unused sink and whose vertices are all unoccupied.  In this
     planar network only the order-preserving connection can survive, which is
-    what makes the count equal the corresponding minor of T.
+    what makes the count equal the corresponding minor of T.  Raises
+    DimensionError unless sources and sinks are equally large subsets of
+    1..net.n.
     """
     if len(sources) != len(sinks):
         raise DimensionError(
             f"need equally many sources and sinks, got {len(sources)} and {len(sinks)}"
+        )
+    if sources.n != net.n or sinks.n != net.n:
+        raise DimensionError(
+            f"sources and sinks must be subsets of 1..{net.n}, got sizes {sources.n} and {sinks.n}"
         )
     sink_set = set(sinks)
     per_source = [[p for p in net._paths[s - 1] if p[-1] in sink_set] for s in sources]

@@ -9,8 +9,8 @@ minor table (`exact_linalg.minor_levels`), over interlacing pairs built
 once per (n, k).  Every call is stateless and walks the table afresh; the
 verify-theorem campaign walks each matrix's table once for all its k.  The
 principal sums of T@X are (-1)^k c_k(TX), from its Berkowitz characteristic
-polynomial, so a fault in the table cannot make all three agree.  Bareiss
-`minor` stays the independent route the tests check both.
+polynomial, so a fault in the table cannot make all three agree.  The
+tests check both routes against an independent Bareiss minor.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ fixed-step RK4 and measures the drift and the gap between the two sides.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -24,6 +23,8 @@ from math import exp, isfinite
 from operator import lt, sub
 
 import numpy as np
+
+from .exact_linalg import as_index, read_json
 
 __all__ = [
     "MAX_PEAKONS",
@@ -114,11 +115,7 @@ def load_state(path: str) -> PeakonState:
     """Read {"x": [...], "m": [...], "t": optional} and validate it as an
     initial state (finite numbers, positions strictly increasing, amplitudes
     positive)."""
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    d = read_json(path)
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected a JSON object with x and m")
     arrays = []
@@ -322,8 +319,9 @@ def simulate(
     collision_epsilon of each other (the smooth-ODE regime ends there) or if
     the state stops being finite.  Raises ValueError on a non-finite or
     non-positive dt or t_end, more than MAX_STEPS steps, more than
-    MAX_PEAKONS peakons, a negative or non-finite collision_epsilon or tol,
-    or an initial state that fails `validate_initial`.
+    MAX_PEAKONS peakons, a sample_every that is not an integer >= 1, a
+    negative or non-finite collision_epsilon or tol, or an initial state
+    that fails `validate_initial`.
     """
     # Written so that NaN fails every check.
     if not 0 < dt < math.inf:
@@ -334,6 +332,7 @@ def simulate(
         raise ValueError(f"t_end / dt = {t_end} / {dt} exceeds {MAX_STEPS} steps")
     if s0.n > MAX_PEAKONS:
         raise ValueError(f"n={s0.n} peakons exceeds {MAX_PEAKONS}")
+    sample_every = as_index(sample_every)
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     if not 0 <= collision_epsilon < math.inf:

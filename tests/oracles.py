@@ -1,11 +1,14 @@
-"""Test oracles: the one exponential (Leibniz) oracle for determinants and
-minors, the batched-determinant float sum of all k x k minors that checks
-the peakon constants of motion up to n = 8, the exact H_k of a float peakon
-state, the peakon right-hand side in 50-digit decimals, and the canonical
+"""Test oracles: the fraction-free (Bareiss) determinant and the minor of
+an `ExactMatrix` by slicing, the second minor engine that checks the
+program's one, `exact_linalg.minor_levels`; the one exponential (Leibniz)
+oracle for determinants and minors, which checks Bareiss in turn; the
+batched-determinant float sum of all k x k minors that checks the peakon
+constants of motion up to n = 8, the exact H_k of a float peakon state, the
+peakon right-hand side in 50-digit decimals, and the canonical
 sign-reversing involution that pairs the members of non-interlacing
-orbits.  Also the identity and the transpose of an `ExactMatrix`, which
-only the tests need, and `str` with no limit on int digits, the reference
-for exact values rendered past that limit."""
+orbits.  Also the identity, transpose, product and 1-based entry of an
+`ExactMatrix`, which only the tests need, and `str` with no limit on int
+digits, the reference for exact values rendered past that limit."""
 
 import sys
 from decimal import Decimal, localcontext
@@ -36,6 +39,80 @@ def transpose(m: ExactMatrix) -> ExactMatrix:
     )
 
 
+def entry(m: ExactMatrix, i: int, j: int) -> Rational:
+    """Entry at row i, column j (both 1-based)."""
+    if not (1 <= i <= m.rows and 1 <= j <= m.cols):
+        raise IndexError(f"entry ({i}, {j}) out of range for {m.rows}x{m.cols}")
+    return m.entries[(i - 1) * m.cols + (j - 1)]
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The exact product a b."""
+    if a.cols != b.rows:
+        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    ra, rb = a.to_rows(), b.to_rows()
+    return ExactMatrix.from_rows(
+        [
+            [sum(ra[i][t] * rb[t][j] for t in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+    )
+
+
+def determinant(m: ExactMatrix) -> Rational:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    For integer matrices every intermediate value stays an integer; over
+    rationals the exact divisions are still exact.  The 0x0 determinant is 1.
+    """
+    if not m.is_square():
+        raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    if n == 0:
+        return Fraction(1)
+    a = m.to_rows()
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            row_k = a[k]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) / prev
+            row_i[k] = Fraction(0)
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def submatrix(m: ExactMatrix, rows: IndexSet, cols: IndexSet) -> ExactMatrix:
+    """Order-preserving slice of m by 1-based row and column index sets."""
+    if rows.elems and rows.elems[-1] > m.rows:
+        raise IndexError(f"row index {rows.elems[-1]} out of range for {m.rows} rows")
+    if cols.elems and cols.elems[-1] > m.cols:
+        raise IndexError(f"column index {cols.elems[-1]} out of range for {m.cols} columns")
+    return ExactMatrix.from_rows([[entry(m, i, j) for j in cols] for i in rows])
+
+
+def minor(m: ExactMatrix, rows: IndexSet, cols: IndexSet) -> Rational:
+    """The minor of m with the given row and column sets (equal cardinality),
+    by Bareiss on the slice."""
+    if len(rows) != len(cols):
+        raise DimensionError(
+            f"minor needs equally many rows and columns, got {len(rows)} and {len(cols)}"
+        )
+    return determinant(submatrix(m, rows, cols))
+
+
 def str_without_digit_limit(v) -> str:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -47,7 +124,7 @@ def str_without_digit_limit(v) -> str:
 
 def minor_via_matchings(x: ExactMatrix, I: IndexSet, J: IndexSet) -> Rational:
     """|X_IJ| as the signed sum over all bijections I -> J; determinant-free
-    oracle for `exact_linalg.minor` and `exact_linalg.determinant`."""
+    oracle for `minor` and `determinant`."""
     if len(I) != len(J):
         raise DimensionError("index sets must have equal cardinality")
     n = max(I.n, J.n)
@@ -97,7 +174,7 @@ def exact_h(s) -> list[Fraction]:
     x = ExactMatrix.from_rows(
         [[m[i] * Fraction(e[i][j]) * m[j] for j in range(s.n)] for i in range(s.n)]
     )
-    c = char_poly(t_matrix(s.n) @ x)
+    c = char_poly(matmul(t_matrix(s.n), x))
     return [(-1) ** k * c[k] for k in range(1, s.n + 1)]
 
 

@@ -21,7 +21,6 @@ from canadaday.exact_linalg import (
     ExactMatrix,
     MinorLevel,
     child_seed,
-    determinant,
     matrix_from_json_dict,
     matrix_to_json_dict,
     random_symmetric,
@@ -30,7 +29,7 @@ from canadaday.lemmas import lemma_report
 from canadaday.matchings import orbit_audit
 from canadaday.minor_sums import theorem_campaign
 from canadaday.peakon import MAX_PEAKONS, MAX_WAVE_POINTS, load_state
-from oracles import str_without_digit_limit
+from oracles import determinant, str_without_digit_limit
 
 # A `python -m canadaday` child imports the package the way this process does.
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

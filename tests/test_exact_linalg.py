@@ -16,21 +16,28 @@ from canadaday.exact_linalg import (
     IndexSet,
     as_index,
     char_poly,
-    determinant,
     exact_str,
     integer_char_poly,
     k_subsets,
     load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
-    minor,
     minor_levels,
     random_matrix,
     random_symmetric,
-    submatrix,
     t_matrix,
 )
-from oracles import identity, minor_via_matchings, str_without_digit_limit, transpose
+from oracles import (
+    determinant,
+    entry,
+    identity,
+    matmul,
+    minor,
+    minor_via_matchings,
+    str_without_digit_limit,
+    submatrix,
+    transpose,
+)
 
 
 def test_t_matrix_n3_matches_worked_example():
@@ -227,7 +234,7 @@ def test_char_poly_property_on_rationals(rows):
     n = m.rows
     for lam in (Fraction(0), Fraction(1), Fraction(-7, 3)):
         shifted = ExactMatrix.from_rows(
-            [[(lam if i == j else 0) - m.entry(i + 1, j + 1) for j in range(n)] for i in range(n)]
+            [[(lam if i == j else 0) - entry(m, i + 1, j + 1) for j in range(n)] for i in range(n)]
         )
         assert determinant(shifted) == sum(c * lam ** (n - k) for k, c in enumerate(coeffs))
 
@@ -265,7 +272,7 @@ def test_minor_singleton_is_entry():
     m = random_symmetric(4, 11, 9)
     for i in range(1, 5):
         for j in range(1, 5):
-            assert minor(m, IndexSet(4, (i,)), IndexSet(4, (j,))) == m.entry(i, j)
+            assert minor(m, IndexSet(4, (i,)), IndexSet(4, (j,))) == entry(m, i, j)
 
 
 def test_minor_full_is_determinant():
@@ -333,6 +340,21 @@ def test_index_set_refuses_non_integers(n, elems, bad):
         IndexSet(n, elems)
 
 
+@pytest.mark.parametrize(
+    "rows,cols,entries,bad",
+    [(2.5, 2, range(5), "2.5"), (True, True, (3,), "True"), (1, np.float64(2.0), (1, 2), "2.0")],
+)
+def test_matrix_refuses_non_integer_sizes(rows, cols, entries, bad):
+    # 2.5 x 2 would hold five entries: a matrix of no shape
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        ExactMatrix(rows, cols, entries)
+
+
+def test_matrix_takes_numpy_integer_sizes_as_ints():
+    m = ExactMatrix(np.int64(1), np.int32(2), (1, 2))
+    assert m == ExactMatrix(1, 2, (1, 2)) and type(m.rows) is type(m.cols) is int
+
+
 def test_index_set_takes_numpy_integers_as_ints():
     s = IndexSet(np.int64(3), [np.int32(1), np.int64(3)])
     assert s == IndexSet(3, (1, 3))
@@ -396,10 +418,10 @@ def test_k_subsets_follow_combinations_order():
 
 def test_matrix_entry_is_one_based():
     m = t_matrix(3)
-    assert m.entry(2, 1) == 2
-    assert m.entry(1, 2) == 0
+    assert entry(m, 2, 1) == 2
+    assert entry(m, 1, 2) == 0
     with pytest.raises(IndexError):
-        m.entry(0, 1)
+        entry(m, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -418,7 +440,7 @@ def test_matrix_shape_validation(build):
 
 def test_matmul_dimension_check():
     with pytest.raises(DimensionError):
-        t_matrix(3) @ t_matrix(4)
+        matmul(t_matrix(3), t_matrix(4))
 
 
 def test_json_round_trip_is_bit_exact():

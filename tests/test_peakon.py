@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -196,6 +197,13 @@ def test_simulate_validates_inputs():
     with pytest.raises(ValueError):
         too_many = MAX_PEAKONS + 1
         simulate(PeakonState(0.0, np.arange(too_many), np.ones(too_many)), 1e-3, 1.0)
+
+
+@pytest.mark.parametrize("every", [1.5, True])
+def test_simulate_refuses_a_non_integer_sample_step(every):
+    # step % 1.5 == 0 holds every third step: a silent wrong sample grid
+    with pytest.raises(ValueError, match=re.escape(repr(every))):
+        simulate(PeakonState(0.0, [0.0, 1.0], [1.0, 1.0]), 1e-2, 0.1, sample_every=every)
 
 
 def test_report_json_schema():
