@@ -8,7 +8,8 @@ failures serialize a minimal witness for offline replay; bad input exits 2.
 
 Each handler imports its library module when it runs, so a process loads
 only the modules of its command: `exact_linalg` always, and numpy only for
-`peakon` and `wave`.
+`peakon` and `wave`.  The parser is built on the first `main` call, not at
+import, and reused by every later call in the process.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .exact_linalg import DimensionError, child_seed, load_matrix, random_symmetric
@@ -77,7 +79,12 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first `main` call and reused
+    by every later call in the process.  `parse_args` leaves the parser as it
+    was, and a help or usage text is formatted when it is printed, at the
+    terminal width of that moment."""
     parser = argparse.ArgumentParser(
         prog="canadaday",
         description="Exact verification campaigns for the Canada Day theorem "
@@ -158,7 +165,10 @@ def _json_text(o, indent: str = "") -> str:
     items with `str.join` and encodes strings with the C
     `encode_basestring_ascii`.  Ints and finite floats are their repr, as in
     `json.dumps`, and bool and None their JSON words; other scalars go to
-    `json.dumps` itself, whose compact form of one scalar is the same."""
+    `json.dumps` itself, whose compact form of one scalar is the same.  A
+    container renders its items of exact type str or int (and its str keys)
+    inline, without a call; the exact-type test leaves bool, and subclasses
+    such as an IntEnum, to the dispatch above."""
     t = type(o)
     if t is str:
         return encode_basestring_ascii(o)
@@ -176,10 +186,19 @@ def _json_text(o, indent: str = "") -> str:
     if not o:
         return "{}" if t is dict else "[]"
     inner = indent + "  "
+    enc = encode_basestring_ascii
     if t is dict:
-        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in o.items()]
+        items = [
+            (enc(k) if type(k) is str else _json_key(k))
+            + ": "
+            + (enc(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner))
+            for k, v in o.items()
+        ]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    items = [_json_text(v, inner) for v in o]
+    items = [
+        enc(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner)
+        for v in o
+    ]
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 

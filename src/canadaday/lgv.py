@@ -16,7 +16,15 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .exact_linalg import DimensionError, ExactMatrix, IndexSet, k_subsets, minor_levels, t_matrix
+from .exact_linalg import (
+    DimensionError,
+    ExactMatrix,
+    IndexSet,
+    as_index,
+    k_subsets,
+    minor_levels,
+    t_matrix,
+)
 from .minor_sums import check_size_guard, check_walk, t_minor_formula
 
 __all__ = [
@@ -37,13 +45,19 @@ class LayeredNetwork:
 
     Vertices are (boundary, row) pairs with boundaries 0..len(layers); layer b
     holds edges from boundary b to boundary b+1.  Sources are column 0, sinks
-    the last column.
+    the last column.  `n` and each edge endpoint are taken through `as_index`.
     """
 
     n: int
     layers: tuple[frozenset[Edge], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_index(self.n))
+        object.__setattr__(
+            self,
+            "layers",
+            tuple(frozenset((as_index(a), as_index(c)) for a, c in layer) for layer in self.layers),
+        )
         for b, layer in enumerate(self.layers):
             for a, c in layer:
                 if not (1 <= a <= self.n and 1 <= c <= self.n):

@@ -6,7 +6,8 @@ batched-determinant float sum of all k x k minors that checks the peakon
 constants of motion up to n = 8, the exact H_k of a float peakon state, the
 peakon right-hand side in 50-digit decimals, and the canonical
 sign-reversing involution that pairs the members of non-interlacing
-orbits.  Also the identity, transpose, product and 1-based entry of an
+orbits, and the sign of a matching by the inversions of its permutation,
+which checks `matchings.sign`'s crossing count.  Also the identity, transpose, product and 1-based entry of an
 `ExactMatrix`, which only the tests need, and `str` with no limit on int
 digits, the reference for exact values rendered past that limit."""
 
@@ -195,6 +196,19 @@ def decimal_rhs(s) -> list[tuple[Decimal, Decimal, Decimal]]:
             u = md[k] + left + right
             out.append((u * u, md[k] * u * (left - right), md[k] * u * (left + right)))
     return out
+
+
+def permutation_sign(m: Matching) -> int:
+    """Inversion count of the underlying permutation; independent of the
+    crossing-number computation."""
+    mapping = dict(m.edges)
+    cols = sorted(mapping.values())
+    pos = {j: t for t, j in enumerate(cols)}
+    perm = [pos[mapping[i]] for i in sorted(mapping)]
+    inversions = sum(
+        1 for a, b in combinations(range(len(perm)), 2) if perm[a] > perm[b]
+    )
+    return -1 if inversions % 2 else 1
 
 
 def canonical_involution(m: Matching) -> Matching:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter, OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -326,8 +327,27 @@ _JSON_VALUES = st.recursive(
 )
 
 
+
+
+class _Level(IntEnum):
+    A = 1
+
+
+class _Name(str):
+    pass
+
+
+# The renderer writes an item of exact type str or int inline, and sends
+# every other scalar through its dispatch: json.dumps writes _Level.A as 1,
+# where repr would give <_Level.A: 1>.
+_MIXED = [True, False, None, 1, 1.5, "x", _Level.A, _Name("y")]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_JSON_VALUES)
+@example(_MIXED)
+@example({f"v{i}": v for i, v in enumerate(_MIXED)})
+@example({_Level.A: _MIXED, _Name("k"): {"e": _Level.A, "s": _Name("s")}, "": [_MIXED]})
 @example({"é\u2603": ["\n\t\"\\\x00", -0.0, math.nan, math.inf, -math.inf, 10**30]})
 @example({1: [], 2.5: {}, None: (), True: [[]], False: {"": ""}, -0.0: math.nan})
 @example([])
@@ -731,6 +751,57 @@ def test_help_text_is_unchanged(command, monkeypatch, capsys):
     assert exc.value.code == 0
     expected = (HELP / f"{command or 'canadaday'}.txt").read_text()
     assert capsys.readouterr().out == expected
+
+
+def test_help_is_formatted_at_the_width_it_is_printed_at(monkeypatch, capsys):
+    """The parser is built once; a --help printed later still follows the
+    terminal width of its own moment, not that of the build."""
+    cli._build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")
+    cli._build_parser()
+    with pytest.raises(SystemExit):
+        main(["peakon", "--help"])
+    narrow = capsys.readouterr().out
+    monkeypatch.setenv("COLUMNS", "80")
+    for command in [None, *cli._COMMANDS]:
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if command is None else [command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (HELP / f"{command or 'canadaday'}.txt").read_text()
+    assert narrow != (HELP / "peakon.txt").read_text()
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+def test_main_builds_the_parser_once_and_leaks_no_value(capsys):
+    cli._build_parser.cache_clear()
+    argv = ["verify-theorem", "--n", "2", "--trials", "1", "--format", "json"]
+    assert main([*argv, "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["k"] == 2
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["k"] is None
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["orbit-audit", "--n", "3", "--bogus"], ["orbit-audit", "--n", "x", "--k", "2"],
+     ["orbit-audit", "--n", "3"], ["no-such-command"]],
+    ids=["unknown-flag", "bad-value", "missing-flag", "unknown-command"],
+)
+def test_main_after_a_refused_call_writes_what_a_fresh_parser_writes(bad, capsys):
+    good = ["orbit-audit", "--n", "3", "--k", "2", "--format", "json"]
+    cli._build_parser.cache_clear()
+    assert main(good) == 0
+    fresh = capsys.readouterr().out
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(good) == 0
+    assert capsys.readouterr().out == fresh
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_main_missing_state_file_is_input_error(tmp_path):

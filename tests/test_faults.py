@@ -5,14 +5,18 @@ ROADMAP item meant to catch it, so it flips when that item lands."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from canadaday import exact_linalg, lgv, minor_sums
+from canadaday import exact_linalg, lgv, matchings, minor_sums, peakon
 from canadaday.cli import main
 from canadaday.exact_linalg import MinorLevel, k_subsets, random_symmetric
 from canadaday.minor_sums import is_interlacing
-from oracles import minor
+from oracles import minor, permutation_sign
+
+STATE = Path(__file__).parent / "golden" / "state_6peakons.json"
 
 
 def _swap_off_interlacing(levels):
@@ -84,3 +88,108 @@ def test_lgv_audit_shows_the_swapped_rows(swapped_minors, capsys):
 def test_verify_theorem_fails_on_swapped_minors(swapped_minors, capsys):
     code, _ = _run(capsys, ["verify-theorem", "--n", "6", "--trials", "5"])
     assert code == 1
+
+
+# Row 2: one non-interlacing orbit of each M_{n,k} with its signs negated.
+# Such an orbit stays sign-balanced, its members keep their signs relative
+# to each other, and its sum stays 0, so no orbit check and no sum moves.
+
+
+@pytest.fixture
+def negated_orbit(monkeypatch):
+    """Patch `matchings.sign` to negate every member of the first
+    non-interlacing orbit of each M_{n,k}, n <= 5; the patched matchings,
+    as (n, edges)."""
+    real = matchings.sign
+    negated = set()
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            orbits = matchings.partition_into_orbits(n, k)
+            first = next((o for o in orbits if o.classification == "non-interlacing"), None)
+            if first is not None:
+                negated.update((n, m.edges) for m in first.members)
+    monkeypatch.setattr(
+        matchings, "sign", lambda m: -real(m) if (m.n, m.edges) in negated else real(m)
+    )
+    return negated
+
+
+def test_negated_orbit_signs_disagree_with_permutation_parity(negated_orbit):
+    members = [matchings.Matching(n, edges) for n, edges in negated_orbit]
+    # for n <= 5, non-interlacing orbits exist at (4, 2), (5, 2) and (5, 3) only
+    assert sorted({(m.n, m.k) for m in members}) == [(4, 2), (5, 2), (5, 3)]
+    assert all(matchings.sign(m) == -permutation_sign(m) for m in members)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a negated orbit stays balanced; ROADMAP item 2's pair-by-pair check would see it",
+)
+@pytest.mark.parametrize(
+    "argv", [["verify-lemmas", "--n", "4"], ["orbit-audit", "--n", "5", "--k", "3"]],
+    ids=["verify-lemmas", "orbit-audit"],
+)
+def test_commands_fail_on_a_negated_orbit(negated_orbit, capsys, argv):
+    code, _ = _run(capsys, argv)
+    assert code == 1
+
+
+# Rows 3-5: `peakon._rhs` changed, on the 6-peakon golden state at
+# `--dt 1e-3 --t-end 1`.
+
+PEAKON = ["peakon", "--state", str(STATE), "--dt", "1e-3", "--t-end", "1"]
+
+
+def _patch_rhs(monkeypatch, scale_x, scale_m):
+    """Multiply the x' half of `_rhs` by scale_x and the m' half by scale_m."""
+    real = peakon._rhs
+
+    def rhs(x, m):
+        k = real(x, m)
+        if k is None:
+            return None
+        return [scale_x * v for v in k[: len(x)]] + [scale_m * v for v in k[len(x) :]]
+
+    monkeypatch.setattr(peakon, "_rhs", rhs)
+
+
+def _end_positions(t_end, dt=1e-3):
+    return peakon.simulate(peakon.load_state(str(STATE)), dt, t_end).sampled_states[-1].x
+
+
+def test_a_doubled_flow_runs_at_double_speed(monkeypatch):
+    true_end = _end_positions(1.0, dt=2e-3)
+    _patch_rhs(monkeypatch, 2.0, 2.0)
+    assert np.allclose(_end_positions(0.5), true_end, rtol=1e-12, atol=0)
+
+
+def test_a_negated_flow_runs_backwards(monkeypatch):
+    start = peakon.load_state(str(STATE)).x
+    assert (_end_positions(1.0) > start).all()
+    _patch_rhs(monkeypatch, -1.0, -1.0)
+    assert (_end_positions(1.0) < start).all()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a reparametrised flow keeps every H_k and |c_k| = H_k; "
+    "ROADMAP item 4's flow residual would see it",
+)
+@pytest.mark.parametrize("scale", [2.0, -1.0], ids=["doubled", "negated"])
+def test_peakon_fails_on_a_reparametrised_flow(monkeypatch, capsys, scale):
+    _patch_rhs(monkeypatch, scale, scale)
+    code, _ = _run(capsys, PEAKON)
+    assert code == 1
+
+
+def test_peakon_fails_when_only_m_prime_is_negated(monkeypatch, capsys):
+    _patch_rhs(monkeypatch, 1.0, -1.0)
+    code, doc = _run(capsys, PEAKON)
+    assert code == 1
+    # every part of the verdict fails: two peakons meet, H_1 .. H_6 drift,
+    # and |c_k| leaves H_k, each by more than tol
+    assert doc["status"] == "collision"
+    assert [d > doc["tol"] for d in doc["max_rel_drift"]] == [True] * 6
+    assert max(row["identity_gap"] for row in doc["samples"]) > doc["tol"]

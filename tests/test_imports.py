@@ -11,7 +11,8 @@ import pytest
 
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
-# Runs its argv through main() and prints the exit code and what got loaded.
+# Runs its argv through main() and prints the exit code, what got loaded and
+# how many parsers were built.
 CHILD = """
 import json, sys
 import canadaday.cli
@@ -20,6 +21,7 @@ code = canadaday.cli.main(argv) if argv else None
 print(json.dumps({
     "code": code,
     "numpy": "numpy" in sys.modules,
+    "parsers": canadaday.cli._build_parser.cache_info().currsize,
     "modules": sorted(m for m in sys.modules if m.split(".")[0] == "canadaday"),
 }))
 """
@@ -38,6 +40,7 @@ def test_importing_the_cli_loads_neither_commands_nor_numpy():
     assert _loaded([]) == {
         "code": None,
         "numpy": False,
+        "parsers": 0,
         "modules": ["canadaday", "canadaday.cli", "canadaday.exact_linalg"],
     }
 
@@ -57,6 +60,7 @@ def test_exact_commands_run_without_numpy(argv, own):
     assert _loaded(argv + ["--out", os.devnull]) == {
         "code": 0,
         "numpy": False,
+        "parsers": 1,
         "modules": sorted(base + [f"canadaday.{m}" for m in own]),
     }
 

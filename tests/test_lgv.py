@@ -1,6 +1,8 @@
+import re
 from collections import Counter
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,26 @@ def test_layer_planarity_rejected():
         LayeredNetwork(2, (frozenset({(1, 2), (2, 1)}),))
     with pytest.raises(ValueError, match="out of range"):
         LayeredNetwork(2, (frozenset({(1, 3)}),))
+
+
+@pytest.mark.parametrize(
+    "n,edge,bad",
+    [(2.5, (1, 1), "2.5"), (True, (1, 1), "True"), ("3", (1, 1), "'3'"), (3, (1.5, 2), "1.5"),
+     (3, (1, np.float64(2.0)), "2.0"), (3, (True, 1), "True")],
+)
+def test_network_refuses_non_integers(n, edge, bad):
+    # 2.5 used to construct and then fail path_matrix with a bare TypeError,
+    # and True ran as n = 1
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        LayeredNetwork(n, (frozenset({edge}),))
+
+
+def test_network_takes_numpy_integers_as_ints():
+    net = LayeredNetwork(np.int64(2), (frozenset({(np.int32(2), np.int64(1)), (1, 1)}),))
+    assert net == LayeredNetwork(2, (frozenset({(2, 1), (1, 1)}),))
+    assert type(net.n) is int
+    assert {type(v) for layer in net.layers for edge in layer for v in edge} == {int}
+    assert path_matrix(net).to_rows() == [[1, 0], [1, 0]]
 
 
 def test_count_example_two_windows():

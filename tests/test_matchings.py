@@ -39,7 +39,7 @@ from canadaday.minor_sums import (
     p_value,
     sum_all_minors,
 )
-from oracles import canonical_involution, entry, minor, minor_via_matchings
+from oracles import canonical_involution, entry, minor, minor_via_matchings, permutation_sign
 
 # the n=8, k=7 worked matching used throughout the cluster examples
 TAU8 = Matching(8, ((1, 6), (2, 8), (3, 4), (4, 2), (5, 5), (6, 1), (8, 7)))
@@ -52,19 +52,6 @@ def _matchings(draw, max_n=10):
     rows = draw(st.permutations(range(1, n + 1)))[:k]
     cols = draw(st.permutations(range(1, n + 1)))[:k]
     return Matching(n, tuple(zip(rows, cols)))
-
-
-def _perm_parity_sign(m: Matching) -> int:
-    """Inversion count of the underlying permutation; independent of the
-    crossing-number computation."""
-    mapping = dict(m.edges)
-    cols = sorted(mapping.values())
-    pos = {j: t for t, j in enumerate(cols)}
-    perm = [pos[mapping[i]] for i in sorted(mapping)]
-    inversions = sum(
-        1 for a, b in combinations(range(len(perm)), 2) if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def test_matching_validation():
@@ -129,7 +116,7 @@ def test_sign_single_edge_and_identity():
 def test_sign_matches_permutation_parity_exhaustively():
     for k in range(0, 4):
         for m in enumerate_matchings(4, k):
-            assert sign(m) == _perm_parity_sign(m)
+            assert sign(m) == permutation_sign(m)
 
 
 def test_weight_worked_example_product():
