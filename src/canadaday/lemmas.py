@@ -1,8 +1,12 @@
 """The exhaustive lemma suite of `verify-lemmas`, each lemma a check with
 its first witness.  The flip lemmas are checked on the orbits that
-`orbit_sum_identity` builds for the orbit-sum proof, reading each member's
-sign and weight from its report, so M_{n,k} is partitioned once per (n, k);
-only the matching count enumerates M_{n,k} apart from the orbits.
+`orbit_sum_identity` takes for the orbit-sum proof, reading each member's
+sign and weight from its report, so one suite asks for each (n, k)'s
+partition once; only the matching count enumerates M_{n,k} apart from the
+orbits.  A one-shot `python -m canadaday verify-lemmas` run therefore keeps
+no partition.  A process that runs the suite twice keeps every partition
+up to n_max (each under MAX_WALK matchings), and from its third run on it
+builds none; signs, weights and every check are still taken on each run.
 """
 
 from __future__ import annotations

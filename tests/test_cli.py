@@ -140,7 +140,19 @@ def test_lemma_suite_matching_count_witness(monkeypatch):
     }
 
 
-def test_lemma_suite_weight_invariance_witness(monkeypatch):
+@pytest.fixture(params=["cold", "kept"])
+def partition_store(request):
+    """The orbit partitions before a test's faults are patched in: none
+    kept, or every partition up to n = 4 kept by two earlier lemma reports.
+    A witness that differs between the two would show that something taken
+    from `sign` or `weight` was kept with the partitions."""
+    matchings._forget_partitions()
+    if request.param == "kept":
+        assert lemma_report(n_max=4)["passed"] and lemma_report(n_max=4)["passed"]
+        assert set(matchings._KEPT) == {(n, k) for n in range(1, 5) for k in range(n + 1)}
+
+
+def test_lemma_suite_weight_invariance_witness(partition_store, monkeypatch):
     real = matchings.weight
     # adds the column of the first edge, which a flip moves
     monkeypatch.setattr(
@@ -157,7 +169,7 @@ def test_lemma_suite_weight_invariance_witness(monkeypatch):
     }
 
 
-def test_lemma_suite_sign_flip_law_witness(monkeypatch):
+def test_lemma_suite_sign_flip_law_witness(partition_store, monkeypatch):
     # a sign that ignores crossings breaks the law first at an odd separation
     monkeypatch.setattr(matchings, "sign", lambda m: 1)
     assert _failed_witnesses(lemma_report(n_max=4)) == {
@@ -195,7 +207,7 @@ def test_lemma_suite_missing_flip_image_fails_flip_checks(monkeypatch):
     real = matchings.partition_into_orbits
 
     def dropping(n, k):
-        orbits = real(n, k)
+        orbits = list(real(n, k))  # a copy: the real partition may be kept and shared
         if (n, k) == (2, 1):
             o = orbits[1]
             assert [m.edges for m in o.members] == [((1, 2),), ((2, 1),)]

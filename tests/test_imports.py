@@ -1,6 +1,7 @@
-"""Guard on start-up: each command loads only the modules it runs, and only
-`peakon` and `wave` import numpy.  Every case runs in a fresh interpreter,
-since this process has long since imported the whole package."""
+"""Guard on start-up: each command loads only the modules it runs, only
+`peakon` and `wave` import numpy, and a one-shot command keeps no orbit
+partition.  Every case runs in a fresh interpreter, since this process has
+long since imported the whole package."""
 
 import json
 import os
@@ -71,3 +72,25 @@ def test_peakon_loads_the_peakon_module(tmp_path):
     got = _loaded(["peakon", "--state", str(state), "--t-end", "0.01", "--out", os.devnull])
     assert got["code"] == 0 and got["numpy"]
     assert "canadaday.peakon" in got["modules"]
+
+
+# Runs one command through main() and prints what the orbit store holds.
+KEPT_CHILD = """
+import json, os, sys
+import canadaday.cli
+code = canadaday.cli.main(sys.argv[1:] + ["--out", os.devnull])
+from canadaday import matchings
+print(json.dumps({
+    "code": code, "asked": len(matchings._ASKED), "kept": len(matchings._KEPT),
+}))
+"""
+
+
+def test_one_shot_lemma_suite_keeps_no_partition():
+    run = subprocess.run(
+        [sys.executable, "-c", KEPT_CHILD, "verify-lemmas", "--n", "4"],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
+    )
+    assert run.returncode == 0, run.stderr
+    # every M_{n,k} with n <= 4 asked for once, and none kept
+    assert json.loads(run.stdout) == {"code": 0, "asked": 14, "kept": 0}

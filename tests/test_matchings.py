@@ -275,7 +275,14 @@ def test_flipped_orbit_members_carry_their_traced_clusters():
                     assert carried == _union_find_clusters(fresh)
 
 
-def test_partition_seeds_equal_validated_matchings(monkeypatch):
+@pytest.fixture
+def cold_partitions():
+    """No partition kept: the next request for each (n, k) builds it, so a
+    test can count what the build does."""
+    matchings._forget_partitions()
+
+
+def test_partition_seeds_equal_validated_matchings(cold_partitions, monkeypatch):
     # Each orbit grows from an unvalidated seed built from _edge_tuples;
     # before its trace it must hold what Matching(n, edges) holds, and its
     # clusters must equal a fresh trace of that validated construction.
@@ -319,7 +326,7 @@ def test_flip_picks_the_cluster_by_identity(monkeypatch):
     assert [flip(Matching(m.n, m.edges), i, j).edges for m, i, j in cases] == images
 
 
-def test_partition_traces_one_member_per_orbit(monkeypatch):
+def test_partition_traces_one_member_per_orbit(cold_partitions, monkeypatch):
     traced = _count_traces(monkeypatch)
     orbits = partition_into_orbits(5, 3)
     assert max(len(o.members) for o in orbits) == 4  # members from composed flips
@@ -329,7 +336,7 @@ def test_partition_traces_one_member_per_orbit(monkeypatch):
     assert len(traced) == len(orbits)
 
 
-def test_partition_builds_members_without_flips(monkeypatch):
+def test_partition_builds_members_without_flips(cold_partitions, monkeypatch):
     flipped = []
     real = matchings.flip
     monkeypatch.setattr(
@@ -509,8 +516,51 @@ def test_partition_into_orbits_size_guard_checked_first(monkeypatch):
         raise AssertionError("enumerated matchings past the size guard")
 
     monkeypatch.setattr(matchings, "enumerate_matchings", refuse)
+    monkeypatch.setattr(matchings, "_edge_tuples", refuse)
+    monkeypatch.setattr(matchings, "_KEPT", _Unread())
+    monkeypatch.setattr(matchings, "_ASKED", _Unread())
     with pytest.raises(ValueError, match="exceeds the guard 12"):
         partition_into_orbits(13, 1)
+    with pytest.raises(ValueError, match="over the cap MAX_WALK"):
+        partition_into_orbits(12, 6)
+
+
+class _Unread:
+    """A partition store that fails any lookup or update."""
+
+    def _touched(self, *args):
+        raise AssertionError("partition store looked up")
+
+    get = add = __contains__ = __setitem__ = _touched
+
+
+def test_partition_kept_from_the_second_request(cold_partitions):
+    first = partition_into_orbits(4, 2)
+    assert type(first) is tuple and matchings._KEPT == {}
+    second = partition_into_orbits(4, 2)
+    assert second == first and second is not first
+    assert matchings._KEPT == {(4, 2): second}
+    third = partition_into_orbits(4, 2)
+    assert third is second
+    # another size starts its own count
+    assert partition_into_orbits(4, 3) is not partition_into_orbits(4, 3)
+    assert set(matchings._KEPT) == {(4, 2), (4, 3)}
+
+
+def test_kept_partition_carries_traced_clusters(cold_partitions, monkeypatch):
+    partition_into_orbits(3, 2)
+    kept = partition_into_orbits(3, 2)
+    traced = _count_traces(monkeypatch)
+    assert partition_into_orbits(3, 2) is kept
+    assert all(decompose_clusters(member) for o in kept for member in o.members)
+    assert traced == []
+
+
+def test_kept_partition_refuses_a_bool_size(cold_partitions):
+    partition_into_orbits(1, 1)
+    partition_into_orbits(1, 1)
+    with pytest.raises(ValueError, match="an index must be an integer, got True"):
+        partition_into_orbits(True, 1)
 
 
 def test_classify_orbit_examples():
