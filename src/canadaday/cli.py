@@ -236,7 +236,9 @@ def _lemmas(a) -> dict:
 
 def _orbit_audit(a) -> dict:
     from .matchings import orbit_audit
+    from .minor_sums import check_entry_bits
 
+    check_entry_bits(a.bound, "the entry bound")
     if a.matrix is None:
         x = random_symmetric(a.n, child_seed(a.seed, a.n, 0), a.bound)
     else:

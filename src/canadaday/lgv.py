@@ -25,7 +25,7 @@ from .exact_linalg import (
     minor_levels,
     t_matrix,
 )
-from .minor_sums import check_size_guard, check_walk, t_minor_formula
+from .minor_sums import check_size_guard, check_walk, kept, t_minor_formula
 
 __all__ = [
     "LayeredNetwork",
@@ -168,31 +168,49 @@ def audit_table(n: int) -> list[dict]:
     of T (rows J, cols I), and the backtracking path-family count.  The
     minors are read from one pass of T's minor table (`minor_levels`).
     `agree` compares the exact values; the table shows them as integers.
-    Refuses, before any work, more than MAX_WALK rows."""
+    Refuses, before any work or lookup, more than MAX_WALK rows.
+
+    The three values depend on n alone, so they are `kept` from the second
+    request for an n on, as immutable tuples; each call builds fresh rows
+    from them and compares the values again."""
     check_size_guard(n)
     # sum of C(n,k)^2 over k = 1..n, by Vandermonde
     check_walk(comb(2 * n, n) - 1, f"table rows at n={n}")
+    n = as_index(n)  # a bool must not find the kept n = 1
+    return [
+        {
+            "k": k,
+            "I": list(I),
+            "J": list(J),
+            "formula_value": int(formula),
+            "det_value": int(det_value),
+            "lgv_count": lgv_count,
+            "agree": formula == det_value == lgv_count,
+        }
+        for k, I, J, formula, det_value, lgv_count in kept(("t_minors", n), lambda: _t_minors(n))
+    ]
+
+
+def _t_minors(n: int) -> tuple[tuple, ...]:
+    """(k, I, J, closed form, minor of T, path-family count) of every row of
+    `audit_table(n)`, in its order."""
     net = build_network(n)
-    table = []
+    rows = []
     for level in minor_levels(t_matrix(n)):
         subsets = list(k_subsets(n, level.k))
         for col, I in enumerate(subsets):
             for row, J in enumerate(subsets):
-                formula = t_minor_formula(I, J)
-                det_value = Fraction(level.scaled[row][col], level.scale)
-                lgv_count = count_disjoint_families(net, J, I)
-                table.append(
-                    {
-                        "k": level.k,
-                        "I": list(I.elems),
-                        "J": list(J.elems),
-                        "formula_value": int(formula),
-                        "det_value": int(det_value),
-                        "lgv_count": lgv_count,
-                        "agree": formula == det_value == lgv_count,
-                    }
+                rows.append(
+                    (
+                        level.k,
+                        I.elems,
+                        J.elems,
+                        t_minor_formula(I, J),
+                        Fraction(level.scaled[row][col], level.scale),
+                        count_disjoint_families(net, J, I),
+                    )
                 )
-    return table
+    return tuple(rows)
 
 
 def audit(n: int) -> dict:

@@ -11,6 +11,9 @@ verify-theorem campaign walks each matrix's table once for all its k.  The
 principal sums of T@X are (-1)^k c_k(TX), from its Berkowitz characteristic
 polynomial, so a fault in the table cannot make all three agree.  The
 tests check both routes against an independent Bareiss minor.
+
+The size guard, the walk and entry caps, and `kept`, the one store of
+results that depend on a size alone, serve every exhaustive route.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, islice
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar
 
 from .exact_linalg import (
     DimensionError,
@@ -39,10 +42,12 @@ from .exact_linalg import (
 )
 
 __all__ = [
+    "MAX_ENTRY_BITS",
     "MAX_WALK",
     "SIZE_GUARD",
     "CanadaDayReport",
     "SymmetryError",
+    "check_entry_bits",
     "check_size_guard",
     "check_walk",
     "interlacing_sum",
@@ -68,6 +73,13 @@ SIZE_GUARD = 12
 # Xeon VM (orbit-audit n=8 k=4, verify-lemmas --n 7, lgv-audit --n 10), so
 # the cap is about 9 s.
 MAX_WALK = 250_000
+
+# An entry bound, or a matrix entry's numerator or denominator, of more
+# bits than this is refused.  The minor-table walk grows with the entry
+# bits: verify-theorem --n 12 --trials 1, the largest one-matrix campaign
+# under SIZE_GUARD, took 10.4 s and 100 MB at bound 9, 15.4 s and 188 MB
+# at 64 bits and 36 s and 426 MB at 256 bits (same VM as MAX_WALK).
+MAX_ENTRY_BITS = 64
 
 
 class SymmetryError(ValueError):
@@ -95,6 +107,52 @@ def check_walk(count: int, what: str) -> None:
     Every exhaustive walk calls this before any of its work."""
     if count > MAX_WALK:
         raise ValueError(f"{count} {what}, over the cap MAX_WALK = {MAX_WALK}")
+
+
+def check_entry_bits(value: int, what: str) -> None:
+    """Refuse an entry bound, numerator or denominator, named by `what`, of
+    more than MAX_ENTRY_BITS bits.  Every command that takes one calls this
+    before any of its work."""
+    bits = abs(value).bit_length()
+    if bits > MAX_ENTRY_BITS:
+        raise ValueError(
+            f"{what} has {bits} bits, over the cap MAX_ENTRY_BITS = {MAX_ENTRY_BITS}"
+        )
+
+
+_V = TypeVar("_V")
+
+# What `kept` keeps for the rest of the process, by key; a key asked for
+# once so far maps to _ASKED_ONCE.
+_STORE: dict[Hashable, object] = {}
+_ASKED_ONCE = object()
+
+
+def kept(key: Hashable, build: Callable[[], _V]) -> _V:
+    """`build()`, which must not be None, kept for the rest of the process
+    from the second request for `key` on; every later request returns that
+    same object.
+
+    For results that depend on their size alone, such as the flip-orbit
+    partition of M_{n,k} or the T-minor table at n, never on a matrix X.  A
+    first request only notes the key, so a one-shot `python -m canadaday`
+    run, which asks for each size once, keeps nothing; a process that
+    repeats a size builds it twice and then never.  Callers check their
+    size and walk caps first, so what is kept is bounded by the sizes asked
+    for twice.  Two threads may each build the same result; both are equal,
+    and either may be kept.
+    """
+    value = _STORE.get(key)
+    if value is None or value is _ASKED_ONCE:
+        fresh = build()
+        _STORE[key] = _ASKED_ONCE if value is None else fresh
+        return fresh
+    return value
+
+
+def _forget() -> None:
+    """Empty the store of `kept`, as at process start."""
+    _STORE.clear()
 
 
 def is_interlacing(I: IndexSet, J: IndexSet) -> bool:
@@ -249,6 +307,7 @@ def theorem_campaign(
     hold; the all-minors sum is reported so witnesses of its failure are
     visible."""
     check_size_guard(n_max)
+    check_entry_bits(bound, "the entry bound")
     gen = random_matrix if asymmetric else random_symmetric
     cells = []
     witnesses = []

@@ -89,7 +89,7 @@ def test_lemma_suite_corrupt_sign_hook():
     assert failed[0]["witness"]["matching"]["edges"]
 
 
-def test_lemma_suite_t_minor_witness_is_failing_audit_row(monkeypatch):
+def test_lemma_suite_t_minor_witness_is_failing_audit_row(empty_store, monkeypatch):
     real_levels = lgv.minor_levels
 
     def shifted_levels(m):
@@ -125,7 +125,7 @@ def _failed_witnesses(doc):
     return {c["name"]: c["witness"] for c in doc["checks"] if not c["passed"]}
 
 
-def test_lemma_suite_matching_count_witness(monkeypatch):
+def test_lemma_suite_matching_count_witness(empty_store, monkeypatch):
     real = lemmas.enumerate_matchings
 
     def dropping(n, k):
@@ -140,16 +140,45 @@ def test_lemma_suite_matching_count_witness(monkeypatch):
     }
 
 
+def _kept_keys() -> set:
+    return {key for key, v in minor_sums._STORE.items() if v is not minor_sums._ASKED_ONCE}
+
+
+# What two lemma reports up to n = 4 keep: each orbit partition (with its
+# orbits' signs and flip images), each enumeration count and each T table.
+KEPT_BY_TWO_REPORTS = {
+    *(("partition", n, k) for n in range(1, 5) for k in range(n + 1)),
+    *(("enumerated", n, k) for n in range(1, 5) for k in range(n + 1)),
+    *(("t_minors", n) for n in range(1, 5)),
+}
+
+
+def _fill_store():
+    minor_sums._forget()
+    assert lemma_report(n_max=4)["passed"] and lemma_report(n_max=4)["passed"]
+    assert _kept_keys() == KEPT_BY_TWO_REPORTS
+
+
 @pytest.fixture(params=["cold", "kept"])
-def partition_store(request):
-    """The orbit partitions before a test's faults are patched in: none
-    kept, or every partition up to n = 4 kept by two earlier lemma reports.
-    A witness that differs between the two would show that something taken
-    from `sign` or `weight` was kept with the partitions."""
-    matchings._forget_partitions()
+def partition_store(request, empty_store):
+    """The store of size-only results before a weight fault is patched in:
+    empty, or filled up to n = 4 by two earlier lemma reports.  The store
+    keeps nothing that depends on X, so a weight fault must give the same
+    witness either way."""
     if request.param == "kept":
-        assert lemma_report(n_max=4)["passed"] and lemma_report(n_max=4)["passed"]
-        assert set(matchings._KEPT) == {(n, k) for n in range(1, 5) for k in range(n + 1)}
+        _fill_store()
+
+
+@pytest.fixture(params=["cold", "kept"])
+def emptied_store(request, empty_store):
+    """An empty store before a sign, flip, enumeration or T-table fault is
+    patched in, which the store would otherwise hand back unpatched: empty
+    from the start, or filled up to n = 4 by two lemma reports and then
+    emptied.  Either way every kept result is built afresh, under the
+    fault."""
+    if request.param == "kept":
+        _fill_store()
+        minor_sums._forget()
 
 
 def test_lemma_suite_weight_invariance_witness(partition_store, monkeypatch):
@@ -169,7 +198,7 @@ def test_lemma_suite_weight_invariance_witness(partition_store, monkeypatch):
     }
 
 
-def test_lemma_suite_sign_flip_law_witness(partition_store, monkeypatch):
+def test_lemma_suite_sign_flip_law_witness(emptied_store, monkeypatch):
     # a sign that ignores crossings breaks the law first at an odd separation
     monkeypatch.setattr(matchings, "sign", lambda m: 1)
     assert _failed_witnesses(lemma_report(n_max=4)) == {
@@ -232,7 +261,7 @@ def test_lemma_suite_missing_flip_image_fails_flip_checks(monkeypatch):
     }
 
 
-def test_lemma_suite_work_counts(monkeypatch):
+def test_lemma_suite_work_counts(empty_store, monkeypatch):
     # brute force, before anything is wrapped: every matching of n <= 4, and
     # the least generator f_ij of each of its open clusters
     all_matchings = [
@@ -261,7 +290,7 @@ def test_lemma_suite_work_counts(monkeypatch):
     counting(lemmas, "orbit_sum_identity", lambda x, k: (x.rows, k))
     counting(lemmas, "enumerate_matchings", lambda n, k: (n, k))
     counting(lemmas, "random_symmetric", lambda n, seed, bound: n)
-    counting(lemmas, "flip", lambda m, i, j: (m.n, m.edges, (i, j)))
+    counting(matchings, "flip", lambda m, i, j: (m.n, m.edges, (i, j)))
     counting(matchings, "sign", lambda m: (m.n, m.edges))
     counting(matchings, "weight", lambda m, x: (m.n, m.edges))
     assert lemma_report(n_max=4)["passed"]
@@ -279,42 +308,56 @@ def test_lemma_suite_work_counts(monkeypatch):
     assert made("flip") == Counter(least_generators)
 
 
-def test_lemma_suite_walks_each_matching_set_once(monkeypatch):
-    walked = Counter()
-    real_enumerate = lemmas.enumerate_matchings
-
-    def counting_enumerate(n, k):
-        walked[n, k] += 1
-        return real_enumerate(n, k)
-
+def test_lemma_suite_walks_each_matching_set_once(empty_store, monkeypatch):
     # brute force, before `flip` is wrapped: the generators i < j that move
     # each k-edge matching, k >= 1
     acting = {
         (m.edges, n, i, j)
         for n in range(1, 4)
         for k in range(1, n + 1)
-        for m in real_enumerate(n, k)
+        for m in matchings.enumerate_matchings(n, k)
         for i, j in combinations(range(1, n + 1), 2)
         if matchings.flip(m, i, j) != m
     }
     assert len(acting) == 26
 
-    flipped = Counter()
-    real_flip = lemmas.flip
+    walked, flipped, t_tables, x_tables = Counter(), Counter(), Counter(), Counter()
 
-    def counting_flip(m, i, j):
-        flipped[m.edges, m.n, i, j] += 1
-        return real_flip(m, i, j)
+    def counting(module, name, counter, key):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(lemmas, "enumerate_matchings", counting_enumerate)
-    monkeypatch.setattr(lemmas, "flip", counting_flip)
-    assert lemma_report(n_max=3)["passed"]
+        def wrapper(*args):
+            counter[key(*args)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(lemmas, "enumerate_matchings", walked, lambda n, k: (n, k))
+    counting(matchings, "flip", flipped, lambda m, i, j: (m.edges, m.n, i, j))
+    # lgv takes minor tables of T only, minor_sums those of X only
+    counting(lgv, "minor_levels", t_tables, lambda m: m.rows)
+    counting(minor_sums, "minor_levels", x_tables, lambda m: m.rows)
+
+    def run():
+        for counter in (walked, flipped, t_tables, x_tables):
+            counter.clear()
+        assert lemma_report(n_max=3)["passed"]
+        return Counter(walked), Counter(flipped), Counter(t_tables), Counter(x_tables)
+
+    first = run()
     assert walked == Counter({(n, k): 1 for n in range(1, 4) for k in range(n + 1)})
     # at most one flip per acting generator of each k-edge matching, and
     # every matching that some generator moves is flipped
     assert set(flipped.values()) == {1}
     assert set(flipped) <= acting
     assert {key[:2] for key in flipped} == {key[:2] for key in acting}
+    assert t_tables == Counter({1: 1, 2: 1, 3: 1})
+    # one table of X per k >= 1
+    assert x_tables == Counter({1: 1, 2: 2, 3: 3})
+    # the second run asks for each size again, builds it as the first did,
+    # and keeps it; the third takes every size-only input from the store
+    assert run() == first
+    assert run() == (Counter(), Counter(), Counter(), first[3])
 
 
 @settings(max_examples=100, deadline=None)
@@ -954,8 +997,11 @@ BIG_BOUND = "9" * 2500
         ),
     ],
 )
-def test_main_renders_exact_values_past_the_int_digit_limit(tmp_path, argv, x, fmt):
-    # the 2x2 minor of x has more digits than str() renders by default
+def test_main_renders_exact_values_past_the_int_digit_limit(monkeypatch, tmp_path, argv, x, fmt):
+    # the 2x2 minor of x has more digits than str() renders by default; such
+    # entries are past MAX_ENTRY_BITS, so the cap is raised to reach the
+    # renderer (the cap itself is tested below)
+    monkeypatch.setattr(minor_sums, "MAX_ENTRY_BITS", 10_000)
     mat, out = tmp_path / "x.json", tmp_path / "out"
     if "MATRIX" in argv:
         mat.write_text(json.dumps(matrix_to_json_dict(x)))
@@ -975,6 +1021,72 @@ def test_main_renders_exact_values_past_the_int_digit_limit(tmp_path, argv, x, f
     else:
         (cell,) = [c for c in doc["cells"] if c["k"] == 2]
         assert cell["principal_of_TX"] == cell["all_of_X"] == cell["interlacing_S"] == det
+
+
+OVER_CAP = str(2**64)  # 65 bits
+AT_CAP = str(2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv,entry",
+    [
+        (["verify-theorem", "--n", "8", "--k", "4", "--trials", "1", "--bound", OVER_CAP], None),
+        (["verify-theorem", "--n", "8", "--bound", "-" + OVER_CAP], None),
+        (["verify-lemmas", "--n", "4", "--bound", OVER_CAP], None),
+        (["orbit-audit", "--n", "5", "--k", "3", "--bound", OVER_CAP], None),
+        (["orbit-audit", "--n", "2", "--k", "2"], OVER_CAP),
+        (["orbit-audit", "--n", "2", "--k", "2"], "-" + OVER_CAP),
+        (["orbit-audit", "--n", "2", "--k", "2"], "1/" + OVER_CAP),
+    ],
+    ids=["verify-theorem", "verify-theorem-negative", "verify-lemmas", "orbit-audit-bound",
+         "orbit-audit-numerator", "orbit-audit-negative", "orbit-audit-denominator"],
+)
+def test_main_refuses_entries_past_the_bit_cap_before_any_work(
+    monkeypatch, capsys, tmp_path, argv, entry
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("did work before checking the entry bits")
+
+    for name in ("minor_sums.random_symmetric", "minor_sums.random_matrix",
+                 "minor_sums.minor_levels", "lemmas.random_symmetric", "lemmas.audit_table",
+                 "cli.random_symmetric", "matchings.orbit_sum_identity"):
+        monkeypatch.setattr(f"canadaday.{name}", refuse)
+    if entry is not None:
+        mat = tmp_path / "x.json"
+        mat.write_text(_matrix_doc([[entry, "1"], ["1", "2"]]))
+        argv = argv + ["--matrix", str(mat)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has 65 bits, over the cap MAX_ENTRY_BITS = 64" in captured.err
+
+
+def test_a_4300_digit_bound_exits_2_at_once():
+    # this run took 22.9 s before the cap; in a child, so that a slow run is
+    # a timeout rather than a stuck suite
+    cmd = [sys.executable, "-m", "canadaday", "verify-theorem", "--n", "8", "--k", "4",
+           "--trials", "1", "--bound", "9" * 4300]
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=10, env=CHILD_ENV)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == "error: the entry bound has 14285 bits, over the cap MAX_ENTRY_BITS = 64\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-theorem", "--n", "2", "--trials", "2", "--bound", AT_CAP],
+     ["verify-lemmas", "--n", "2", "--bound", AT_CAP],
+     ["orbit-audit", "--n", "2", "--k", "2", "--bound", AT_CAP]],
+    ids=["verify-theorem", "verify-lemmas", "orbit-audit"],
+)
+def test_main_takes_entries_at_the_bit_cap(argv):
+    assert main(argv + ["--out", os.devnull]) == 0
+
+
+def test_orbit_audit_takes_matrix_entries_at_the_bit_cap(tmp_path):
+    mat = tmp_path / "x.json"
+    mat.write_text(_matrix_doc([["-" + AT_CAP, "1/" + AT_CAP], ["1/" + AT_CAP, "2"]]))
+    argv = ["orbit-audit", "--n", "2", "--k", "2", "--matrix", str(mat), "--out", os.devnull]
+    assert main(argv) == 0
 
 
 def test_json_output_is_deterministic(tmp_path):

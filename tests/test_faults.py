@@ -12,6 +12,7 @@ import pytest
 
 from canadaday import exact_linalg, lgv, matchings, minor_sums, peakon
 from canadaday.cli import main
+from canadaday.lemmas import lemma_report
 from canadaday.exact_linalg import MinorLevel, k_subsets, random_symmetric
 from canadaday.minor_sums import is_interlacing
 from oracles import minor, permutation_sign
@@ -41,11 +42,16 @@ def _swap_off_interlacing(levels):
         yield level
 
 
-@pytest.fixture
-def swapped_minors(monkeypatch):
+def _swap_minors(monkeypatch):
     real = exact_linalg.minor_levels
     for module in (minor_sums, lgv):
         monkeypatch.setattr(module, "minor_levels", lambda m: _swap_off_interlacing(real(m)))
+
+
+@pytest.fixture
+def swapped_minors(empty_store, monkeypatch):
+    """Row 1, from an empty store, so that every T table is built under it."""
+    _swap_minors(monkeypatch)
 
 
 def _run(capsys, argv):
@@ -96,7 +102,13 @@ def test_verify_theorem_fails_on_swapped_minors(swapped_minors, capsys):
 
 
 @pytest.fixture
-def negated_orbit(monkeypatch):
+def negated_orbit(empty_store, monkeypatch):
+    """Row 2, from an empty store, so that every orbit takes its signs
+    under it; the patched matchings, as (n, edges)."""
+    return _negate_orbits(monkeypatch)
+
+
+def _negate_orbits(monkeypatch):
     """Patch `matchings.sign` to negate every member of the first
     non-interlacing orbit of each M_{n,k}, n <= 5; the patched matchings,
     as (n, edges)."""
@@ -133,6 +145,47 @@ def test_negated_orbit_signs_disagree_with_permutation_parity(negated_orbit):
 def test_commands_fail_on_a_negated_orbit(negated_orbit, capsys, argv):
     code, _ = _run(capsys, argv)
     assert code == 1
+
+
+@pytest.fixture
+def filled_then_emptied(empty_store):
+    """The store filled up to n = 4 by two lemma reports, then emptied."""
+    assert lemma_report(4)["passed"] and lemma_report(4)["passed"]
+    assert minor_sums._STORE[("t_minors", 4)] is not minor_sums._ASKED_ONCE
+    assert all(o.signs for o in minor_sums._STORE[("partition", 4, 2)])
+    minor_sums._forget()
+
+
+def test_swapped_minors_after_the_store_was_filled_and_emptied(
+    filled_then_emptied, monkeypatch, capsys
+):
+    _swap_minors(monkeypatch)
+    code, doc = _run(capsys, ["verify-lemmas", "--n", "4"])
+    assert code == 1
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["t_minor_three_way"]
+    code, doc = _run(capsys, ["lgv-audit", "--n", "5"])
+    assert code == 1
+    assert [row["k"] for row in doc["table"] if not row["agree"]] == [2, 2, 3, 3]
+    # survives, as the strict xfail above records
+    assert _run(capsys, ["verify-theorem", "--n", "6", "--trials", "5"])[0] == 0
+
+
+def test_negated_orbit_after_the_store_was_filled_and_emptied(
+    filled_then_emptied, monkeypatch, capsys
+):
+    negated = _negate_orbits(monkeypatch)
+    # survives, as the strict xfails above record
+    assert _run(capsys, ["verify-lemmas", "--n", "4"])[0] == 0
+    code, doc = _run(capsys, ["orbit-audit", "--n", "5", "--k", "3"])
+    assert code == 0
+    # the report carries the negated signs: the fault reached the command
+    seen = [
+        (sg, permutation_sign(matchings.Matching(5, tuple(map(tuple, m["edges"])))))
+        for o in doc["orbits"]
+        for m, sg in zip(o["members"], o["signs"])
+        if (5, tuple(map(tuple, m["edges"]))) in negated
+    ]
+    assert len(seen) == 4 and all(sg == -parity for sg, parity in seen)
 
 
 # Rows 3-5: `peakon._rhs` changed, on the 6-peakon golden state at

@@ -1,7 +1,7 @@
 """Guard on start-up: each command loads only the modules it runs, only
-`peakon` and `wave` import numpy, and a one-shot command keeps no orbit
-partition.  Every case runs in a fresh interpreter, since this process has
-long since imported the whole package."""
+`peakon` and `wave` import numpy, and a one-shot command keeps nothing in
+the store of size-only results.  Every case runs in a fresh interpreter,
+since this process has long since imported the whole package."""
 
 import json
 import os
@@ -74,14 +74,19 @@ def test_peakon_loads_the_peakon_module(tmp_path):
     assert "canadaday.peakon" in got["modules"]
 
 
-# Runs one command through main() and prints what the orbit store holds.
+# Runs one command through main() and prints what the store of size-only
+# results holds: the sizes asked for once, by kind, and how many are kept.
 KEPT_CHILD = """
 import json, os, sys
+from collections import Counter
 import canadaday.cli
 code = canadaday.cli.main(sys.argv[1:] + ["--out", os.devnull])
-from canadaday import matchings
+from canadaday import minor_sums
+store = minor_sums._STORE
 print(json.dumps({
-    "code": code, "asked": len(matchings._ASKED), "kept": len(matchings._KEPT),
+    "code": code,
+    "asked": Counter(key[0] for key, v in store.items() if v is minor_sums._ASKED_ONCE),
+    "kept": sum(v is not minor_sums._ASKED_ONCE for v in store.values()),
 }))
 """
 
@@ -92,5 +97,8 @@ def test_one_shot_lemma_suite_keeps_no_partition():
         capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert run.returncode == 0, run.stderr
-    # every M_{n,k} with n <= 4 asked for once, and none kept
-    assert json.loads(run.stdout) == {"code": 0, "asked": 14, "kept": 0}
+    # every M_{n,k} with n <= 4 partitioned and counted once, every T table
+    # up to n = 4 built once, and nothing kept
+    assert json.loads(run.stdout) == {
+        "code": 0, "asked": {"partition": 14, "enumerated": 14, "t_minors": 4}, "kept": 0,
+    }

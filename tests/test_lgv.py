@@ -164,7 +164,7 @@ def test_audit_table():
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_audit_table_walks_paths_once_per_source_and_minors_once(monkeypatch, n):
+def test_audit_table_walks_paths_once_per_source_and_minors_once(empty_store, monkeypatch, n):
     calls = Counter()
     for name in ("_paths_from", "minor_levels"):
 
@@ -177,7 +177,7 @@ def test_audit_table_walks_paths_once_per_source_and_minors_once(monkeypatch, n)
     assert calls == {"_paths_from": n, "minor_levels": 1}
 
 
-def test_audit_table_compares_exact_values(monkeypatch):
+def test_audit_table_compares_exact_values(empty_store, monkeypatch):
     # |T_{(2),(1)}| = 2; a determinant of 5/2 must not truncate into agreement
     real_levels = lgv.minor_levels
 

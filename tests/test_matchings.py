@@ -17,7 +17,7 @@ from canadaday.exact_linalg import (
     random_symmetric,
     t_matrix,
 )
-from canadaday import lemmas, matchings
+from canadaday import lemmas, matchings, minor_sums
 from canadaday.matchings import (
     Cluster,
     Matching,
@@ -276,10 +276,9 @@ def test_flipped_orbit_members_carry_their_traced_clusters():
 
 
 @pytest.fixture
-def cold_partitions():
+def cold_partitions(empty_store):
     """No partition kept: the next request for each (n, k) builds it, so a
     test can count what the build does."""
-    matchings._forget_partitions()
 
 
 def test_partition_seeds_equal_validated_matchings(cold_partitions, monkeypatch):
@@ -380,7 +379,7 @@ def test_clusters_traced_once_per_instance(monkeypatch):
     assert len(traced) == 2
 
 
-def test_sign_flip_law_suite_traces_each_instance_at_most_once(monkeypatch):
+def test_sign_flip_law_suite_traces_each_instance_at_most_once(empty_store, monkeypatch):
     traced = _count_traces(monkeypatch)
     assert list(lemmas._failures(3, 42, 9, False)) == []
     # the list keeps every traced instance alive, so ids are not reused
@@ -517,8 +516,7 @@ def test_partition_into_orbits_size_guard_checked_first(monkeypatch):
 
     monkeypatch.setattr(matchings, "enumerate_matchings", refuse)
     monkeypatch.setattr(matchings, "_edge_tuples", refuse)
-    monkeypatch.setattr(matchings, "_KEPT", _Unread())
-    monkeypatch.setattr(matchings, "_ASKED", _Unread())
+    monkeypatch.setattr(minor_sums, "_STORE", _Unread())
     with pytest.raises(ValueError, match="exceeds the guard 12"):
         partition_into_orbits(13, 1)
     with pytest.raises(ValueError, match="over the cap MAX_WALK"):
@@ -526,25 +524,42 @@ def test_partition_into_orbits_size_guard_checked_first(monkeypatch):
 
 
 class _Unread:
-    """A partition store that fails any lookup or update."""
+    """A store that fails any lookup or update."""
 
     def _touched(self, *args):
-        raise AssertionError("partition store looked up")
+        raise AssertionError("store looked up")
 
-    get = add = __contains__ = __setitem__ = _touched
+    get = __contains__ = __getitem__ = __setitem__ = _touched
+
+
+def _kept_keys() -> set:
+    return {key for key, v in minor_sums._STORE.items() if v is not minor_sums._ASKED_ONCE}
 
 
 def test_partition_kept_from_the_second_request(cold_partitions):
     first = partition_into_orbits(4, 2)
-    assert type(first) is tuple and matchings._KEPT == {}
+    assert type(first) is tuple and _kept_keys() == set()
     second = partition_into_orbits(4, 2)
     assert second == first and second is not first
-    assert matchings._KEPT == {(4, 2): second}
+    assert _kept_keys() == {("partition", 4, 2)}
     third = partition_into_orbits(4, 2)
     assert third is second
     # another size starts its own count
     assert partition_into_orbits(4, 3) is not partition_into_orbits(4, 3)
-    assert set(matchings._KEPT) == {(4, 2), (4, 3)}
+    assert _kept_keys() == {("partition", 4, 2), ("partition", 4, 3)}
+
+
+def test_kept_partition_carries_signs_and_flip_images(cold_partitions, monkeypatch):
+    partition_into_orbits(4, 2)
+    kept = partition_into_orbits(4, 2)
+    signs = [o.signs for o in kept]
+    images = [o.flip_images for o in kept]
+    for name in ("sign", "flip"):
+        monkeypatch.setattr(matchings, name, lambda *args: pytest.fail("taken again"))
+    again = partition_into_orbits(4, 2)
+    assert [o.signs for o in again] == signs and [o.flip_images for o in again] == images
+    # they are not fields: an orbit equals one built without them
+    assert kept[0] == Orbit(kept[0].members, kept[0].classification)
 
 
 def test_kept_partition_carries_traced_clusters(cold_partitions, monkeypatch):
@@ -700,7 +715,7 @@ def test_orbit_sum_identity_checks_orbit_sizes(monkeypatch):
     assert rep.failed_checks == ("orbit_sizes_match_p",)
 
 
-def test_orbit_sum_identity_checks_interlacing_orbits_have_one_sign(monkeypatch):
+def test_orbit_sum_identity_checks_interlacing_orbits_have_one_sign(empty_store, monkeypatch):
     # One member of an interlacing orbit gets its sign negated: its weight,
     # size and the partition still hold, so only the one-sign check fails.
     interlacing = Orbit(
