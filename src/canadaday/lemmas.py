@@ -76,8 +76,8 @@ def _failures(n_max: int, seed: int, bound: int, corrupt: bool):
                     "interlacing_S": exact_str(rep.interlacing_s),
                     "all_minors": exact_str(rep.all_minors),
                 }
-            for o, sgs, ws in zip(rep.orbits, rep.signs, rep.weights):
-                images = iter(o.flip_images)
+            for o, ws in zip(rep.orbits, rep.weights):
+                sgs, images = o.signs, iter(o.flip_images)
                 for m, sg, w in zip(o.members, sgs, ws):
                     for c in decompose_clusters(m):
                         if c.kind != "open":
@@ -110,9 +110,7 @@ def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[C
     """Every lemma checked exhaustively up to n_max, in report order, each
     with its first witness.  corrupt_sign falsifies one sign-law result, to
     show a failing witness."""
-    if n_max < 1:
-        raise ValueError(f"nothing to check: need n >= 1, got {n_max}")
-    check_size_guard(n_max)
+    n_max = check_size_guard(n_max)
     check_entry_bits(bound, "the entry bound")
     # Each M_{n,k} and T-minor table walked below is part of this walk, so
     # no inner walk is refused half done.

@@ -168,15 +168,14 @@ def audit_table(n: int) -> list[dict]:
     of T (rows J, cols I), and the backtracking path-family count.  The
     minors are read from one pass of T's minor table (`minor_levels`).
     `agree` compares the exact values; the table shows them as integers.
-    Refuses, before any work or lookup, more than MAX_WALK rows.
+    Refuses, before any work or lookup, n outside 1..SIZE_GUARD or over MAX_WALK rows.
 
     The three values depend on n alone, so they are `kept` from the second
     request for an n on, as immutable tuples; each call builds fresh rows
     from them and compares the values again."""
-    check_size_guard(n)
+    n = check_size_guard(n)
     # sum of C(n,k)^2 over k = 1..n, by Vandermonde
     check_walk(comb(2 * n, n) - 1, f"table rows at n={n}")
-    n = as_index(n)  # a bool must not find the kept n = 1
     return [
         {
             "k": k,

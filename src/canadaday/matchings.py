@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, permutations, product
+from itertools import combinations, compress, permutations, product
 from math import comb, factorial
 from typing import Iterator
 
@@ -27,7 +27,6 @@ from .exact_linalg import (
     Rational,
     as_index,
     exact_str,
-    k_subsets,
     matrix_to_json_dict,
 )
 from .minor_sums import (
@@ -38,7 +37,7 @@ from .minor_sums import (
     interlaces,
     kept,
     level_sums,
-    p_value,
+    p_of,
 )
 
 __all__ = [
@@ -118,12 +117,13 @@ def _check_k(n: int, k: int) -> None:
 
 def _edge_tuples(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """The edges of each matching of `enumerate_matchings`, in its order and
-    already sorted by left node, without building the Matching."""
+    already sorted by left node, from one list of plain k-subsets of 1..n."""
     _check_k(n, k)
-    for I in k_subsets(n, k):
-        for J in k_subsets(n, k):
-            for assignment in permutations(J.elems):
-                yield tuple(zip(I.elems, assignment))
+    subsets = list(combinations(range(1, n + 1), k))
+    for I in subsets:
+        for J in subsets:
+            for assignment in permutations(J):
+                yield tuple(zip(I, assignment))
 
 
 def sign(m: Matching) -> int:
@@ -347,15 +347,14 @@ def orbit(m: Matching) -> Orbit:
 class OrbitSumReport:
     """Orbit-by-orbit audit of the alternating matching sum for symmetric X.
 
-    `signs` and `weights` (one per member) and `orbit_sums` (signed sum of
-    the members) run parallel to `orbits`; `failed_checks` names the
-    properties of the orbit partition that do not hold.
+    `weights` (one per member, beside each orbit's own `signs`) and
+    `orbit_sums` (signed sum of the members) run parallel to `orbits`;
+    `failed_checks` names the orbit partition's properties that do not hold.
     """
 
     n: int
     k: int
     orbits: tuple[Orbit, ...]
-    signs: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[Rational, ...], ...]
     orbit_sums: tuple[Rational, ...]
     failed_checks: tuple[str, ...]
@@ -379,8 +378,8 @@ class OrbitSumReport:
 
 def partition_into_orbits(n: int, k: int) -> tuple[Orbit, ...]:
     """All of M_{n,k} grouped into flip-group orbits, in canonical order.
-    Refuses, before any enumeration or lookup, an M_{n,k} of more than
-    MAX_WALK matchings.
+    Refuses, before any enumeration or lookup, n outside 1..SIZE_GUARD and
+    an M_{n,k} of more than MAX_WALK matchings.
 
     The partition depends on (n, k) alone, so it is `kept` from the second
     request for an (n, k) on, and every later request returns that same
@@ -390,9 +389,8 @@ def partition_into_orbits(n: int, k: int) -> tuple[Orbit, ...]:
     the same (n, k) again, such as a benchmark worker or a test session,
     builds it twice and then never.
     """
-    check_size_guard(n)
+    n = check_size_guard(n)
     check_walk(matching_count(n, k), f"matchings in M_{{{n},{k}}}")
-    n = as_index(n)  # a bool must not find the kept n = 1
     return kept(("partition", n, k), lambda: _partition(n, k))
 
 
@@ -413,38 +411,28 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
     """Execute the orbit-sum proof on concrete data.
 
     Takes the flip orbits of M_{n,k} from `partition_into_orbits`, which
-    may hand back a kept partition, and reads each member's sign from its
-    orbit; each member's weight, the minor sums of X and every check below
-    are taken on every call.  Checks that the orbits partition M_{n,k}
-    (distinct members, C(n,k)^2 * k! in total), that each orbit has
-    2^p(I,J) members and constant weight, that interlacing orbits have a
-    single sign and that non-interlacing orbits are sign-balanced.  An
-    orbit whose weights are all equal, as checked, sums to that weight
-    times the sum of its signs; any other orbit is summed member by member.
-    The grand alternating sum is the sum of the orbit sums; it must equal S
-    and the sum of all k x k minors of X, both taken as 1 at k=0.
+    refuses n outside 1..SIZE_GUARD and may hand back a kept partition, and
+    each member's sign from its orbit; each weight, X's minor sums and every
+    check below are taken on every call.  Checks that the orbits partition
+    M_{n,k} (distinct members, C(n,k)^2 * k! in total), that each has 2^p
+    members (`p_of` its first member's row and column labels) and constant
+    weight, that interlacing orbits have one sign and that non-interlacing
+    orbits are sign-balanced.  An orbit of equal weights, as checked, sums
+    to that weight times the sum of its signs; any other is summed member
+    by member.  The grand sum of the orbit sums must equal S and the sum of
+    all k x k minors of X, both 1 at k=0.
     """
     if not x.is_square():
         raise DimensionError(f"need a square matrix, got {x.rows}x{x.cols}")
     if not x.is_symmetric():
         raise SymmetryError("orbit sum identity needs a symmetric matrix")
     n = x.rows
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     orbits = partition_into_orbits(n, k)
     if k == 0:
         s = all_minors = Fraction(1)  # the single empty pair contributes the empty minor
     else:
         sums = level_sums(x, k)
         s, all_minors = sums.interlacing, sums.all
-
-    # p(I, J) of a matching's row and column sets, on these k-subsets,
-    # validated once.
-    subsets = {s.elems: s for s in k_subsets(n, k)}
-
-    def p(m: Matching) -> int:
-        rows, cols = tuple(i for i, _ in m.edges), tuple(sorted(j for _, j in m.edges))
-        return p_value(subsets[rows], subsets[cols])
 
     weights = tuple(tuple(weight(m, x) for m in o.members) for o in orbits)
     signs = tuple(o.signs for o in orbits)
@@ -460,7 +448,11 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         "orbits_partition_matchings": len({m.edges for o in orbits for m in o.members})
         == sum(len(o.members) for o in orbits)
         == matching_count(n, k),
-        "orbit_sizes_match_p": all(len(o.members) == 2 ** p(o.members[0]) for o in orbits),
+        "orbit_sizes_match_p": all(
+            len(o.members) == 2 ** p_of([i for i, _ in m.edges], [j for _, j in m.edges])
+            for o in orbits
+            for m in o.members[:1]
+        ),
         "weight_constant_on_orbits": all(constant),
         "interlacing_orbits_uniform_sign": all(
             len(set(sgs)) == 1 for sgs in compress(signs, interlacing)
@@ -474,7 +466,6 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         n=n,
         k=k,
         orbits=orbits,
-        signs=signs,
         weights=weights,
         orbit_sums=orbit_sums,
         failed_checks=tuple(name for name, ok in checks.items() if not ok),
@@ -506,12 +497,12 @@ def orbit_audit(x: ExactMatrix, k: int) -> dict:
             {
                 "classification": o.classification,
                 "members": [m.to_json_dict() for m in o.members],
-                "signs": list(sgs),
+                "signs": list(o.signs),
                 "separations": [[c.separation for c in decompose_clusters(m)] for m in o.members],
                 "weights": [exact_str(w) for w in ws],
                 "orbit_sum": exact_str(total),
             }
-            for o, sgs, ws, total in zip(rep.orbits, rep.signs, rep.weights, rep.orbit_sums)
+            for o, ws, total in zip(rep.orbits, rep.weights, rep.orbit_sums)
         ],
         "totals": {
             "matching_sum": exact_str(rep.matching_sum),

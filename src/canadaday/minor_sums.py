@@ -31,6 +31,7 @@ from .exact_linalg import (
     IndexSet,
     MinorLevel,
     Rational,
+    as_index,
     child_seed,
     exact_str,
     integer_char_poly,
@@ -95,11 +96,15 @@ def _check_pair(I: IndexSet, J: IndexSet) -> None:
         raise DimensionError(f"index sets have different ambient sizes {I.n} and {J.n}")
 
 
-def check_size_guard(n: int) -> None:
-    """Refuse work at size n past SIZE_GUARD.  Every exhaustive route calls
-    this before any of its work."""
+def check_size_guard(n: int) -> int:
+    """`as_index(n)`, refused unless 1 <= n <= SIZE_GUARD: the one size gate.
+    Every exhaustive route calls it before any work, then uses its value."""
+    n = as_index(n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n > SIZE_GUARD:
         raise ValueError(f"n={n} exceeds the guard {SIZE_GUARD}")
+    return n
 
 
 def check_walk(count: int, what: str) -> None:
@@ -172,10 +177,15 @@ def interlaces(I: Sequence[int], J: Sequence[int]) -> bool:
     return True
 
 
+def p_of(I: Sequence[int], J: Sequence[int]) -> int:
+    """p(I, J) = k - |I intersect J| on two sequences of k labels, unchecked."""
+    return len(I) - len(set(I).intersection(J))
+
+
 def p_value(I: IndexSet, J: IndexSet) -> int:
-    """p(I, J) = k - |I intersect J|, the number of elements I and J do not share."""
+    """`p_of` two checked index sets: the number of elements they do not share."""
     _check_pair(I, J)
-    return len(I) - len(set(I.elems) & set(J.elems))
+    return p_of(I.elems, J.elems)
 
 
 def t_minor_formula(I: IndexSet, J: IndexSet) -> Rational:
@@ -193,7 +203,7 @@ def _interlacing_ranks(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     rank of J, p(I, J)) with ranks in `combinations` order, I first."""
     subsets = list(combinations(range(n), k))
     return tuple(
-        (r, c, k - len(set(I).intersection(J)))
+        (r, c, p_of(I, J))
         for r, I in enumerate(subsets)
         for c, J in enumerate(subsets)
         if interlaces(I, J)
@@ -306,7 +316,7 @@ def theorem_campaign(
     asymmetric mode only the principal-of-TX vs S equality is required to
     hold; the all-minors sum is reported so witnesses of its failure are
     visible."""
-    check_size_guard(n_max)
+    n_max = check_size_guard(n_max)
     check_entry_bits(bound, "the entry bound")
     gen = random_matrix if asymmetric else random_symmetric
     cells = []

@@ -86,7 +86,8 @@ class PeakonState:
         return self.x.size
 
     def is_ordered(self) -> bool:
-        return bool(np.all(np.diff(self.x) > 0))
+        # compared, not subtracted: a difference of finite positions can overflow
+        return bool(np.all(self.x[1:] > self.x[:-1]))
 
     def validate_initial(self) -> None:
         """Initial states must be finite, with strictly increasing positions

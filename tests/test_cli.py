@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -486,6 +487,69 @@ def test_main_campaign_size_guard_checked_first(monkeypatch, capsys, argv, heavy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the guard 12" in captured.err
+
+
+# What each exhaustive route does after its size gate: any call refuses.
+_AFTER_THE_GATE = [
+    "minor_sums.check_entry_bits", "minor_sums.random_symmetric", "minor_sums.random_matrix",
+    "minor_sums.minor_levels", "lemmas.check_entry_bits", "lemmas.check_walk", "lemmas.kept",
+    "lemmas.audit_table", "lemmas.orbit_sum_identity", "matchings.check_walk", "matchings.kept",
+    "matchings._edge_tuples", "lgv.check_walk", "lgv.kept", "lgv.build_network",
+]
+
+
+def _refuse_work_after_the_gate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("did work before the size gate")
+
+    for name in _AFTER_THE_GATE:
+        monkeypatch.setattr(f"canadaday.{name}", refuse)
+
+
+@pytest.mark.parametrize("command", ["verify-theorem", "verify-lemmas", "lgv-audit"])
+@pytest.mark.parametrize(
+    "n,message",
+    [("0", "n must be >= 1, got 0"), ("-2", "n must be >= 1, got -2"),
+     ("13", "n=13 exceeds the guard 12")],
+)
+def test_main_size_gate_refuses_before_any_work(monkeypatch, capsys, command, n, message):
+    _refuse_work_after_the_gate(monkeypatch)
+    assert main([command, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda n: theorem_campaign(n, trials=1),
+        lambda n: lemmas.lemma_suite(n, 42, 9, False),
+        lambda n: matchings.partition_into_orbits(n, 1),
+        lgv.audit_table,
+    ],
+    ids=["theorem_campaign", "lemma_suite", "partition_into_orbits", "audit_table"],
+)
+@pytest.mark.parametrize(
+    "n,message",
+    [(True, "an index must be an integer, got True"),
+     (1.5, "an index must be an integer, got 1.5"),
+     (0, "n must be >= 1, got 0"),
+     (13, "n=13 exceeds the guard 12")],
+)
+def test_size_gate_refuses_before_any_work(monkeypatch, route, n, message):
+    _refuse_work_after_the_gate(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        route(n)
+    assert str(refused.value) == message
+
+
+def test_size_gate_returns_the_int_of_a_numpy_int():
+    n = minor_sums.check_size_guard(np.int64(3))
+    assert type(n) is int and n == 3
+    doc = theorem_campaign(np.int64(2), trials=1)
+    assert type(doc["config"]["n_max"]) is int
+    assert doc == theorem_campaign(2, trials=1)
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from canadaday.minor_sums import (
     SymmetryError,
     interlacing_sum,
     is_interlacing,
+    p_of,
     p_value,
     sum_all_minors,
 )
@@ -710,9 +711,21 @@ def test_orbit_sum_identity_detects_a_repeated_orbit(monkeypatch):
 
 
 def test_orbit_sum_identity_checks_orbit_sizes(monkeypatch):
-    monkeypatch.setattr(matchings, "p_value", lambda I, J: p_value(I, J) + 1)
+    monkeypatch.setattr(matchings, "p_of", lambda I, J: p_of(I, J) + 1)
     rep = orbit_sum_identity(random_symmetric(3, 57, 9), 2)
     assert rep.failed_checks == ("orbit_sizes_match_p",)
+
+
+def test_orbit_sum_identity_builds_no_index_set(empty_store, monkeypatch):
+    # The walk and the orbit checks run on plain label tuples: on the first
+    # request (nothing kept), the second (kept after) and the third (kept).
+    def refuse(self):
+        raise AssertionError("built a validated IndexSet")
+
+    monkeypatch.setattr(IndexSet, "__post_init__", refuse)
+    x = random_symmetric(4, 3, 9)
+    for k in [*range(5)] * 3:
+        assert orbit_sum_identity(x, k).all_checks_pass
 
 
 def test_orbit_sum_identity_checks_interlacing_orbits_have_one_sign(empty_store, monkeypatch):
@@ -726,7 +739,7 @@ def test_orbit_sum_identity_checks_interlacing_orbits_have_one_sign(empty_store,
     monkeypatch.setattr(matchings, "sign", lambda m: -sign(m) if m == flipped else sign(m))
     rep = orbit_sum_identity(random_symmetric(3, 59, 9), 2)
     assert rep.failed_checks == ("interlacing_orbits_uniform_sign",)
-    assert set(rep.signs[rep.orbits.index(interlacing)]) == {1, -1}
+    assert set(rep.orbits[rep.orbits.index(interlacing)].signs) == {1, -1}
 
 
 def test_orbit_sum_identity_sums_unequal_weights_member_by_member(monkeypatch):
@@ -742,7 +755,7 @@ def test_orbit_sum_identity_sums_unequal_weights_member_by_member(monkeypatch):
     rep = orbit_sum_identity(x, 2)
     assert "weight_constant_on_orbits" in rep.failed_checks
     at = rep.orbits.index(target)
-    sgs, ws = rep.signs[at], rep.weights[at]
+    sgs, ws = rep.orbits[at].signs, rep.weights[at]
     assert ws == tuple(weight(m, x) + (m is odd) for m in target.members)
     assert rep.orbit_sums[at] == sum(sg * w for sg, w in zip(sgs, ws)) == sgs[0]
 

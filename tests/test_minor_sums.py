@@ -174,6 +174,14 @@ def test_size_guard_and_override(monkeypatch):
     assert built == [1]  # only the level asked for is built
 
 
+def test_walk_cap_admits_max_walk_and_refuses_one_more():
+    cap = minor_sums.MAX_WALK
+    minor_sums.check_walk(cap, "items")
+    with pytest.raises(ValueError) as refused:
+        minor_sums.check_walk(cap + 1, "items")
+    assert str(refused.value) == f"{cap + 1} items, over the cap MAX_WALK = {cap}"
+
+
 def _bareiss_sums(m, k):
     """Principal of TX, all of X and S, one Bareiss minor per index pair."""
     n = m.rows

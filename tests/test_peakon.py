@@ -245,6 +245,17 @@ def test_load_state_round_trips_finite_numbers(tmp_path_factory, doc):
     assert s.t == float(doc.get("t", 0.0))
 
 
+def test_load_state_takes_positions_whose_difference_overflows(tmp_path):
+    # 1.7e308 - (-1.7e308) is past the float range; the order check must
+    # compare the positions, with no overflow warning (an error in tier-1).
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"x": [-1.7e308, 1.7e308], "m": [1.0, 1.0]}))
+    assert load_state(str(path)).x.tolist() == [-1.7e308, 1.7e308]
+    path.write_text(json.dumps({"x": [1.7e308, -1.7e308], "m": [1.0, 1.0]}))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        load_state(str(path))
+
+
 _NOT_A_FINITE_NUMBER = st.one_of(
     st.booleans(),
     st.text(max_size=3),
