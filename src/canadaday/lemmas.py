@@ -4,7 +4,9 @@ its first witness.
 The suite splits as the paper's proof does.  The flip orbits of each
 M_{n,k}, every matching's sign and every flip image, the T-minor tables
 and the count of an enumeration of M_{n,k} depend on the size alone; the
-seeded matrix X enters only through the weights.  The size-only inputs are
+seeded matrix X enters only through the weights, which the orbit-sum
+report holds as ints over d**k (d the lcm of X's denominators), so every
+weight comparison below is one of ints.  The size-only inputs are
 `kept` from the second request for a size on, the orbit data on the kept
 partition itself, so a process that runs the suite again, such as a
 benchmark worker or a test session, builds them twice and then never.  A
@@ -50,7 +52,7 @@ def _failures(n_max: int, seed: int, bound: int, corrupt: bool):
     The flip checks take each member once per open cluster, through the
     cluster's least generator f_ij, whose image the orbit holds in
     `flip_images`: the image must be a member of the same orbit, with the
-    same weight and sign * (-1)^separation.  An image missing from the
+    same scaled weight and sign * (-1)^separation.  An image missing from the
     orbit fails both checks.  matching_count counts `enumerate_matchings`
     apart from the orbits, so a lost matching is caught even where orbit
     closure would regenerate it."""

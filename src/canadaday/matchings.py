@@ -8,6 +8,11 @@ clusters; flipping an open cluster (reversing all its edges) generates an
 action of (Z/2)^C(n,2) whose orbit structure is what makes the sum of all
 minors collapse onto interlacing pairs: non-interlacing orbits are
 sign-balanced and cancel, interlacing orbits contribute 2^p equal terms.
+
+The orbit-sum report runs in Python ints, as the minor table does: X is
+scaled once to integers over the lcm d of its denominators, each member's
+weight is the int product of its k scaled entries over d**k, and only the
+three totals become rationals.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, permutations, product
 from math import comb, factorial
-from typing import Iterator
+from operator import mul
+from typing import Iterator, Sequence
 
 from .exact_linalg import (
     DimensionError,
@@ -28,6 +34,7 @@ from .exact_linalg import (
     as_index,
     exact_str,
     matrix_to_json_dict,
+    scaled_to_integers,
 )
 from .minor_sums import (
     SymmetryError,
@@ -53,8 +60,8 @@ __all__ = [
     "orbit_audit",
     "orbit_sum_identity",
     "partition_into_orbits",
+    "scaled_weight",
     "sign",
-    "weight",
 ]
 
 
@@ -110,9 +117,12 @@ def matching_count(n: int, k: int) -> int:
     return comb(n, k) ** 2 * factorial(k)
 
 
-def _check_k(n: int, k: int) -> None:
+def _check_k(n: int, k: int) -> int:
+    """`as_index(k)`, refused unless 0 <= k <= n."""
+    k = as_index(k)
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
+    return k
 
 
 def _edge_tuples(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -141,17 +151,14 @@ def sign(m: Matching) -> int:
     return -1 if crossings % 2 else 1
 
 
-def weight(m: Matching, x: ExactMatrix) -> Rational:
-    """Product of the matrix entries along the matching's edges."""
-    if m.n > x.rows or m.n > x.cols:
-        raise DimensionError(f"matching on n={m.n} does not fit a {x.rows}x{x.cols} matrix")
-    entries, cols = x.entries, x.cols
-    num = den = 1
+def scaled_weight(m: Matching, rows: Sequence[Sequence[int]]) -> int:
+    """Product of the entries of d*X along the matching's edges, for `rows`
+    the integer rows of d*X from `scaled_to_integers`: d**k times the
+    matching's weight, the product of the entries of X."""
+    w = 1
     for i, j in m.edges:
-        e = entries[(i - 1) * cols + j - 1]
-        num *= e.numerator
-        den *= e.denominator
-    return Fraction(num, den)
+        w *= rows[i - 1][j - 1]
+    return w
 
 
 @dataclass(frozen=True)
@@ -348,15 +355,19 @@ class OrbitSumReport:
     """Orbit-by-orbit audit of the alternating matching sum for symmetric X.
 
     `weights` (one per member, beside each orbit's own `signs`) and
-    `orbit_sums` (signed sum of the members) run parallel to `orbits`;
-    `failed_checks` names the orbit partition's properties that do not hold.
+    `orbit_sums` (signed sum of the members) run parallel to `orbits`, as
+    ints over `scale` = d**k for d the lcm of the denominators of X, as a
+    `MinorLevel` holds its minors; `failed_checks` names the orbit
+    partition's properties that do not hold.  The three totals are exact
+    rationals.
     """
 
     n: int
     k: int
     orbits: tuple[Orbit, ...]
-    weights: tuple[tuple[Rational, ...], ...]
-    orbit_sums: tuple[Rational, ...]
+    scale: int
+    weights: tuple[tuple[int, ...], ...]
+    orbit_sums: tuple[int, ...]
     failed_checks: tuple[str, ...]
     interlacing_orbit_sum: Rational
     non_interlacing_orbit_sum: Rational
@@ -390,6 +401,7 @@ def partition_into_orbits(n: int, k: int) -> tuple[Orbit, ...]:
     builds it twice and then never.
     """
     n = check_size_guard(n)
+    k = _check_k(n, k)
     check_walk(matching_count(n, k), f"matchings in M_{{{n},{k}}}")
     return kept(("partition", n, k), lambda: _partition(n, k))
 
@@ -413,7 +425,10 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
     Takes the flip orbits of M_{n,k} from `partition_into_orbits`, which
     refuses n outside 1..SIZE_GUARD and may hand back a kept partition, and
     each member's sign from its orbit; each weight, X's minor sums and every
-    check below are taken on every call.  Checks that the orbits partition
+    check below are taken on every call.  X is scaled once to integers over
+    the lcm d of its denominators, so each weight is the int
+    `scaled_weight` over d**k and every sum below is a sum of ints; only the
+    three totals become rationals.  Checks that the orbits partition
     M_{n,k} (distinct members, C(n,k)^2 * k! in total), that each has 2^p
     members (`p_of` its first member's row and column labels) and constant
     weight, that interlacing orbits have one sign and that non-interlacing
@@ -426,7 +441,7 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         raise DimensionError(f"need a square matrix, got {x.rows}x{x.cols}")
     if not x.is_symmetric():
         raise SymmetryError("orbit sum identity needs a symmetric matrix")
-    n = x.rows
+    n, k = x.rows, as_index(k)
     orbits = partition_into_orbits(n, k)
     if k == 0:
         s = all_minors = Fraction(1)  # the single empty pair contributes the empty minor
@@ -434,12 +449,13 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         sums = level_sums(x, k)
         s, all_minors = sums.interlacing, sums.all
 
-    weights = tuple(tuple(weight(m, x) for m in o.members) for o in orbits)
+    d, rows = scaled_to_integers(x)
+    scale = d**k
+    weights = tuple(tuple(scaled_weight(m, rows) for m in o.members) for o in orbits)
     signs = tuple(o.signs for o in orbits)
-    # By equality: a set would hash every Fraction, a modular inverse each.
-    constant = tuple(all(w == ws[0] for w in ws) for ws in weights)
+    constant = tuple(ws.count(ws[0]) == len(ws) for ws in weights)
     orbit_sums = tuple(
-        ws[0] * sum(sgs) if same else sum((sg * w for sg, w in zip(sgs, ws)), Fraction(0))
+        ws[0] * sum(sgs) if same else sum(map(mul, sgs, ws))
         for sgs, ws, same in zip(signs, weights, constant)
     )
     interlacing = tuple(o.classification == "interlacing" for o in orbits)
@@ -466,11 +482,12 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         n=n,
         k=k,
         orbits=orbits,
+        scale=scale,
         weights=weights,
         orbit_sums=orbit_sums,
         failed_checks=tuple(name for name, ok in checks.items() if not ok),
-        interlacing_orbit_sum=sum(compress(orbit_sums, interlacing), Fraction(0)),
-        non_interlacing_orbit_sum=sum(compress(orbit_sums, non_interlacing), Fraction(0)),
+        interlacing_orbit_sum=Fraction(sum(compress(orbit_sums, interlacing)), scale),
+        non_interlacing_orbit_sum=Fraction(sum(compress(orbit_sums, non_interlacing)), scale),
         interlacing_s=s,
         all_minors=all_minors,
     )
@@ -482,25 +499,34 @@ def orbit_audit(x: ExactMatrix, k: int) -> dict:
     the totals of the orbit-sum argument.  Passes when every orbit property
     holds and the grand sum equals both S and the sum of all k x k minors of
     X.  Refuses, before any work, an entry of X whose numerator or
-    denominator has more than MAX_ENTRY_BITS bits."""
+    denominator has more than MAX_ENTRY_BITS bits.
+
+    Each distinct scaled weight or orbit sum is rendered once per call; a
+    member's edges and an orbit's signs go into the report as the tuples
+    they are, which the JSON renderer writes as lists."""
     for v in x.entries:
         check_entry_bits(v.numerator, "a matrix entry's numerator")
         check_entry_bits(v.denominator, "a matrix entry's denominator")
     rep = orbit_sum_identity(x, k)
+    scale = rep.scale
+    text = {
+        v: exact_str(Fraction(v, scale))
+        for v in {w for ws in rep.weights for w in ws}.union(rep.orbit_sums)
+    }
     return {
         "command": "orbit-audit",
         "n": rep.n,
-        "k": k,
+        "k": rep.k,
         "matrix": matrix_to_json_dict(x),
         "orbit_count": len(rep.orbits),
         "orbits": [
             {
                 "classification": o.classification,
-                "members": [m.to_json_dict() for m in o.members],
-                "signs": list(o.signs),
+                "members": [{"n": m.n, "edges": m.edges} for m in o.members],
+                "signs": o.signs,
                 "separations": [[c.separation for c in decompose_clusters(m)] for m in o.members],
-                "weights": [exact_str(w) for w in ws],
-                "orbit_sum": exact_str(total),
+                "weights": [text[w] for w in ws],
+                "orbit_sum": text[total],
             }
             for o, ws, total in zip(rep.orbits, rep.weights, rep.orbit_sums)
         ],

@@ -229,6 +229,7 @@ def level_sums(m: ExactMatrix, k: int) -> _Sums:
     square matrix m, from one walk of its minor table up to level k."""
     if not m.is_square():
         raise DimensionError(f"need a square matrix, got {m.rows}x{m.cols}")
+    k = as_index(k)
     if not 1 <= k <= m.rows:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={m.rows}")
     check_size_guard(m.rows)
@@ -312,7 +313,8 @@ def theorem_campaign(
 ) -> dict:
     """The verify-theorem report: the three sums over the (n, trial, k)
     grid with seeded random matrices, from one walk of each matrix's minor
-    table up to the grid's largest k and one char poly of its T@X.  In
+    table up to the grid's largest k and one char poly of its T@X.  Passes
+    only when every cell holds and the cells cover the whole grid.  In
     asymmetric mode only the principal-of-TX vs S equality is required to
     hold; the all-minors sum is reported so witnesses of its failure are
     visible."""
@@ -342,6 +344,8 @@ def theorem_campaign(
                     )
     if not cells:
         raise ValueError("no (n, k) cell to check: need n >= 1, trials >= 1 and 1 <= k <= n")
+    # The grid in closed form: a minor table that stops short drops cells.
+    grid = trials * sum(n if k is None else k <= n for n in range(1, n_max + 1))
     return {
         "command": "verify-theorem",
         "config": {
@@ -352,7 +356,7 @@ def theorem_campaign(
             "bound": bound,
             "asymmetric": asymmetric,
         },
-        "passed": not witnesses,
+        "passed": not witnesses and len(cells) == grid,
         "cell_count": len(cells),
         "part_b_inequality_count": sum(1 for c in cells if not c["all_equal"]),
         "cells": cells,

@@ -7,9 +7,11 @@ constants of motion up to n = 8, the exact H_k of a float peakon state, the
 peakon right-hand side in 50-digit decimals, and the canonical
 sign-reversing involution that pairs the members of non-interlacing
 orbits, and the sign of a matching by the inversions of its permutation,
-which checks `matchings.sign`'s crossing count.  Also the identity, transpose, product and 1-based entry of an
-`ExactMatrix`, which only the tests need, and `str` with no limit on int
-digits, the reference for exact values rendered past that limit."""
+which checks `matchings.sign`'s crossing count, and the weight of a
+matching in Fractions, which checks `matchings.scaled_weight`.  Also the
+identity, transpose, product and 1-based entry of an `ExactMatrix`, which
+only the tests need, and `str` with no limit on int digits, the reference
+for exact values rendered past that limit."""
 
 import sys
 from decimal import Decimal, localcontext
@@ -27,7 +29,7 @@ from canadaday.exact_linalg import (
     char_poly,
     t_matrix,
 )
-from canadaday.matchings import Cluster, Matching, decompose_clusters, flip, sign, weight
+from canadaday.matchings import Cluster, Matching, decompose_clusters, flip, sign
 
 
 def identity(n: int) -> ExactMatrix:
@@ -121,6 +123,20 @@ def str_without_digit_limit(v) -> str:
         return str(v)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def weight(m: Matching, x: ExactMatrix) -> Rational:
+    """Product of the matrix entries along the matching's edges, in
+    Fractions: the oracle of `matchings.scaled_weight` over d**k."""
+    if m.n > x.rows or m.n > x.cols:
+        raise DimensionError(f"matching on n={m.n} does not fit a {x.rows}x{x.cols} matrix")
+    entries, cols = x.entries, x.cols
+    num = den = 1
+    for i, j in m.edges:
+        e = entries[(i - 1) * cols + j - 1]
+        num *= e.numerator
+        den *= e.denominator
+    return Fraction(num, den)
 
 
 def minor_via_matchings(x: ExactMatrix, I: IndexSet, J: IndexSet) -> Rational:

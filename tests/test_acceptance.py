@@ -27,7 +27,6 @@ from canadaday.matchings import (
     flip,
     partition_into_orbits,
     sign,
-    weight,
 )
 from canadaday.minor_sums import (
     interlacing_sum,
@@ -39,7 +38,7 @@ from canadaday.minor_sums import (
     verify_canada_day,
 )
 from canadaday.peakon import PeakonState, simulate
-from oracles import matmul, minor
+from oracles import matmul, minor, weight
 
 TRIALS = 100
 BOUND = 9

@@ -183,10 +183,11 @@ def emptied_store(request, empty_store):
 
 
 def test_lemma_suite_weight_invariance_witness(partition_store, monkeypatch):
-    real = matchings.weight
-    # adds the column of the first edge, which a flip moves
+    real = matchings.scaled_weight
+    # adds the column of the first edge, which a flip moves; X has integer
+    # entries, so d = 1 and the scaled weight is the weight itself
     monkeypatch.setattr(
-        matchings, "weight", lambda m, x: real(m, x) + (m.edges[0][1] if m.k else 0)
+        matchings, "scaled_weight", lambda m, rows: real(m, rows) + (m.edges[0][1] if m.k else 0)
     )
     assert _failed_witnesses(lemma_report(n_max=3)) == {
         "weight_flip_invariance": {
@@ -215,9 +216,11 @@ def test_lemma_suite_sign_flip_law_witness(emptied_store, monkeypatch):
 
 
 def test_lemma_suite_weight_fault_and_corrupt_sign_keep_own_witnesses(monkeypatch):
-    real = matchings.weight
+    real = matchings.scaled_weight
     monkeypatch.setattr(
-        matchings, "weight", lambda m, x: real(m, x) + (m.edges[0][1] if m.k == 2 else 0)
+        matchings,
+        "scaled_weight",
+        lambda m, rows: real(m, rows) + (m.edges[0][1] if m.k == 2 else 0),
     )
     assert _failed_witnesses(lemma_report(n_max=3, corrupt_sign=True)) == {
         "weight_flip_invariance": {
@@ -293,7 +296,7 @@ def test_lemma_suite_work_counts(empty_store, monkeypatch):
     counting(lemmas, "random_symmetric", lambda n, seed, bound: n)
     counting(matchings, "flip", lambda m, i, j: (m.n, m.edges, (i, j)))
     counting(matchings, "sign", lambda m: (m.n, m.edges))
-    counting(matchings, "weight", lambda m, x: (m.n, m.edges))
+    counting(matchings, "scaled_weight", lambda m, rows: (m.n, m.edges))
     assert lemma_report(n_max=4)["passed"]
 
     def made(name):
@@ -304,7 +307,7 @@ def test_lemma_suite_work_counts(empty_store, monkeypatch):
     assert made("enumerate_matchings") == Counter(cells)
     assert made("random_symmetric") == Counter(range(1, 5))
     # each matching's sign and weight taken once, in the orbit-sum report
-    assert made("sign") == made("weight") == Counter((m.n, m.edges) for m in all_matchings)
+    assert made("sign") == made("scaled_weight") == Counter((m.n, m.edges) for m in all_matchings)
     # one flip per (member, open cluster)
     assert made("flip") == Counter(least_generators)
 
@@ -444,7 +447,7 @@ def test_orbit_audit_n2_k2():
 def test_orbit_audit_k0():
     doc = orbit_audit(random_symmetric(3, 1, 9), 0)
     assert doc["orbit_count"] == 1
-    assert doc["orbits"][0]["members"] == [{"n": 3, "edges": []}]
+    assert doc["orbits"][0]["members"] == [{"n": 3, "edges": ()}]
     assert doc["passed"]
 
 

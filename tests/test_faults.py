@@ -5,6 +5,7 @@ ROADMAP item meant to catch it, so it flips when that item lands."""
 
 import json
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -246,3 +247,17 @@ def test_peakon_fails_when_only_m_prime_is_negated(monkeypatch, capsys):
     assert doc["status"] == "collision"
     assert [d > doc["tol"] for d in doc["max_rel_drift"]] == [True] * 6
     assert max(row["identity_gap"] for row in doc["samples"]) > doc["tol"]
+
+
+# Row 6: `minor_sums.minor_levels` stops one level short, so every level
+# k = n is lost and each cell that is checked still holds; only the count
+# of cells against the closed-form grid sees the gap.
+
+
+def test_verify_theorem_fails_when_the_minor_table_stops_one_level_short(monkeypatch, capsys):
+    real = exact_linalg.minor_levels
+    monkeypatch.setattr(minor_sums, "minor_levels", lambda m: islice(real(m), m.rows - 1))
+    code, doc = _run(capsys, ["verify-theorem", "--n", "6", "--trials", "2"])
+    assert code == 1
+    assert doc["witnesses"] == []
+    assert doc["cell_count"] == 2 * (0 + 1 + 2 + 3 + 4 + 5)  # of 2 * (1 + 2 + ... + 6)

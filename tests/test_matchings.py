@@ -1,8 +1,10 @@
 import json
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from canadaday.exact_linalg import (
     ExactMatrix,
     IndexSet,
     k_subsets,
+    load_matrix,
     random_symmetric,
     t_matrix,
 )
@@ -27,20 +30,29 @@ from canadaday.matchings import (
     flip,
     matching_count,
     orbit,
+    orbit_audit,
     orbit_sum_identity,
     partition_into_orbits,
+    scaled_weight,
     sign,
-    weight,
 )
 from canadaday.minor_sums import (
     SymmetryError,
     interlacing_sum,
     is_interlacing,
+    level_sums,
     p_of,
     p_value,
     sum_all_minors,
 )
-from oracles import canonical_involution, entry, minor, minor_via_matchings, permutation_sign
+from oracles import (
+    canonical_involution,
+    entry,
+    minor,
+    minor_via_matchings,
+    permutation_sign,
+    weight,
+)
 
 # the n=8, k=7 worked matching used throughout the cluster examples
 TAU8 = Matching(8, ((1, 6), (2, 8), (3, 4), (4, 2), (5, 5), (6, 1), (8, 7)))
@@ -579,6 +591,76 @@ def test_kept_partition_refuses_a_bool_size(cold_partitions):
         partition_into_orbits(True, 1)
 
 
+@pytest.mark.parametrize("k", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "route",
+    [
+        level_sums,
+        lambda x, k: partition_into_orbits(x.rows, k),
+        lambda x, k: matching_count(x.rows, k),
+        orbit_sum_identity,
+        orbit_audit,
+    ],
+    ids=["level_sums", "partition_into_orbits", "matching_count", "orbit_sum_identity",
+         "orbit_audit"],
+)
+def test_orbit_routes_refuse_a_k_that_is_not_an_integer(empty_store, route, k):
+    # the store holds (3, 1) and (3, 2), which True and 2.0 would equal as keys
+    for kk in (1, 2, 1, 2):
+        partition_into_orbits(3, kk)
+    with pytest.raises(ValueError, match=re.escape(f"an index must be an integer, got {k!r}")):
+        route(random_symmetric(3, 1, 9), k)
+
+
+def test_orbit_routes_take_the_int_of_a_numpy_k():
+    x = random_symmetric(3, 1, 9)
+    assert type(orbit_sum_identity(x, np.int64(2)).k) is int
+    doc = orbit_audit(x, np.int64(2))
+    assert type(doc["k"]) is int
+    assert doc == orbit_audit(x, 2)
+
+
+def _rational_symmetric(n: int, seed: int) -> ExactMatrix:
+    """Seeded symmetric n x n matrix of p/q entries, |p| <= 9, 1 <= q <= 9,
+    with at least one entry that is not an integer."""
+    rng = random.Random(seed)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    rows[0][0] = Fraction(1, 2)
+    return ExactMatrix.from_rows(rows)
+
+
+GOLDEN_X = Path(__file__).parent / "golden" / "matrix_3x3_rational.json"
+RATIONAL_X = [
+    pytest.param(load_matrix(GOLDEN_X), id="golden"),
+    pytest.param(_rational_symmetric(4, 61), id="n4-seed61"),
+    pytest.param(_rational_symmetric(5, 62), id="n5-seed62"),
+]
+
+
+@pytest.mark.parametrize("x", RATIONAL_X)
+def test_orbit_sum_identity_scaled_route_on_rational_x(x):
+    # d > 1, so a wrong scale such as d**(k - 1) would change every weight
+    d = lcm(*(v.denominator for v in x.entries))
+    assert d > 1
+    for k in range(x.rows + 1):
+        rep = orbit_sum_identity(x, k)
+        assert rep.all_checks_pass
+        assert rep.scale == d**k
+        for o, ws, total in zip(rep.orbits, rep.weights, rep.orbit_sums):
+            assert all(type(w) is int for w in ws)
+            assert [Fraction(w, rep.scale) for w in ws] == [weight(m, x) for m in o.members]
+            assert total == sum(sg * w for sg, w in zip(o.signs, ws))
+        if k == 0:
+            assert rep.matching_sum == rep.interlacing_s == rep.all_minors == 1
+        else:
+            sums = level_sums(x, k)
+            assert rep.matching_sum == sums.interlacing == sums.all
+            assert (rep.interlacing_s, rep.all_minors) == (sums.interlacing, sums.all)
+
+
 def test_classify_orbit_examples():
     assert orbit(TAU8).classification == "interlacing"
     assert orbit(Matching(3, ((1, 3),))).classification == "interlacing"
@@ -677,7 +759,7 @@ def test_orbit_sum_identity_report_matches_direct_enumeration():
     assert rep.all_minors == sum_all_minors(x, 2)
     assert rep.orbits == tuple(partition_into_orbits(4, 2))
     for o, ws, total in zip(rep.orbits, rep.weights, rep.orbit_sums):
-        assert ws == tuple(weight(m, x) for m in o.members)
+        assert tuple(Fraction(w, rep.scale) for w in ws) == tuple(weight(m, x) for m in o.members)
         assert total == sum(sign(m) * w for m, w in zip(o.members, ws))
 
 
@@ -750,9 +832,10 @@ def test_orbit_sum_identity_sums_unequal_weights_member_by_member(monkeypatch):
     target = next(o for o in partition_into_orbits(4, 2) if o.classification == "non-interlacing")
     odd = target.members[0]
     monkeypatch.setattr(
-        matchings, "weight", lambda m, x: weight(m, x) + (m.edges == odd.edges)
+        matchings, "scaled_weight", lambda m, rows: scaled_weight(m, rows) + (m.edges == odd.edges)
     )
     rep = orbit_sum_identity(x, 2)
+    assert rep.scale == 1  # X has integer entries: the scaled weight is the weight
     assert "weight_constant_on_orbits" in rep.failed_checks
     at = rep.orbits.index(target)
     sgs, ws = rep.orbits[at].signs, rep.weights[at]
