@@ -31,6 +31,7 @@ from .exact_linalg import (
     IndexSet,
     MinorLevel,
     Rational,
+    SIZE_GUARD,
     as_index,
     child_seed,
     exact_str,
@@ -62,11 +63,6 @@ __all__ = [
     "theorem_campaign",
     "verify_canada_day",
 ]
-
-# Level k of the minor table holds C(n,k)^2 minors (853,776 at n=12,
-# k=6), and the orbit and path audits enumerate as many matchings and path
-# families; beyond this n they stop being desk-scale, so refuse.
-SIZE_GUARD = 12
 
 # An exhaustive walk refuses more items than this: the matchings of
 # orbit-audit's M_{n,k}, of verify-lemmas's every M_{n,k} with n <= n_max,
@@ -296,6 +292,7 @@ def verify_canada_day(m: ExactMatrix, k: int, *, allow_asymmetric: bool = False)
     all-minors identity presumes symmetry; the principal-of-TX vs S equality
     holds regardless and is exposed as `part_a_equal` on the report.
     """
+    k = as_index(k)
     # Refused before any minor is taken; level_sums refuses a non-square m.
     if m.is_square() and not allow_asymmetric and not m.is_symmetric():
         raise SymmetryError("matrix is not symmetric; pass allow_asymmetric=True to evaluate anyway")
@@ -319,6 +316,7 @@ def theorem_campaign(
     hold; the all-minors sum is reported so witnesses of its failure are
     visible."""
     n_max = check_size_guard(n_max)
+    k = None if k is None else as_index(k)
     check_entry_bits(bound, "the entry bound")
     gen = random_matrix if asymmetric else random_symmetric
     cells = []

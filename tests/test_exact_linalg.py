@@ -14,6 +14,7 @@ from canadaday.exact_linalg import (
     DimensionError,
     ExactMatrix,
     IndexSet,
+    _plan,
     as_index,
     char_poly,
     exact_str,
@@ -27,6 +28,7 @@ from canadaday.exact_linalg import (
     random_symmetric,
     t_matrix,
 )
+from canadaday.minor_sums import _interlacing_ranks
 from oracles import (
     determinant,
     entry,
@@ -150,6 +152,15 @@ def test_minor_levels_match_bareiss_on_every_pair(kind, n):
         "integer asymmetric": lambda: random_matrix(n, 1200 + n, 9),
         "rational": lambda: _rational_matrix(n, 1300 + n),
     }[kind]()
+    _assert_table_matches_bareiss(m)
+
+
+def test_minor_levels_match_bareiss_at_n7():
+    _assert_table_matches_bareiss(_rational_matrix(7, 1307))
+
+
+def _assert_table_matches_bareiss(m):
+    n = m.rows
     levels = list(minor_levels(m))
     assert [level.k for level in levels] == list(range(1, n + 1))
     for level in levels:
@@ -165,6 +176,25 @@ def test_minor_levels_scale_is_power_of_common_denominator():
     m = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
     assert [level.scale for level in minor_levels(m)] == [210, 210**2]
     assert [level.scale for level in minor_levels(t_matrix(3))] == [1, 1, 1]
+
+
+def test_minor_levels_n1():
+    (level,) = minor_levels(ExactMatrix.from_rows([[Fraction(-3, 4)]]))
+    assert (level.n, level.k, level.scale, level.scaled) == (1, 1, 4, ((-3,),))
+    # an itemgetter of one index returns a scalar; the plan's getters take n + 1
+    runs, cols = _plan(1, 1)
+    assert runs == ((0, (0,)),)
+    assert cols[0]((5, -5, 0)) == (5, 0)
+
+
+def test_the_plan_is_built_once_per_size_and_bounded_like_the_interlacing_pairs():
+    _plan.cache_clear()
+    for seed in range(3):
+        assert len(list(minor_levels(random_matrix(4, seed, 9)))) == 4
+    info = _plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 8, 4)
+    # one plan per (n, k) with 1 <= k <= n <= SIZE_GUARD
+    assert info.maxsize == _interlacing_ranks.cache_info().maxsize == 78
 
 
 def test_minor_levels_rejects_nonsquare():

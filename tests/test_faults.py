@@ -261,3 +261,47 @@ def test_verify_theorem_fails_when_the_minor_table_stops_one_level_short(monkeyp
     assert code == 1
     assert doc["witnesses"] == []
     assert doc["cell_count"] == 2 * (0 + 1 + 2 + 3 + 4 + 5)  # of 2 * (1 + 2 + ... + 6)
+
+
+# Row 7: the X-free plan of the minor table with one cofactor sign flipped
+# at level 2, so that the minors on the first column set {1, 2} are
+# permanents there and every level above is wrong.  verify-theorem takes the
+# principal sums of T@X from Berkowitz, not from the table, so the fast
+# engine is not its own oracle; Bareiss sees the fault too.
+
+
+@pytest.fixture
+def flipped_sign(empty_store, monkeypatch):
+    """Row 7, from an empty store, so that nothing built under it is kept."""
+    real = exact_linalg._plan
+
+    def plan(n, k):
+        runs, cols = real(n, k)
+        if k == 2:
+            first = cols[0]  # its weight at column 0 is -|X_{H, {2}}|
+            cols = (lambda ext: (-first(ext)[0], *first(ext)[1:]), *cols[1:])
+        return runs, cols
+
+    monkeypatch.setattr(exact_linalg, "_plan", plan)
+
+
+def test_bareiss_sees_the_flipped_sign(flipped_sign):
+    x = random_symmetric(4, 7, 9)
+    wrong = []
+    for level in minor_sums.minor_levels(x):
+        subsets = list(k_subsets(4, level.k))
+        for r, I in enumerate(subsets):
+            for c, J in enumerate(subsets):
+                if Fraction(level.scaled[r][c], level.scale) != minor(x, I, J):
+                    wrong.append((level.k, r, c))
+    assert [(r, c) for k, r, c in wrong if k == 2] == [(r, 0) for r in range(6)]
+    assert sorted({k for k, _, _ in wrong}) == [2, 3, 4]
+
+
+def test_verify_theorem_fails_on_a_flipped_sign(flipped_sign, capsys):
+    code, doc = _run(capsys, ["verify-theorem", "--n", "6", "--trials", "2"])
+    assert code == 1
+    assert doc["cell_count"] == 2 * (1 + 2 + 3 + 4 + 5 + 6)
+    # every witness is a level the fault reaches, and every n >= 2 has one
+    assert {w["k"] for w in doc["witnesses"]} == {2, 3, 4, 5, 6}
+    assert {w["n"] for w in doc["witnesses"]} == {2, 3, 4, 5, 6}

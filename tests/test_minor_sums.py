@@ -1,9 +1,11 @@
 import gc
 import json
+import re
 import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from canadaday import minor_sums
@@ -391,6 +393,27 @@ def test_kn_specialization_det_tx_equals_det_x():
     for seed in range(5):
         m = random_matrix(5, 600 + seed, 9)
         assert determinant(matmul(t_matrix(5), m)) == determinant(m)
+
+
+@pytest.mark.parametrize("k", [True, 2.0])
+@pytest.mark.parametrize(
+    "route",
+    [lambda k: theorem_campaign(3, k=k, trials=1), lambda k: verify_canada_day(PRIMES_X, k)],
+    ids=["theorem_campaign", "verify_canada_day"],
+)
+def test_theorem_routes_refuse_a_k_that_is_not_an_integer(route, k):
+    # True would check the k = 1 cells and 2.0 fail inside islice
+    with pytest.raises(ValueError, match=re.escape(f"an index must be an integer, got {k!r}")):
+        route(k)
+
+
+def test_theorem_routes_take_the_int_of_a_numpy_k():
+    d = verify_canada_day(PRIMES_X, np.int64(2)).to_json_dict()
+    assert type(d["k"]) is int
+    assert json.dumps(d) == json.dumps(verify_canada_day(PRIMES_X, 2).to_json_dict())
+    doc = theorem_campaign(3, k=np.int64(2), trials=1)
+    assert type(doc["config"]["k"]) is int
+    assert json.dumps(doc) == json.dumps(theorem_campaign(3, k=2, trials=1))
 
 
 def test_report_json_schema():

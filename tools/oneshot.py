@@ -29,6 +29,7 @@ COMMANDS = [
     ["orbit-audit", "--n", "5", "--k", "3", "--format", "json"],
     ["verify-lemmas", "--n", "6"],
     ["verify-theorem", "--n", "6", "--trials", "1"],
+    ["verify-theorem", "--n", "10", "--trials", "1"],
     ["lgv-audit", "--n", "8"],
 ]
 
