@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact_linalg import child_seed, exact_str, random_symmetric
+from .exact_linalg import as_index, child_seed, exact_str, random_symmetric
 from .lgv import audit_table
-from .matchings import decompose_clusters, enumerate_matchings, matching_count, orbit_sum_identity
+from .matchings import enumerate_matchings, matching_count, orbit_sum_identity
 from .minor_sums import check_entry_bits, check_size_guard, check_walk, kept
 
 __all__ = ["Check", "lemma_report", "lemma_suite"]
@@ -50,9 +50,9 @@ def _failures(n_max: int, seed: int, bound: int, corrupt: bool):
     the T-minor tables, then the orbit-sum report of each (n, k).
 
     The flip checks take each member once per open cluster, through the
-    cluster's least generator f_ij, whose image the orbit holds in
-    `flip_images`: the image must be a member of the same orbit, with the
-    same scaled weight and sign * (-1)^separation.  An image missing from the
+    cluster's least generator f_ij, whose image the orbit's `flips` names:
+    the image must be a member of the same orbit, with the same scaled
+    weight and sign * (-1)^separation.  An image missing from the
     orbit fails both checks.  matching_count counts `enumerate_matchings`
     apart from the orbits, so a lost matching is caught even where orbit
     closure would regenerate it."""
@@ -79,41 +79,35 @@ def _failures(n_max: int, seed: int, bound: int, corrupt: bool):
                     "all_minors": exact_str(rep.all_minors),
                 }
             for o, ws in zip(rep.orbits, rep.weights):
-                sgs, images = o.signs, iter(o.flip_images)
-                for m, sg, w in zip(o.members, sgs, ws):
-                    for c in decompose_clusters(m):
-                        if c.kind != "open":
-                            continue
-                        r = next(images)
-                        if r is None or ws[r] != w:
-                            i, j = c.least_generator
-                            yield "weight_flip_invariance", {
-                                "n": n, "matching": m.to_json_dict(), "i": i, "j": j,
-                            }
-                        holds = r is not None and sgs[r] == sg * (-1) ** c.separation
-                        if corrupt:
-                            # Self-test hook: falsify one result to prove the
-                            # harness surfaces a witness.
-                            holds, corrupt = not holds, False
+                sgs = o.signs
+                for r, c, image in o.flips():
+                    invariant = image is not None and ws[image] == ws[r]
+                    holds = image is not None and sgs[image] == sgs[r] * (-1) ** c.separation
+                    if corrupt:
+                        # Self-test hook: falsify one result to prove the
+                        # harness surfaces a witness.
+                        holds, corrupt = not holds, False
+                    if not (invariant and holds):
+                        i, j = c.least_generator
+                        at = {"n": n, "matching": o.members[r].to_json_dict(), "i": i, "j": j}
+                        if not invariant:
+                            yield "weight_flip_invariance", at
                         if not holds:
-                            i, j = c.least_generator
-                            yield "sign_flip_law", {
-                                "n": n,
-                                "matching": m.to_json_dict(),
-                                "i": i,
-                                "j": j,
-                                "separation": c.separation,
-                            }
+                            yield "sign_flip_law", {**at, "separation": c.separation}
     if corrupt:
         raise ValueError(f"--corrupt-sign has no flipped pair to corrupt at n <= {n_max}")
+
+
+def _inputs(n_max: int, seed: int, bound: int) -> tuple[int, int, int]:
+    """n_max, seed and bound as ints, each refused as the suite refuses it."""
+    return check_size_guard(n_max), as_index(seed), check_entry_bits(bound, "the entry bound")
 
 
 def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[Check]:
     """Every lemma checked exhaustively up to n_max, in report order, each
     with its first witness.  corrupt_sign falsifies one sign-law result, to
     show a failing witness."""
-    n_max = check_size_guard(n_max)
-    check_entry_bits(bound, "the entry bound")
+    n_max, seed, bound = _inputs(n_max, seed, bound)
     # Each M_{n,k} and T-minor table walked below is part of this walk, so
     # no inner walk is refused half done.
     check_walk(
@@ -128,6 +122,7 @@ def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[C
 
 def lemma_report(n_max: int = 4, seed: int = 42, bound: int = 9, corrupt_sign: bool = False) -> dict:
     """The verify-lemmas report: `lemma_suite`'s checks, passing when all do."""
+    n_max, seed, bound = _inputs(n_max, seed, bound)
     checks = lemma_suite(n_max, seed, bound, corrupt_sign)
     return {
         "command": "verify-lemmas",

@@ -12,8 +12,11 @@ principal sums of T@X are (-1)^k c_k(TX), from its Berkowitz characteristic
 polynomial, so a fault in the table cannot make all three agree.  The
 tests check both routes against an independent Bareiss minor.
 
-The size guard, the walk and entry caps, and `kept`, the one store of
-results that depend on a size alone, serve every exhaustive route.
+The size guard, the walk and entry caps, and `kept`, the store of size-only
+results of the exhaustive routes, serve every exhaustive route.  Not in that
+store: the `lru_cache`s of minor plans (`exact_linalg._plan`) and of
+interlacing pairs (`_interlacing_ranks`), kept from their first request,
+bounded at the 78 (n, k) pairs under SIZE_GUARD, and left by `_forget`.
 """
 
 from __future__ import annotations
@@ -110,15 +113,17 @@ def check_walk(count: int, what: str) -> None:
         raise ValueError(f"{count} {what}, over the cap MAX_WALK = {MAX_WALK}")
 
 
-def check_entry_bits(value: int, what: str) -> None:
-    """Refuse an entry bound, numerator or denominator, named by `what`, of
-    more than MAX_ENTRY_BITS bits.  Every command that takes one calls this
-    before any of its work."""
+def check_entry_bits(value: int, what: str) -> int:
+    """`as_index(value)`, refused past MAX_ENTRY_BITS bits: an entry bound,
+    numerator or denominator, named by `what`.  Every command that takes one
+    calls this before any of its work."""
+    value = as_index(value)
     bits = abs(value).bit_length()
     if bits > MAX_ENTRY_BITS:
         raise ValueError(
             f"{what} has {bits} bits, over the cap MAX_ENTRY_BITS = {MAX_ENTRY_BITS}"
         )
+    return value
 
 
 _V = TypeVar("_V")
@@ -152,7 +157,8 @@ def kept(key: Hashable, build: Callable[[], _V]) -> _V:
 
 
 def _forget() -> None:
-    """Empty the store of `kept`, as at process start."""
+    """Empty the store of `kept`.  That is not all of process start: the
+    `lru_cache`s of minor plans and interlacing pairs keep what they hold."""
     _STORE.clear()
 
 
@@ -317,7 +323,8 @@ def theorem_campaign(
     visible."""
     n_max = check_size_guard(n_max)
     k = None if k is None else as_index(k)
-    check_entry_bits(bound, "the entry bound")
+    trials, seed = as_index(trials), as_index(seed)
+    bound = check_entry_bits(bound, "the entry bound")
     gen = random_matrix if asymmetric else random_symmetric
     cells = []
     witnesses = []

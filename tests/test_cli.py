@@ -245,7 +245,7 @@ def test_lemma_suite_missing_flip_image_fails_flip_checks(monkeypatch):
             o = orbits[1]
             assert [m.edges for m in o.members] == [((1, 2),), ((2, 1),)]
             # lose ((2, 1),), the image of ((1, 2),) under f_12
-            orbits[1] = dataclasses.replace(o, members=o.members[:1])
+            orbits[1] = dataclasses.replace(o, members=o.members[:1], signs=o.signs[:1])
         return orbits
 
     monkeypatch.setattr(matchings, "partition_into_orbits", dropping)
@@ -553,6 +553,54 @@ def test_size_gate_returns_the_int_of_a_numpy_int():
     doc = theorem_campaign(np.int64(2), trials=1)
     assert type(doc["config"]["n_max"]) is int
     assert doc == theorem_campaign(2, trials=1)
+
+
+# The real work of both campaigns, past their integer arguments.
+_CAMPAIGN_WORK = [
+    "minor_sums.random_symmetric", "minor_sums.random_matrix", "minor_sums.minor_levels",
+    "lemmas.check_walk", "lemmas.kept", "lemmas.audit_table", "lemmas.orbit_sum_identity",
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 2.0])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda v: theorem_campaign(2, trials=v),
+        lambda v: theorem_campaign(2, trials=1, seed=v),
+        lambda v: theorem_campaign(2, trials=1, bound=v),
+        lambda v: lemma_report(2, seed=v),
+        lambda v: lemma_report(2, bound=v),
+        lambda v: lemmas.lemma_suite(2, v, 9, False),
+        lambda v: lemmas.lemma_suite(2, 42, v, False),
+        lambda v: minor_sums.check_entry_bits(v, "the entry bound"),
+    ],
+    ids=[
+        "campaign-trials", "campaign-seed", "campaign-bound", "report-seed", "report-bound",
+        "suite-seed", "suite-bound", "check_entry_bits",
+    ],
+)
+def test_integer_arguments_refuse_a_bool_or_float_before_any_work(monkeypatch, route, value):
+    # Unchecked, True would run as 1, 2.5 would seed a run or fail inside
+    # the bit cap, and 2.0 would fail inside range.
+    def refuse(*args, **kwargs):
+        raise AssertionError("did work before checking the integer arguments")
+
+    for name in _CAMPAIGN_WORK:
+        monkeypatch.setattr(f"canadaday.{name}", refuse)
+    with pytest.raises(ValueError) as refused:
+        route(value)
+    assert str(refused.value) == f"an index must be an integer, got {value!r}"
+
+
+def test_integer_arguments_take_the_int_of_a_numpy_int():
+    assert type(minor_sums.check_entry_bits(np.int64(9), "the entry bound")) is int
+    doc = theorem_campaign(2, trials=np.int64(1), seed=np.int64(42), bound=np.int64(9))
+    assert [type(doc["config"][key]) for key in ("trials", "seed", "bound")] == [int] * 3
+    assert doc == theorem_campaign(2, trials=1)
+    rep = lemma_report(np.int64(2), seed=np.int64(42), bound=np.int64(9))
+    assert [type(rep["config"][key]) for key in ("n_max", "seed", "bound")] == [int] * 3
+    assert rep == lemma_report(2)
 
 
 @pytest.mark.parametrize(

@@ -566,13 +566,23 @@ def test_kept_partition_carries_signs_and_flip_images(cold_partitions, monkeypat
     partition_into_orbits(4, 2)
     kept = partition_into_orbits(4, 2)
     signs = [o.signs for o in kept]
-    images = [o.flip_images for o in kept]
+    images = [list(o.flips()) for o in kept]
     for name in ("sign", "flip"):
         monkeypatch.setattr(matchings, name, lambda *args: pytest.fail("taken again"))
     again = partition_into_orbits(4, 2)
-    assert [o.signs for o in again] == signs and [o.flip_images for o in again] == images
-    # they are not fields: an orbit equals one built without them
-    assert kept[0] == Orbit(kept[0].members, kept[0].classification)
+    assert [o.signs for o in again] == signs and [list(o.flips()) for o in again] == images
+    # the flip images are not a field: an orbit equals one built without them
+    assert kept[0] == Orbit(kept[0].members, kept[0].classification, kept[0].signs)
+
+
+def test_orbit_audit_takes_no_flip(cold_partitions, monkeypatch):
+    # Only the lemma suite reads the flip images: not a cold request, the
+    # request that keeps the partition, nor a request that finds it kept.
+    monkeypatch.setattr(matchings, "flip", lambda *args: pytest.fail("took a flip"))
+    x = random_symmetric(5, 7, 9)
+    for _ in range(3):
+        assert orbit_audit(x, 3)["passed"]
+    assert _kept_keys() == {("partition", 5, 3)}
 
 
 def test_kept_partition_carries_traced_clusters(cold_partitions, monkeypatch):
@@ -813,15 +823,14 @@ def test_orbit_sum_identity_builds_no_index_set(empty_store, monkeypatch):
 def test_orbit_sum_identity_checks_interlacing_orbits_have_one_sign(empty_store, monkeypatch):
     # One member of an interlacing orbit gets its sign negated: its weight,
     # size and the partition still hold, so only the one-sign check fails.
-    interlacing = Orbit(
-        (Matching(3, ((1, 1), (2, 3))), Matching(3, ((1, 1), (3, 2)))), "interlacing"
-    )
+    members = (Matching(3, ((1, 1), (2, 3))), Matching(3, ((1, 1), (3, 2))))
+    interlacing = Orbit(members, "interlacing", (1, 1))
     assert interlacing in partition_into_orbits(3, 2)
-    flipped = interlacing.members[1]
+    flipped = members[1]
     monkeypatch.setattr(matchings, "sign", lambda m: -sign(m) if m == flipped else sign(m))
     rep = orbit_sum_identity(random_symmetric(3, 59, 9), 2)
     assert rep.failed_checks == ("interlacing_orbits_uniform_sign",)
-    assert set(rep.orbits[rep.orbits.index(interlacing)].signs) == {1, -1}
+    assert rep.orbits[[o.members for o in rep.orbits].index(members)].signs == (1, -1)
 
 
 def test_orbit_sum_identity_sums_unequal_weights_member_by_member(monkeypatch):

@@ -27,6 +27,7 @@ from pathlib import Path
 COMMANDS = [
     ["verify-lemmas", "--n", "4"],
     ["orbit-audit", "--n", "5", "--k", "3", "--format", "json"],
+    ["orbit-audit", "--n", "6", "--k", "4", "--format", "json"],
     ["verify-lemmas", "--n", "6"],
     ["verify-theorem", "--n", "6", "--trials", "1"],
     ["verify-theorem", "--n", "10", "--trials", "1"],
