@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from functools import cache
-from json.encoder import encode_basestring_ascii
 
-from .exact_linalg import DimensionError, child_seed, load_matrix, random_symmetric
+from .exact_linalg import DimensionError, child_seed, json_text, load_matrix, random_symmetric
 
 __all__ = ["main"]
 
@@ -157,61 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_text(o, indent: str = "") -> str:
-    """`json.dumps(o, indent=2)`, byte for byte, in one recursive pass.
-
-    With `indent` set, `json.dumps` runs the pure-Python encoder.  This
-    renderer dispatches on the exact type, joins each container's rendered
-    items with `str.join` and encodes strings with the C
-    `encode_basestring_ascii`.  Ints and finite floats are their repr, as in
-    `json.dumps`, and bool and None their JSON words; other scalars go to
-    `json.dumps` itself, whose compact form of one scalar is the same.  A
-    container renders its items of exact type str or int (and its str keys)
-    inline, without a call; the exact-type test leaves bool, and subclasses
-    such as an IntEnum, to the dispatch above."""
-    t = type(o)
-    if t is str:
-        return encode_basestring_ascii(o)
-    if t is int or (t is float and -math.inf < o < math.inf):
-        return repr(o)
-    if t is bool:
-        return "true" if o else "false"
-    if o is None:
-        return "null"
-    if t is not dict and t is not list and t is not tuple:
-        if isinstance(o, dict):
-            t = dict
-        elif not isinstance(o, (list, tuple)):
-            return json.dumps(o)
-    if not o:
-        return "{}" if t is dict else "[]"
-    inner = indent + "  "
-    enc = encode_basestring_ascii
-    if t is dict:
-        items = [
-            (enc(k) if type(k) is str else _json_key(k))
-            + ": "
-            + (enc(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner))
-            for k, v in o.items()
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    items = [
-        enc(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner)
-        for v in o
-    ]
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-
-
-def _json_key(k) -> str:
-    """A dict key as `json.dumps` writes it: str as is; int, float, bool and
-    None by their JSON text, then quoted."""
-    if not isinstance(k, str):
-        if k is not None and not isinstance(k, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-        k = json.dumps(k)
-    return encode_basestring_ascii(k)
-
-
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
     """Write rows of floats as CSV, each value as its repr."""
     import csv
@@ -288,14 +231,15 @@ def _reported(build, renderer):
     def handler(a) -> int:
         doc = build(a)
         if a.format == "json":
-            payload = _json_text(doc) + "\n"
+            payload = json_text(doc)
         else:
-            payload = "\n".join(renderer(doc) + ["PASS" if doc["passed"] else "FAIL"]) + "\n"
+            payload = "\n".join(renderer(doc) + ["PASS" if doc["passed"] else "FAIL"])
+        # print writes the final newline apart: adding it would copy the report.
         if a.out:
             with open(a.out, "w") as fh:
-                fh.write(payload)
+                print(payload, file=fh)
         else:
-            sys.stdout.write(payload)
+            print(payload)
         return 0 if doc["passed"] else 1
 
     return handler

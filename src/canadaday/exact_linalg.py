@@ -3,6 +3,9 @@ rationals, the table of all k x k minors of a matrix (the one minor engine
 of the package), its division-free characteristic polynomial, and the
 structured lower-triangular matrix T with entries 1 + sgn(i - j).  The
 Bareiss determinant that checks the minor table lives with the test oracles.
+Also the JSON side of the package: matrix documents, `read_json`, and
+`json_text`, the renderer of every JSON report, with `JsonSplice` for text
+kept across calls.
 
 All public interfaces are 1-based in row/column indices, so worked examples
 from the literature transcribe directly.  Internal storage is 0-based
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, repeat
-from math import lcm
+from itertools import combinations, groupby, islice, repeat
+from json.encoder import encode_basestring_ascii
+from math import inf, lcm
 from operator import index, itemgetter, mul, neg
 from typing import Iterator, Sequence
 
@@ -35,6 +39,7 @@ __all__ = [
     "DimensionError",
     "ExactMatrix",
     "IndexSet",
+    "JsonSplice",
     "MinorLevel",
     "Rational",
     "as_index",
@@ -42,6 +47,8 @@ __all__ = [
     "child_seed",
     "exact_str",
     "integer_char_poly",
+    "json_head",
+    "json_text",
     "k_subsets",
     "load_matrix",
     "matrix_from_json_dict",
@@ -354,3 +361,110 @@ def read_json(path):
 
 def load_matrix(path) -> ExactMatrix:
     return matrix_from_json_dict(read_json(path))
+
+
+class JsonSplice(dict):
+    """A dict whose first `covers` items `json_text` writes from `head`, the
+    text `json_head` gave for them, so that text kept from an earlier call
+    is written again without rendering its values.  As a dict it is the
+    plain dict of its items: `==` to it, and written as it by `json.dumps`.
+
+    The head is text, fixed when the splice is made.  `json_text` of a
+    splice whose covered items were edited since writes them as they were;
+    render `dict(o)` instead."""
+
+    __slots__ = ("head", "covers")
+
+    def __init__(self, head: str, covered: dict, /, **rest):
+        """The items of `covered`, then those of `rest`; `head` must be
+        `json_head(covered)`."""
+        super().__init__(covered, **rest)
+        self.head, self.covers = head, len(covered)
+
+
+def json_text(o, indent: str = "") -> str:
+    """`json.dumps(o, indent=2)`, byte for byte, in one recursive pass.
+
+    With `indent` set, `json.dumps` runs the pure-Python encoder.  This
+    renderer dispatches on the exact type, joins each container's rendered
+    items with `str.join` and encodes strings with the C
+    `encode_basestring_ascii`.  Ints and finite floats are their repr, as in
+    `json.dumps`, and bool and None their JSON words; other scalars go to
+    `json.dumps` itself, whose compact form of one scalar is the same.  A
+    container renders its items of exact type str or int (and its str keys)
+    inline, without a call; the exact-type test leaves bool, and subclasses
+    such as an IntEnum, to the dispatch above.
+
+    A `JsonSplice` writes its head in place of its first `covers` items,
+    each newline followed by `indent`, then renders the rest.  The head is
+    depth-0 text, and indent=2 JSON has no newline inside a string, so this
+    is the text of those items at this depth.  Its branch comes before the
+    `isinstance(o, dict)` fallback, which takes every dict subclass as a
+    plain dict and would never reach it."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int or (t is float and -inf < o < inf):
+        return repr(o)
+    if t is bool:
+        return "true" if o else "false"
+    if o is None:
+        return "null"
+    if t is JsonSplice and o.covers:
+        rest = _items(islice(o.items(), o.covers, None), indent + "  ")
+        return _enclosed("{", [o.head.replace("\n", "\n" + indent), *rest], "}", indent)
+    if t is not dict and t is not list and t is not tuple:
+        if isinstance(o, dict):
+            t = dict
+        elif not isinstance(o, (list, tuple)):
+            return json.dumps(o)
+    if not o:
+        return "{}" if t is dict else "[]"
+    inner = indent + "  "
+    if t is dict:
+        return _enclosed("{", _items(o.items(), inner), "}", indent)
+    enc = encode_basestring_ascii
+    items = [
+        enc(v) if type(v) is str else repr(v) if type(v) is int else json_text(v, inner)
+        for v in o
+    ]
+    return _enclosed("[", items, "]", indent)
+
+
+def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
+    """The rendered `items`, one to a line at `indent` plus two spaces,
+    between `opening` and `closing` on lines of their own.  The brackets are
+    joined onto the first and last items, so that the one `str.join` is the
+    only copy of the whole text: a 2.5 MB report is not copied once more
+    per bracket."""
+    inner = indent + "  "
+    items[0] = opening + "\n" + inner + items[0]
+    items[-1] += "\n" + indent + closing
+    return (",\n" + inner).join(items)
+
+
+def json_head(covered: dict) -> str:
+    """The items of `covered` as `json_text` writes them inside a dict at
+    depth 0, without the braces: the head of a `JsonSplice`."""
+    return ",\n  ".join(_items(covered.items(), "  "))
+
+
+def _items(pairs, inner: str) -> list[str]:
+    """Each (key, value) of `pairs` as a dict item at indent `inner`."""
+    enc = encode_basestring_ascii
+    return [
+        (enc(k) if type(k) is str else _json_key(k))
+        + ": "
+        + (enc(v) if type(v) is str else repr(v) if type(v) is int else json_text(v, inner))
+        for k, v in pairs
+    ]
+
+
+def _json_key(k) -> str:
+    """A dict key as `json.dumps` writes it: str as is; int, float, bool and
+    None by their JSON text, then quoted."""
+    if not isinstance(k, str):
+        if k is not None and not isinstance(k, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = json.dumps(k)
+    return encode_basestring_ascii(k)

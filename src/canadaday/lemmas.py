@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .exact_linalg import as_index, child_seed, exact_str, random_symmetric
 from .lgv import audit_table
 from .matchings import enumerate_matchings, matching_count, orbit_sum_identity
-from .minor_sums import check_entry_bits, check_size_guard, check_walk, kept
+from .minor_sums import check_entry_bits, check_flag, check_size_guard, check_walk, kept
 
 __all__ = ["Check", "lemma_report", "lemma_suite"]
 
@@ -108,6 +108,7 @@ def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[C
     with its first witness.  corrupt_sign falsifies one sign-law result, to
     show a failing witness."""
     n_max, seed, bound = _inputs(n_max, seed, bound)
+    corrupt_sign = check_flag(corrupt_sign, "corrupt_sign")
     # Each M_{n,k} and T-minor table walked below is part of this walk, so
     # no inner walk is refused half done.
     check_walk(

@@ -30,9 +30,11 @@ from .exact_linalg import (
     DimensionError,
     ExactMatrix,
     IndexSet,
+    JsonSplice,
     Rational,
     as_index,
     exact_str,
+    json_head,
     matrix_to_json_dict,
     scaled_to_integers,
 )
@@ -493,6 +495,11 @@ def orbit_audit(x: ExactMatrix, k: int) -> dict:
     X.  Refuses, before any work, an entry of X whose numerator or
     denominator has more than MAX_ENTRY_BITS bits.
 
+    Each orbit entry is built afresh on every call, and is a `JsonSplice`:
+    its classification, members, signs and separations depend on (n, k)
+    alone, and their JSON text, rendered from this call's entries, is
+    `kept` as a tuple of str, so that from the second request for an
+    (n, k) on the renderer writes only the weights and the orbit sum.
     Each distinct scaled weight or orbit sum is rendered once per call; a
     member's edges and an orbit's signs go into the report as the tuples
     they are, which the JSON renderer writes as lists."""
@@ -505,6 +512,16 @@ def orbit_audit(x: ExactMatrix, k: int) -> dict:
         v: exact_str(Fraction(v, scale))
         for v in {w for ws in rep.weights for w in ws}.union(rep.orbit_sums)
     }
+    x_free = [
+        {
+            "classification": o.classification,
+            "members": [{"n": m.n, "edges": m.edges} for m in o.members],
+            "signs": o.signs,
+            "separations": [[c.separation for c in decompose_clusters(m)] for m in o.members],
+        }
+        for o in rep.orbits
+    ]
+    heads = kept(("audit_heads", rep.n, rep.k), lambda: tuple(map(json_head, x_free)))
     return {
         "command": "orbit-audit",
         "n": rep.n,
@@ -512,15 +529,8 @@ def orbit_audit(x: ExactMatrix, k: int) -> dict:
         "matrix": matrix_to_json_dict(x),
         "orbit_count": len(rep.orbits),
         "orbits": [
-            {
-                "classification": o.classification,
-                "members": [{"n": m.n, "edges": m.edges} for m in o.members],
-                "signs": o.signs,
-                "separations": [[c.separation for c in decompose_clusters(m)] for m in o.members],
-                "weights": [text[w] for w in ws],
-                "orbit_sum": text[total],
-            }
-            for o, ws, total in zip(rep.orbits, rep.weights, rep.orbit_sums)
+            JsonSplice(head, entry, weights=[text[w] for w in ws], orbit_sum=text[total])
+            for head, entry, ws, total in zip(heads, x_free, rep.weights, rep.orbit_sums)
         ],
         "totals": {
             "matching_sum": exact_str(rep.matching_sum),

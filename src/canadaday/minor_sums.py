@@ -53,6 +53,7 @@ __all__ = [
     "CanadaDayReport",
     "SymmetryError",
     "check_entry_bits",
+    "check_flag",
     "check_size_guard",
     "check_walk",
     "interlacing_sum",
@@ -123,6 +124,15 @@ def check_entry_bits(value: int, what: str) -> int:
         raise ValueError(
             f"{what} has {bits} bits, over the cap MAX_ENTRY_BITS = {MAX_ENTRY_BITS}"
         )
+    return value
+
+
+def check_flag(value, what: str) -> bool:
+    """`value`, refused unless it is True or False: a library flag, named by
+    `what`, is never taken by its truth value, so "no" is not True.  Every
+    entry point that takes a flag calls this before any of its work."""
+    if value is not True and value is not False:
+        raise ValueError(f"{what} must be True or False, got {value!r}")
     return value
 
 
@@ -299,6 +309,7 @@ def verify_canada_day(m: ExactMatrix, k: int, *, allow_asymmetric: bool = False)
     holds regardless and is exposed as `part_a_equal` on the report.
     """
     k = as_index(k)
+    check_flag(allow_asymmetric, "allow_asymmetric")
     # Refused before any minor is taken; level_sums refuses a non-square m.
     if m.is_square() and not allow_asymmetric and not m.is_symmetric():
         raise SymmetryError("matrix is not symmetric; pass allow_asymmetric=True to evaluate anyway")
@@ -325,6 +336,7 @@ def theorem_campaign(
     k = None if k is None else as_index(k)
     trials, seed = as_index(trials), as_index(seed)
     bound = check_entry_bits(bound, "the entry bound")
+    asymmetric = check_flag(asymmetric, "asymmetric")
     gen = random_matrix if asymmetric else random_symmetric
     cells = []
     witnesses = []

@@ -8,7 +8,9 @@ peakon right-hand side in 50-digit decimals, and the canonical
 sign-reversing involution that pairs the members of non-interlacing
 orbits, and the sign of a matching by the inversions of its permutation,
 which checks `matchings.sign`'s crossing count, and the weight of a
-matching in Fractions, which checks `matchings.scaled_weight`.  Also the
+matching in Fractions, which checks `matchings.scaled_weight`, and the
+separations of a matching's clusters from its edges alone, which check the
+`separations` of an orbit-audit report.  Also the
 identity, transpose, product and 1-based entry of an `ExactMatrix`, which
 only the tests need, and `str` with no limit on int digits, the reference
 for exact values rendered past that limit."""
@@ -251,3 +253,49 @@ def canonical_involution(m: Matching) -> Matching:
 
     i, j = min(odd_opens, key=label_key).edges[0]
     return flip(m, min(i, j), max(i, j))
+
+
+def separations(edges) -> list[int]:
+    """The separation of each cluster of the matching with these (i, j)
+    edges, in the clusters' order by least edge: for an open cluster from
+    a in I - J to b in J - I, the number of labels of I and of J strictly
+    between a and b, a label in both counted twice; 0 for a closed one.
+
+    The clusters are traced here from the edges, with no `Cluster`: a left
+    node i that is also a right node is the end of the edge into i, so the
+    walk back from a left node stops at the open cluster's start, or comes
+    round to where it began on a cycle."""
+    tau = {i: j for i, j in edges}
+    into = {j: i for i, j in edges}
+    labels = sorted(tau) + sorted(into)
+    seen = set()
+    out = []
+    for first in sorted(tau):  # a cluster's least edge has its least left node
+        if first in seen:
+            continue
+        start = first
+        while start in into and into[start] != first:
+            start = into[start]
+        node = start
+        while True:
+            seen.add(node)
+            node = tau[node]
+            if node not in tau or node == start:
+                break
+        if node == start:
+            out.append(0)
+        else:
+            lo, hi = sorted((start, node))
+            out.append(sum(lo < v < hi for v in labels))
+    return out
+
+
+def misreported_separations(report: dict) -> list[tuple]:
+    """(edges, reported, `separations` of the edges) for each member of a
+    parsed orbit-audit report whose separations are not their definition."""
+    return [
+        (m["edges"], seps, separations(m["edges"]))
+        for o in report["orbits"]
+        for m, seps in zip(o["members"], o["separations"], strict=True)
+        if seps != separations(m["edges"])
+    ]

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter, OrderedDict
@@ -21,8 +22,11 @@ from canadaday import cli, lemmas, lgv, matchings, minor_sums, peakon
 from canadaday.cli import main
 from canadaday.exact_linalg import (
     ExactMatrix,
+    JsonSplice,
     MinorLevel,
     child_seed,
+    json_head,
+    json_text,
     matrix_from_json_dict,
     matrix_to_json_dict,
     random_symmetric,
@@ -377,15 +381,51 @@ def test_lemma_suite_passes_for_any_seed_and_bound(n_max, seed, bound):
 
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
 _JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _spliced(d: dict, covers: int) -> JsonSplice:
+    """`d` as a splice whose head covers its first `covers` items."""
+    items = list(d.items())
+    covered = dict(items[:covers])
+    splice = JsonSplice(json_head(covered), covered)
+    splice.update(items[covers:])
+    return splice
+
+
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
     lambda inner: st.one_of(
-        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(_JSON_KEYS, inner)
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner),
+        st.dictionaries(_JSON_KEYS, inner).flatmap(
+            lambda d: st.integers(0, len(d)).map(lambda c: _spliced(d, c))
+        ),
     ),
     max_leaves=25,
 )
 
 
+def _nested(value, depth: int):
+    """`value` inside `depth` containers, a list and a dict in turn."""
+    for level in range(depth):
+        value = [1, value] if level % 2 else {"v": value, "w": "x"}
+    return value
+
+
+# An orbit-audit entry: its X-free items spliced, the rest rendered.
+_ENTRY = _spliced(
+    {
+        "classification": "non-interlacing",
+        "members": [{"n": 3, "edges": ((1, 2), (2, 3))}, {"n": 3, "edges": ((1, 2), (3, 2))}],
+        "signs": (1, -1),
+        "separations": [[1, 0], []],
+        "weights": ["3/4", "-2"],
+        "orbit_sum": "0",
+    },
+    4,
+)
+_DEPTHS = random.Random(30).sample(range(1, 9), 4)
 
 
 class _Level(IntEnum):
@@ -412,15 +452,30 @@ _MIXED = [True, False, None, 1, 1.5, "x", _Level.A, _Name("y")]
 @example([])
 @example({})
 @example(OrderedDict(a=Fraction(1, 2).as_integer_ratio(), b=[OrderedDict()]))
+@example(_ENTRY)
+@example(_nested(_ENTRY, _DEPTHS[0]))
+@example(_nested([_ENTRY, _nested(_ENTRY, _DEPTHS[1])], _DEPTHS[2]))
+@example(_nested(_spliced({"a": _nested(_ENTRY, _DEPTHS[3]), "b": _ENTRY, "c": []}, 2), 3))
+@example([_spliced({}, 0), _spliced({"a": {}}, 0), _spliced({"a": [], "b": {}}, 2)])
+@example({"s": _spliced({1: _MIXED, None: {"\n": "\n"}, "t": _nested("\n", 4)}, 2)})
 def test_json_text_matches_json_dumps_indent_2(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert json_text(value) == json.dumps(value, indent=2)
 
 
 def test_json_text_refuses_keys_json_dumps_refuses():
     with pytest.raises(TypeError):
         json.dumps({(1, 2): 0}, indent=2)
     with pytest.raises(TypeError):
-        cli._json_text({(1, 2): 0})
+        json_text({(1, 2): 0})
+
+
+def test_a_splice_is_its_plain_dict_and_writes_its_head():
+    plain = dict(_ENTRY)
+    assert _ENTRY == plain and type(plain) is dict and _ENTRY.covers == 4
+    # The head is taken as given: a splice with another head writes that.
+    other = JsonSplice(json_head({"a": 1}), {"classification": "x"}, orbit_sum="0")
+    assert json_text(other) == '{\n  "a": 1,\n  "orbit_sum": "0"\n}'
+    assert json_text(dict(other)) == json.dumps(other, indent=2)
 
 
 def test_lemma_suite_full_n4():
@@ -591,6 +646,31 @@ def test_integer_arguments_refuse_a_bool_or_float_before_any_work(monkeypatch, r
     with pytest.raises(ValueError) as refused:
         route(value)
     assert str(refused.value) == f"an index must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, np.True_])
+@pytest.mark.parametrize(
+    "route,name",
+    [
+        (lambda v: theorem_campaign(2, trials=1, asymmetric=v), "asymmetric"),
+        (lambda v: lemma_report(2, corrupt_sign=v), "corrupt_sign"),
+        (lambda v: lemmas.lemma_suite(2, 42, 9, v), "corrupt_sign"),
+        (lambda v: minor_sums.verify_canada_day(
+            random_symmetric(2, 1, 9), 1, allow_asymmetric=v), "allow_asymmetric"),
+    ],
+    ids=["campaign-asymmetric", "report-corrupt_sign", "suite-corrupt_sign", "verify-asymmetric"],
+)
+def test_flags_refuse_anything_but_a_bool_before_any_work(monkeypatch, route, name, value):
+    # Unchecked, "no" would run in asymmetric mode or corrupt a sign, and
+    # go into the report's config as "no".
+    def refuse(*args, **kwargs):
+        raise AssertionError("did work before checking the flags")
+
+    for work in [*_CAMPAIGN_WORK, "minor_sums.level_sums"]:
+        monkeypatch.setattr(f"canadaday.{work}", refuse)
+    with pytest.raises(ValueError) as refused:
+        route(value)
+    assert str(refused.value) == f"{name} must be True or False, got {value!r}"
 
 
 def test_integer_arguments_take_the_int_of_a_numpy_int():

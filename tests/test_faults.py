@@ -1,8 +1,11 @@
 """The fault table: each fault is a monkeypatch of one function, with the
 commands that must catch it.  A caught fault exits 1 and names what failed;
 a fault that a run-time verdict cannot see yet is a strict xfail naming the
-ROADMAP item meant to catch it, so it flips when that item lands."""
+ROADMAP item meant to catch it, so it flips when that item lands.  A fault
+that leaves every verdict true and only a reported value wrong is caught
+by a test oracle of that value."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import islice
@@ -16,7 +19,7 @@ from canadaday.cli import main
 from canadaday.lemmas import lemma_report
 from canadaday.exact_linalg import MinorLevel, k_subsets, random_symmetric
 from canadaday.minor_sums import is_interlacing
-from oracles import minor, permutation_sign
+from oracles import minor, misreported_separations, permutation_sign
 
 STATE = Path(__file__).parent / "golden" / "state_6peakons.json"
 
@@ -305,3 +308,36 @@ def test_verify_theorem_fails_on_a_flipped_sign(flipped_sign, capsys):
     # every witness is a level the fault reaches, and every n >= 2 has one
     assert {w["k"] for w in doc["witnesses"]} == {2, 3, 4, 5, 6}
     assert {w["n"] for w in doc["witnesses"]} == {2, 3, 4, 5, 6}
+
+
+# Row 8: every open cluster's separation shifted by 2.  The sign law and the
+# orbit classification read only its parity, so every verdict stays true,
+# and only the orbit-audit report's separations are wrong; the oracle that
+# traces each member's clusters from its edges sees them.
+
+
+@pytest.fixture
+def shifted_separations(empty_store, monkeypatch):
+    """Row 8, from an empty store, so that every partition and every kept
+    head is built under it."""
+    real = matchings._trace_clusters
+
+    def trace(m):
+        return tuple(
+            dataclasses.replace(c, separation=c.separation + 2) if c.kind == "open" else c
+            for c in real(m)
+        )
+
+    monkeypatch.setattr(matchings, "_trace_clusters", trace)
+
+
+def test_the_separation_oracle_sees_shifted_separations(shifted_separations, capsys):
+    for _ in range(3):  # a cold, a keeping and a kept request
+        code, doc = _run(capsys, ["orbit-audit", "--n", "5", "--k", "3"])
+        assert code == 0
+        wrong = misreported_separations(doc)
+        # every member with an open cluster: all 600 but the 60 with I = J
+        assert len(wrong) == 540
+        for _, reported, true in wrong:
+            assert {r - t for r, t in zip(reported, true)} <= {0, 2}
+    assert minor_sums._STORE[("audit_heads", 5, 3)] is not minor_sums._ASKED_ONCE

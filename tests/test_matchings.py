@@ -21,6 +21,7 @@ from canadaday.exact_linalg import (
     t_matrix,
 )
 from canadaday import lemmas, matchings, minor_sums
+from canadaday.cli import main
 from canadaday.matchings import (
     Cluster,
     Matching,
@@ -50,7 +51,9 @@ from oracles import (
     entry,
     minor,
     minor_via_matchings,
+    misreported_separations,
     permutation_sign,
+    separations,
     weight,
 )
 
@@ -441,6 +444,14 @@ def test_endpoint_separation_worked_example():
     assert closed.separation == 0
 
 
+def test_separation_oracle_worked_example():
+    # TAU8's clusters by least edge: the cycle 1 -> 6 -> 1; the path
+    # 3 -> 4 -> 2 -> 8 -> 7, from 3 in I - J to 7 in J - I, with the I
+    # labels 4, 5, 6 and the J labels 4, 5, 6 between; the fixed point 5.
+    assert separations(TAU8.edges) == [0, 6, 0]
+    assert separations(TAU8.edges) == [c.separation for c in decompose_clusters(TAU8)]
+
+
 def test_endpoint_separation_small_edge():
     (c,) = decompose_clusters(Matching(3, ((1, 2),)))
     assert c.separation == 0
@@ -582,7 +593,19 @@ def test_orbit_audit_takes_no_flip(cold_partitions, monkeypatch):
     x = random_symmetric(5, 7, 9)
     for _ in range(3):
         assert orbit_audit(x, 3)["passed"]
-    assert _kept_keys() == {("partition", 5, 3)}
+    assert _kept_keys() == {("partition", 5, 3), ("audit_heads", 5, 3)}
+
+
+def test_orbit_audit_separations_match_their_definition(cold_partitions, capsys):
+    # From the second request on, the separations reach the report as kept
+    # text: each must still be its definition, in the JSON that a cold, a
+    # keeping and a kept request write.
+    for _ in range(3):
+        assert main(["orbit-audit", "--n", "5", "--k", "3", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sum(len(o["members"]) for o in doc["orbits"]) == 600
+        assert misreported_separations(doc) == []
+    assert ("audit_heads", 5, 3) in _kept_keys()
 
 
 def test_kept_partition_carries_traced_clusters(cold_partitions, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from canadaday import lgv, matchings, minor_sums
 from canadaday.cli import main
-from canadaday.exact_linalg import ExactMatrix
+from canadaday.exact_linalg import ExactMatrix, json_text, matrix_to_json_dict
 from canadaday.lemmas import lemma_report
 from canadaday.lgv import audit_table
 from canadaday.matchings import (
@@ -83,7 +83,7 @@ def test_store_keeps_nothing_taken_from_x(empty_store):
     for _ in range(3):
         assert lemma_report(n_max=3)["passed"] and orbit_audit(x, 2)["passed"]
     for key, value in minor_sums._STORE.items():
-        assert key[0] in {"partition", "enumerated", "t_minors"}
+        assert key[0] in {"partition", "enumerated", "t_minors", "audit_heads"}
         if key[0] == "partition":
             for o in value:
                 assert [f.name for f in fields(o)] == [
@@ -93,6 +93,10 @@ def test_store_keeps_nothing_taken_from_x(empty_store):
                 assert all(set(vars(m)) == {"n", "edges", "_clusters"} for m in o.members)
         elif key[0] == "t_minors":
             assert type(value) is tuple and all(type(row) is tuple for row in value)
+        elif key[0] == "audit_heads":
+            assert type(value) is tuple and all(type(head) is str for head in value)
+            assert not any("weights" in head or "orbit_sum" in head for head in value)
+    assert ("audit_heads", 3, 2) in minor_sums._STORE
 
 
 def test_an_edited_lgv_audit_report_leaves_the_next_unchanged(empty_store, capsys):
@@ -106,6 +110,47 @@ def test_an_edited_lgv_audit_report_leaves_the_next_unchanged(empty_store, capsy
     assert lgv.audit(3) == cold
     assert main(["lgv-audit", "--n", "3", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == cold
+
+
+def test_an_edited_orbit_audit_report_leaves_the_next_unchanged(empty_store, capsys, tmp_path):
+    x = ExactMatrix.from_rows([[Fraction(1, 2), 3, -1], [3, 0, 7], [-1, 7, Fraction(-5, 3)]])
+    cold = orbit_audit(x, 2)
+    for _ in range(2):  # the request that keeps the heads, then one spliced with them
+        doc = orbit_audit(x, 2)
+        assert doc == cold
+        entry = doc["orbits"][0]
+        entry["members"][0]["edges"] = ((9, 9),)
+        entry["members"].append({"n": 0})
+        entry["signs"] = (0,)
+        entry["separations"][0].append(9)
+        entry["classification"] = "edited"
+        doc["orbits"].clear()
+    assert orbit_audit(x, 2) == cold
+    matrix = tmp_path / "x.json"
+    matrix.write_text(json.dumps(matrix_to_json_dict(x)))
+    argv = ["orbit-audit", "--n", "3", "--k", "2", "--matrix", str(matrix), "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(cold, indent=2) + "\n"
+
+
+_INTEGER_X = ExactMatrix.from_rows(
+    [[2, -1, 0, 3, 1], [-1, 5, 4, 0, -2], [0, 4, -3, 1, 6], [3, 0, 1, 0, -1], [1, -2, 6, -1, 4]]
+)
+_RATIONAL_X = ExactMatrix.from_rows(
+    [[Fraction(v, 1 + (i + j) % 4) for j, v in enumerate(row)]
+     for i, row in enumerate(_INTEGER_X.to_rows())]
+)
+
+
+@pytest.mark.parametrize("x", [_INTEGER_X, _RATIONAL_X], ids=["integer", "rational"])
+@pytest.mark.parametrize("n,k", [(3, 0), (3, 2), (4, 2), (5, 3)])
+def test_spliced_orbit_audit_renders_as_json_dumps(empty_store, x, n, k):
+    x = ExactMatrix.from_rows([row[:n] for row in x.to_rows()[:n]])
+    reports = [orbit_audit(x, k) for _ in range(3)]  # cold, keeping, kept
+    assert reports[0]["passed"] and _kept(("audit_heads", n, k))
+    for doc in reports:
+        assert doc == reports[0]
+        assert json_text(doc) == json.dumps(doc, indent=2)
 
 
 def test_a_kept_t_table_refuses_a_bool_size(empty_store):
