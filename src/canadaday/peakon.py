@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from math import exp, isfinite
 from operator import lt, sub
 
@@ -40,13 +39,13 @@ __all__ = [
     "waveform",
 ]
 
-# simulate refuses more RK4 steps than this; one step at n=6 took 28 us on
-# a shared 2-vCPU Xeon VM, so the cap is about five minutes of stepping.
+# simulate refuses more RK4 steps than this; one step at n=6 took 15 us on
+# a shared 2-vCPU Xeon VM, so the cap is under three minutes of stepping.
 MAX_STEPS = 10**7
 
 # simulate refuses more peakons than this: each sample's H_k and c_k hold
 # several n x n float arrays, 33 MB at their peak at the cap (an RK4 step
-# holds O(n) floats, 0.49 MB at its peak), and a state file of 10^5
+# holds O(n) floats, 0.34 MB at its peak), and a state file of 10^5
 # positions would ask for hundreds of GB.
 MAX_PEAKONS = 1000
 
@@ -144,67 +143,68 @@ def _fault(y: list, n: int, collision_epsilon: float) -> str | None:
     return None
 
 
-def _rhs(x: list, m: list) -> list | None:
-    """x' + m' (one list), the right-hand side at positions x and amplitudes
-    m (lists of floats), in O(n) with no n x n array; None when x is not
-    finite and strictly increasing, so that no exp is taken at a crossed
-    state.
+def _step(y: list, n: int, dt: float) -> str | None:
+    """One classical RK4 step of dt, in place, on the packed state y = x + m
+    of n peakons, a list of Python floats; None, or why a stage could not be
+    taken.
 
-    With q_l = exp(x_l - x_{l+1}), the parts of u(x_k) from the peakons
-    strictly left and right of k are
+    Each stage takes the right-hand side in O(n) with no n x n array.  With
+    q_l = exp(x_l - x_{l+1}), the parts of u(x_k) from the peakons strictly
+    left and right of k are
 
         L_k = q_{k-1} (L_{k-1} + m_{k-1}),   R_k = q_k (R_{k+1} + m_{k+1}),
 
     with L_1 = R_n = 0, so u_k = m_k + L_k + R_k, x'_k = u_k^2 and
     m'_k = m_k u_k (L_k - R_k).  The recurrences have no subtraction, and
-    each exp gets a negative argument.
-    """
-    right_of = x[1:]
-    # Strictly increasing neighbours leave no NaN, and an infinity only at
-    # an end.
-    if not (all(map(lt, x, right_of)) and isfinite(x[0]) and isfinite(x[-1])):
-        return None
-    q = list(map(exp, map(sub, x, right_of)))
-    left, acc = [0.0], 0.0
-    for ql, ml in zip(q, m):
-        acc = ql * (acc + ml)
-        left.append(acc)
-    # k = n, ..., 1, carrying R_k; the 0.0 goes with k = 1, whose R_0 is not
-    # needed.
-    kx, km, r = [], [], 0.0
-    for mk, lk, ql in zip(reversed(m), reversed(left), chain(reversed(q), (0.0,))):
-        uk = mk + lk + r
-        kx.append(uk * uk)
-        km.append(mk * uk * (lk - r))
-        r = ql * (r + mk)
-    kx.reverse()
-    km.reverse()
-    return kx + km
-
-
-def _step(y: list, n: int, dt: float) -> str | None:
-    """One classical RK4 step of dt, in place, on the packed state y = x + m
-    of n peakons, a list of Python floats, with the O(n) right-hand side
-    `_rhs`; None, or why a stage could not be taken.
+    each exp gets a negative argument.  A stage makes two passes: right to
+    left for q and R, then left to right for L, u and both derivatives,
+    which the same pass adds into the running sum k1 + 2 k2 + 2 k3 + k4 and
+    turns into the next stage's state y + h k, or at the last stage into
+    y + dt/6 times the sum.  Every float operation is the unfused stepper's,
+    in its order, so the states keep its bits; it is the tests' reference.
 
     A stage whose positions are not finite and strictly increasing is not
     evaluated: y is left as it was, and the step returns "collision" for a
     finite gap <= 0, "numerical failure" for a non-finite position.  A
     non-finite amplitude in a stage carries into the stepped state, where
-    `_fault` finds it.  The stages combine as y + dt/6 * (k1 + 2 k2 + 2 k3
-    + k4) in the order of the array formulas, which stay in the tests as the
-    oracle; the states match them to rounding, not exactly.
+    `_fault` finds it.  The states match the textbook array formulas, which
+    stay in the tests as the oracle, to rounding, not exactly.
     """
-    z, ks = y, []
-    for h in (0.5 * dt, 0.5 * dt, dt, None):
-        k = _rhs(z[:n], z[n:])
-        if k is None:
-            return _fault(z, n, 0.0)
-        ks.append(k)
-        if h is not None:
-            z = [a + h * b for a, b in zip(y, k)]
-    sixth = dt / 6.0
-    y[:] = [a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) for a, k1, k2, k3, k4 in zip(y, *ks)]
+    x0, m0 = y[:n], y[n:]
+    x, m = x0, m0  # the stage state; from stage 2 on, rewritten in place
+    sx, sm, r = [0.0] * n, [0.0] * n, [0.0] * n  # the running sum and R
+    zx, zm = [0.0] * n, [0.0] * n
+    for stage, h in enumerate((0.5 * dt, 0.5 * dt, dt, dt / 6.0)):
+        right = x[1:]
+        # Strictly increasing neighbours leave no NaN, and an infinity only
+        # at an end.
+        if not (all(map(lt, x, right)) and isfinite(x[0]) and isfinite(x[-1])):
+            return _fault(x + m, n, 0.0)
+        q = list(map(exp, map(sub, x, right)))
+        acc = 0.0
+        for l in range(n - 2, -1, -1):
+            acc = q[l] * (acc + m[l + 1])
+            r[l] = acc
+        q.append(0.0)  # goes with k = n, whose L_{n+1} is not needed
+        left = 0.0
+        for k in range(n):
+            mk, rk = m[k], r[k]
+            uk = mk + left + rk
+            dx = uk * uk
+            dm = mk * uk * (left - rk)
+            if stage == 0:
+                sx[k], sm[k] = dx, dm
+            elif stage < 3:
+                sx[k] += 2.0 * dx
+                sm[k] += 2.0 * dm
+            else:
+                dx += sx[k]
+                dm += sm[k]
+            zx[k] = x0[k] + h * dx
+            zm[k] = m0[k] + h * dm
+            left = q[k] * (left + mk)
+        x, m = zx, zm
+    y[:] = x + m
     return None
 
 

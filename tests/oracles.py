@@ -4,7 +4,8 @@ program's one, `exact_linalg.minor_levels`; the one exponential (Leibniz)
 oracle for determinants and minors, which checks Bareiss in turn; the
 batched-determinant float sum of all k x k minors that checks the peakon
 constants of motion up to n = 8, the exact H_k of a float peakon state, the
-peakon right-hand side in 50-digit decimals, and the canonical
+peakon right-hand side in 50-digit decimals, the unfused O(n) right-hand
+side and RK4 step whose bits the program's fused step keeps, and the canonical
 sign-reversing involution that pairs the members of non-interlacing
 orbits, and the sign of a matching by the inversions of its permutation,
 which checks `matchings.sign`'s crossing count, and the weight of a
@@ -19,7 +20,9 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from math import exp, isfinite
+from operator import lt, sub
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from canadaday.exact_linalg import (
     t_matrix,
 )
 from canadaday.matchings import Cluster, Matching, decompose_clusters, flip, sign
+from canadaday.peakon import _fault
 
 
 def identity(n: int) -> ExactMatrix:
@@ -214,6 +218,70 @@ def decimal_rhs(s) -> list[tuple[Decimal, Decimal, Decimal]]:
             u = md[k] + left + right
             out.append((u * u, md[k] * u * (left - right), md[k] * u * (left + right)))
     return out
+
+
+def reference_rhs(x: list, m: list) -> list | None:
+    """x' + m' (one list), the right-hand side at positions x and amplitudes
+    m (lists of floats), in O(n) with no n x n array; None when x is not
+    finite and strictly increasing, so that no exp is taken at a crossed
+    state.
+
+    With q_l = exp(x_l - x_{l+1}), the parts of u(x_k) from the peakons
+    strictly left and right of k are
+
+        L_k = q_{k-1} (L_{k-1} + m_{k-1}),   R_k = q_k (R_{k+1} + m_{k+1}),
+
+    with L_1 = R_n = 0, so u_k = m_k + L_k + R_k, x'_k = u_k^2 and
+    m'_k = m_k u_k (L_k - R_k).  The recurrences have no subtraction, and
+    each exp gets a negative argument.
+    """
+    right_of = x[1:]
+    # Strictly increasing neighbours leave no NaN, and an infinity only at
+    # an end.
+    if not (all(map(lt, x, right_of)) and isfinite(x[0]) and isfinite(x[-1])):
+        return None
+    q = list(map(exp, map(sub, x, right_of)))
+    left, acc = [0.0], 0.0
+    for ql, ml in zip(q, m):
+        acc = ql * (acc + ml)
+        left.append(acc)
+    # k = n, ..., 1, carrying R_k; the 0.0 goes with k = 1, whose R_0 is not
+    # needed.
+    kx, km, r = [], [], 0.0
+    for mk, lk, ql in zip(reversed(m), reversed(left), chain(reversed(q), (0.0,))):
+        uk = mk + lk + r
+        kx.append(uk * uk)
+        km.append(mk * uk * (lk - r))
+        r = ql * (r + mk)
+    kx.reverse()
+    km.reverse()
+    return kx + km
+
+
+def reference_step(y: list, n: int, dt: float, rhs=reference_rhs) -> str | None:
+    """One classical RK4 step of dt, in place, on the packed state y = x + m
+    of n peakons, a list of Python floats, with the O(n) right-hand side
+    `rhs`; None, or why a stage could not be taken: the unfused stepper
+    that `peakon._step` must match bit for bit.
+
+    A stage whose positions are not finite and strictly increasing is not
+    evaluated: y is left as it was, and the step returns "collision" for a
+    finite gap <= 0, "numerical failure" for a non-finite position.  A
+    non-finite amplitude in a stage carries into the stepped state, where
+    `_fault` finds it.  The stages combine as y + dt/6 * (k1 + 2 k2 + 2 k3
+    + k4) in the order of the array formulas.
+    """
+    z, ks = y, []
+    for h in (0.5 * dt, 0.5 * dt, dt, None):
+        k = rhs(z[:n], z[n:])
+        if k is None:
+            return _fault(z, n, 0.0)
+        ks.append(k)
+        if h is not None:
+            z = [a + h * b for a, b in zip(y, k)]
+    sixth = dt / 6.0
+    y[:] = [a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4) for a, k1, k2, k3, k4 in zip(y, *ks)]
+    return None
 
 
 def permutation_sign(m: Matching) -> int:

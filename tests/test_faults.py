@@ -3,7 +3,9 @@ commands that must catch it.  A caught fault exits 1 and names what failed;
 a fault that a run-time verdict cannot see yet is a strict xfail naming the
 ROADMAP item meant to catch it, so it flips when that item lands.  A fault
 that leaves every verdict true and only a reported value wrong is caught
-by a test oracle of that value."""
+by a test oracle of that value.  Every fault is installed through the
+`fault` fixture, which counts its calls: a row whose fault the program never
+called errs, so no row passes, or xfails, on an inert patch."""
 
 import dataclasses
 import json
@@ -19,9 +21,40 @@ from canadaday.cli import main
 from canadaday.lemmas import lemma_report
 from canadaday.exact_linalg import MinorLevel, k_subsets, random_symmetric
 from canadaday.minor_sums import is_interlacing
-from oracles import minor, misreported_separations, permutation_sign
+from oracles import (
+    minor,
+    misreported_separations,
+    permutation_sign,
+    reference_rhs,
+    reference_step,
+)
 
 STATE = Path(__file__).parent / "golden" / "state_6peakons.json"
+
+
+@pytest.fixture(autouse=True)
+def fault(monkeypatch):
+    """`fault(name, replacement, *modules)` sets `name` in each module to
+    the replacement, counting its calls.  After every test here, at least
+    one fault must have been installed and each must have been called.  The
+    check raises `pytest.fail`, which is no AssertionError, so that the
+    strict xfails, each with `raises=AssertionError`, cannot absorb it."""
+    calls = []
+
+    def install(name, replacement, *modules):
+        calls.append([name, 0])
+        count = calls[-1]
+
+        def counted(*args, **kwargs):
+            count[1] += 1
+            return replacement(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+
+    yield install
+    if not calls or not all(n for _, n in calls):
+        pytest.fail(f"a fault the program never called: {calls}", pytrace=False)
 
 
 def _swap_off_interlacing(levels):
@@ -46,16 +79,15 @@ def _swap_off_interlacing(levels):
         yield level
 
 
-def _swap_minors(monkeypatch):
+def _swap_minors(fault):
     real = exact_linalg.minor_levels
-    for module in (minor_sums, lgv):
-        monkeypatch.setattr(module, "minor_levels", lambda m: _swap_off_interlacing(real(m)))
+    fault("minor_levels", lambda m: _swap_off_interlacing(real(m)), minor_sums, lgv)
 
 
 @pytest.fixture
-def swapped_minors(empty_store, monkeypatch):
+def swapped_minors(empty_store, fault):
     """Row 1, from an empty store, so that every T table is built under it."""
-    _swap_minors(monkeypatch)
+    _swap_minors(fault)
 
 
 def _run(capsys, argv):
@@ -106,13 +138,13 @@ def test_verify_theorem_fails_on_swapped_minors(swapped_minors, capsys):
 
 
 @pytest.fixture
-def negated_orbit(empty_store, monkeypatch):
+def negated_orbit(empty_store, fault):
     """Row 2, from an empty store, so that every orbit takes its signs
     under it; the patched matchings, as (n, edges)."""
-    return _negate_orbits(monkeypatch)
+    return _negate_orbits(fault)
 
 
-def _negate_orbits(monkeypatch):
+def _negate_orbits(fault):
     """Patch `matchings.sign` to negate every member of the first
     non-interlacing orbit of each M_{n,k}, n <= 5; the patched matchings,
     as (n, edges)."""
@@ -124,9 +156,7 @@ def _negate_orbits(monkeypatch):
             first = next((o for o in orbits if o.classification == "non-interlacing"), None)
             if first is not None:
                 negated.update((n, m.edges) for m in first.members)
-    monkeypatch.setattr(
-        matchings, "sign", lambda m: -real(m) if (m.n, m.edges) in negated else real(m)
-    )
+    fault("sign", lambda m: -real(m) if (m.n, m.edges) in negated else real(m), matchings)
     return negated
 
 
@@ -161,9 +191,9 @@ def filled_then_emptied(empty_store):
 
 
 def test_swapped_minors_after_the_store_was_filled_and_emptied(
-    filled_then_emptied, monkeypatch, capsys
+    filled_then_emptied, fault, capsys
 ):
-    _swap_minors(monkeypatch)
+    _swap_minors(fault)
     code, doc = _run(capsys, ["verify-lemmas", "--n", "4"])
     assert code == 1
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["t_minor_three_way"]
@@ -175,9 +205,9 @@ def test_swapped_minors_after_the_store_was_filled_and_emptied(
 
 
 def test_negated_orbit_after_the_store_was_filled_and_emptied(
-    filled_then_emptied, monkeypatch, capsys
+    filled_then_emptied, fault, capsys
 ):
-    negated = _negate_orbits(monkeypatch)
+    negated = _negate_orbits(fault)
     # survives, as the strict xfails above record
     assert _run(capsys, ["verify-lemmas", "--n", "4"])[0] == 0
     code, doc = _run(capsys, ["orbit-audit", "--n", "5", "--k", "3"])
@@ -192,39 +222,41 @@ def test_negated_orbit_after_the_store_was_filled_and_emptied(
     assert len(seen) == 4 and all(sg == -parity for sg, parity in seen)
 
 
-# Rows 3-5: `peakon._rhs` changed, on the 6-peakon golden state at
-# `--dt 1e-3 --t-end 1`.
+# Rows 3-5: the right-hand side of `peakon._step` changed, on the 6-peakon
+# golden state at `--dt 1e-3 --t-end 1`.  The program's step fuses its
+# right-hand side into the stage passes, so the fault runs the reference
+# stepper, whose bits it keeps, with a scaled right-hand side.
 
 PEAKON = ["peakon", "--state", str(STATE), "--dt", "1e-3", "--t-end", "1"]
 
 
-def _patch_rhs(monkeypatch, scale_x, scale_m):
-    """Multiply the x' half of `_rhs` by scale_x and the m' half by scale_m."""
-    real = peakon._rhs
+def _patch_step(fault, scale_x, scale_m):
+    """Step as the reference stepper does, with the x' half of its
+    right-hand side multiplied by scale_x and the m' half by scale_m."""
 
     def rhs(x, m):
-        k = real(x, m)
+        k = reference_rhs(x, m)
         if k is None:
             return None
         return [scale_x * v for v in k[: len(x)]] + [scale_m * v for v in k[len(x) :]]
 
-    monkeypatch.setattr(peakon, "_rhs", rhs)
+    fault("_step", lambda y, n, dt: reference_step(y, n, dt, rhs), peakon)
 
 
 def _end_positions(t_end, dt=1e-3):
     return peakon.simulate(peakon.load_state(str(STATE)), dt, t_end).sampled_states[-1].x
 
 
-def test_a_doubled_flow_runs_at_double_speed(monkeypatch):
+def test_a_doubled_flow_runs_at_double_speed(fault):
     true_end = _end_positions(1.0, dt=2e-3)
-    _patch_rhs(monkeypatch, 2.0, 2.0)
+    _patch_step(fault, 2.0, 2.0)
     assert np.allclose(_end_positions(0.5), true_end, rtol=1e-12, atol=0)
 
 
-def test_a_negated_flow_runs_backwards(monkeypatch):
+def test_a_negated_flow_runs_backwards(fault):
     start = peakon.load_state(str(STATE)).x
     assert (_end_positions(1.0) > start).all()
-    _patch_rhs(monkeypatch, -1.0, -1.0)
+    _patch_step(fault, -1.0, -1.0)
     assert (_end_positions(1.0) < start).all()
 
 
@@ -235,14 +267,14 @@ def test_a_negated_flow_runs_backwards(monkeypatch):
     "ROADMAP item 4's flow residual would see it",
 )
 @pytest.mark.parametrize("scale", [2.0, -1.0], ids=["doubled", "negated"])
-def test_peakon_fails_on_a_reparametrised_flow(monkeypatch, capsys, scale):
-    _patch_rhs(monkeypatch, scale, scale)
+def test_peakon_fails_on_a_reparametrised_flow(fault, capsys, scale):
+    _patch_step(fault, scale, scale)
     code, _ = _run(capsys, PEAKON)
     assert code == 1
 
 
-def test_peakon_fails_when_only_m_prime_is_negated(monkeypatch, capsys):
-    _patch_rhs(monkeypatch, 1.0, -1.0)
+def test_peakon_fails_when_only_m_prime_is_negated(fault, capsys):
+    _patch_step(fault, 1.0, -1.0)
     code, doc = _run(capsys, PEAKON)
     assert code == 1
     # every part of the verdict fails: two peakons meet, H_1 .. H_6 drift,
@@ -257,9 +289,9 @@ def test_peakon_fails_when_only_m_prime_is_negated(monkeypatch, capsys):
 # of cells against the closed-form grid sees the gap.
 
 
-def test_verify_theorem_fails_when_the_minor_table_stops_one_level_short(monkeypatch, capsys):
+def test_verify_theorem_fails_when_the_minor_table_stops_one_level_short(fault, capsys):
     real = exact_linalg.minor_levels
-    monkeypatch.setattr(minor_sums, "minor_levels", lambda m: islice(real(m), m.rows - 1))
+    fault("minor_levels", lambda m: islice(real(m), m.rows - 1), minor_sums)
     code, doc = _run(capsys, ["verify-theorem", "--n", "6", "--trials", "2"])
     assert code == 1
     assert doc["witnesses"] == []
@@ -274,7 +306,7 @@ def test_verify_theorem_fails_when_the_minor_table_stops_one_level_short(monkeyp
 
 
 @pytest.fixture
-def flipped_sign(empty_store, monkeypatch):
+def flipped_sign(empty_store, fault):
     """Row 7, from an empty store, so that nothing built under it is kept."""
     real = exact_linalg._plan
 
@@ -285,7 +317,7 @@ def flipped_sign(empty_store, monkeypatch):
             cols = (lambda ext: (-first(ext)[0], *first(ext)[1:]), *cols[1:])
         return runs, cols
 
-    monkeypatch.setattr(exact_linalg, "_plan", plan)
+    fault("_plan", plan, exact_linalg)
 
 
 def test_bareiss_sees_the_flipped_sign(flipped_sign):
@@ -317,7 +349,7 @@ def test_verify_theorem_fails_on_a_flipped_sign(flipped_sign, capsys):
 
 
 @pytest.fixture
-def shifted_separations(empty_store, monkeypatch):
+def shifted_separations(empty_store, fault):
     """Row 8, from an empty store, so that every partition and every kept
     head is built under it."""
     real = matchings._trace_clusters
@@ -328,7 +360,7 @@ def shifted_separations(empty_store, monkeypatch):
             for c in real(m)
         )
 
-    monkeypatch.setattr(matchings, "_trace_clusters", trace)
+    fault("_trace_clusters", trace, matchings)
 
 
 def test_the_separation_oracle_sees_shifted_separations(shifted_separations, capsys):

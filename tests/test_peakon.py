@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decimal_rhs, exact_h, sum_all_minors_float
+from oracles import decimal_rhs, exact_h, reference_rhs, reference_step, sum_all_minors_float
 
 from canadaday import peakon
 from canadaday.exact_linalg import ExactMatrix, char_poly
@@ -468,10 +469,11 @@ def test_constants_match_exact_referee(n, spread):
         assert abs(Fraction(h) - want) <= Fraction(1e-14) * want
 
 
-# The stepper's right-hand side against the 50-digit referee, each error
-# measured against the sum of the absolute values of the terms: u_k^2 for
-# x'_k, m_k u_k (L_k + R_k) for m'_k.  The largest measured 2.7 eps on these
-# states (the array formulas: 3.7 eps).
+# The reference stepper's right-hand side, whose bits the program's step
+# keeps, against the 50-digit referee, each error measured against the sum
+# of the absolute values of the terms: u_k^2 for x'_k, m_k u_k (L_k + R_k)
+# for m'_k.  The largest measured 2.7 eps on these states (the array
+# formulas: 3.7 eps).
 _RHS_EPS = 4
 
 
@@ -479,7 +481,7 @@ _RHS_EPS = 4
 @pytest.mark.parametrize("n", [1, 3, 10, 20, 100])
 def test_rhs_matches_decimal_referee(n, spread):
     s = _spread_state(n, spread)
-    got = peakon._rhs(s.x.tolist(), s.m.tolist())
+    got = reference_rhs(s.x.tolist(), s.m.tolist())
     bound = Fraction(_RHS_EPS) * Fraction(np.finfo(float).eps)
     for k, (dx, dm, dm_scale) in enumerate(decimal_rhs(s)):
         assert abs(Fraction(got[k]) - Fraction(dx)) <= bound * Fraction(dx), k
@@ -492,9 +494,12 @@ def test_rhs_matches_decimal_referee(n, spread):
      [-math.inf, 0.0], [0.0, math.inf], [math.inf, math.inf]],
 )
 def test_rhs_refuses_positions_not_finite_and_increasing(monkeypatch, x):
+    # the step's first stage is refused before its first exp, y unchanged
     args = _record_exp(monkeypatch)
-    assert peakon._rhs(x, [1.0] * len(x)) is None
-    assert args == []
+    y = x + [1.0] * len(x)
+    want = "numerical failure" if not all(map(math.isfinite, x)) else "collision"
+    assert peakon._step(y, len(x), 1e-3) == want
+    assert args == [] and _bits(y) == _bits(x + [1.0] * len(x))
 
 
 def _record_exp(monkeypatch):
@@ -528,9 +533,63 @@ def test_step_ends_at_a_non_finite_stage_as_numerical_failure(monkeypatch):
     assert args and max(args) < 0
 
 
+def _bits(values):
+    """The IEEE bytes of a list of floats: equal only bit for bit, so -0.0
+    differs from 0.0 and a NaN equals a NaN of the same payload."""
+    return array("d", values).tobytes()
+
+
+def _seeded_packed_states(n, count=10):
+    """Packed states x + m with ordered positions, gaps from 0.05 to 3 and
+    amplitudes spread over two decades, one per seed."""
+    for seed in range(count):
+        rng = np.random.default_rng(7000 + 10 * n + seed)
+        x = np.cumsum(rng.uniform(0.05, 3.0, n)) - 1.5 * n
+        yield x.tolist() + (10.0 ** rng.uniform(-1.0, 1.0, n)).tolist()
+
+
+def _same_steps(y, n, dt, steps):
+    """Step y with the program and the reference stepper side by side, each
+    on its own copy, and require the same return value and the same bits
+    after every step; the last return value."""
+    got, want = list(y), list(y)
+    for _ in range(steps):
+        verdict = peakon._step(got, n, dt)
+        assert verdict == reference_step(want, n, dt)
+        assert _bits(got) == _bits(want)
+        if verdict is not None:
+            return verdict
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 50])
+def test_step_keeps_the_reference_steppers_bits(n):
+    ends = [_same_steps(y, n, dt, 30) for y in _seeded_packed_states(n) for dt in (1e-3, 3e-2)]
+    # every state runs all 30 steps at dt = 1e-3; at 3e-2 some of n >= 6 end
+    # at a crossed stage, where the two are compared too
+    assert ends[::2] == [None] * 10
+
+
+def test_step_keeps_the_reference_steppers_bits_at_the_cap():
+    n = MAX_PEAKONS
+    y = np.arange(n, dtype=float).tolist() + np.linspace(0.5, 2.0, n).tolist()
+    assert _same_steps(y, n, 1e-3, 3) is None
+
+
+@pytest.mark.parametrize(
+    "y, dt, verdict",
+    [([0.0, 0.1, 10.0, 0.1], 0.05, "collision"),
+     ([0.0, 800.0, 1.0, 1e160], 1e-3, "numerical failure")],
+    ids=["crossed-stage", "non-finite-stage"],
+)
+def test_step_keeps_the_reference_steppers_bits_at_a_refused_stage(y, dt, verdict):
+    # the states of the two tests above, each refused at its second stage
+    assert _same_steps(y, 2, dt, 1) == verdict
+
+
 def test_stepper_memory_far_below_one_square_array():
     # the array stepper held three n x n float arrays, 24 MB at the cap; the
-    # lists of this one measured 0.49 MB at their peak
+    # lists of this one measured 0.34 MB at their peak
     n = MAX_PEAKONS
     s = PeakonState(0.0, np.arange(n, dtype=float), np.linspace(0.5, 2.0, n))
     tracemalloc.start()

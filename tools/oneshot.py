@@ -7,7 +7,9 @@ Each command runs as `python -m canadaday ...` in a child process, with DIR
 sent to /dev/null, so nothing is kept from one run to the next: this is the
 path a one-shot user sees, which the benchmark's long-lived worker does not.
 For each command it prints the best of N wall times and the peak RSS of that
-same child, read from `os.wait4`, then one JSON line with those figures.
+same child, read from `os.wait4`, then one JSON line with those figures.  The
+`peakon` command steps the 6-peakon golden state of this checkout,
+`tests/golden/state_6peakons.json`, whichever `--src` runs it.
 
 Given `--src` more than once, it runs the checkouts in turn for each command
 and repetition (parent, change, parent, change, ...), so that a slow phase of
@@ -24,6 +26,8 @@ import sys
 import time
 from pathlib import Path
 
+CHECKOUT = Path(__file__).resolve().parent.parent
+
 COMMANDS = [
     ["verify-lemmas", "--n", "4"],
     ["orbit-audit", "--n", "5", "--k", "3", "--format", "json"],
@@ -32,6 +36,8 @@ COMMANDS = [
     ["verify-theorem", "--n", "6", "--trials", "1"],
     ["verify-theorem", "--n", "10", "--trials", "1"],
     ["lgv-audit", "--n", "8"],
+    ["peakon", "--state", str(CHECKOUT / "tests" / "golden" / "state_6peakons.json"),
+     "--dt", "1e-3", "--t-end", "1"],
 ]
 
 
@@ -69,7 +75,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    srcs = [p.resolve() for p in args.src or [Path(__file__).resolve().parent.parent / "src"]]
+    srcs = [p.resolve() for p in args.src or [CHECKOUT / "src"]]
     for src in srcs:
         if not (src / "canadaday" / "__init__.py").is_file():
             parser.error(f"--src {src}: no canadaday package there")
