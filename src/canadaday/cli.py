@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     try:
         _require_out_paths(args)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

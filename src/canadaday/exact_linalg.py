@@ -35,6 +35,13 @@ Rational = Fraction
 # families; beyond this n they stop being desk-scale, so refuse.
 SIZE_GUARD = 12
 
+
+def refuse_past_guard(n: int) -> None:
+    """Refuse n > SIZE_GUARD, before any enumeration of minors or matchings."""
+    if n > SIZE_GUARD:
+        raise ValueError(f"n={n} exceeds the guard {SIZE_GUARD}")
+
+
 __all__ = [
     "DimensionError",
     "ExactMatrix",
@@ -247,11 +254,13 @@ def minor_levels(m: ExactMatrix) -> Iterator[MinorLevel]:
     not depend on m is `_plan(n, k)`, cached per (n, k); each minor is then
     one C-level `sum(map(mul, row, weights))`, and only +, unary -, * and
     sum touch the entries.  A level is built only when the caller asks for
-    it, and only the level before it is kept to build it.
+    it, and only the level before it is kept to build it.  A matrix past
+    SIZE_GUARD rows is refused before the first level.
     """
     if not m.is_square():
         raise DimensionError(f"minor table needs a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
+    refuse_past_guard(n)
     d, a = scaled_to_integers(m)
     prev: tuple[tuple[int, ...], ...] = ((1,),)
     for k in range(1, n + 1):
@@ -367,7 +376,8 @@ class JsonSplice(dict):
     """A dict whose first `covers` items `json_text` writes from `head`, the
     text `json_head` gave for them, so that text kept from an earlier call
     is written again without rendering its values.  As a dict it is the
-    plain dict of its items: `==` to it, and written as it by `json.dumps`.
+    plain dict of its items: `==` to it, and written as it by `json.dumps`,
+    as `json_text` writes one that covers nothing or has a non-str key.
 
     The head is text, fixed when the splice is made.  `json_text` of a
     splice whose covered items were edited since writes them as they were;
@@ -386,49 +396,43 @@ def json_text(o, indent: str = "") -> str:
     """`json.dumps(o, indent=2)`, byte for byte, in one recursive pass.
 
     With `indent` set, `json.dumps` runs the pure-Python encoder.  This
-    renderer dispatches on the exact type, joins each container's rendered
-    items with `str.join` and encodes strings with the C
-    `encode_basestring_ascii`.  Ints and finite floats are their repr, as in
-    `json.dumps`, and bool and None their JSON words; other scalars go to
-    `json.dumps` itself, whose compact form of one scalar is the same.  A
-    container renders its items of exact type str or int (and its str keys)
-    inline, without a call; the exact-type test leaves bool, and subclasses
-    such as an IntEnum, to the dispatch above.
-
-    A `JsonSplice` writes its head in place of its first `covers` items,
-    each newline followed by `indent`, then renders the rest.  The head is
-    depth-0 text, and indent=2 JSON has no newline inside a string, so this
-    is the text of those items at this depth.  Its branch comes before the
-    `isinstance(o, dict)` fallback, which takes every dict subclass as a
-    plain dict and would never reach it."""
+    renderer writes, by exact type, only what reports hold: a dict with str
+    keys, a list or tuple (its str and int items inline, without a call), a
+    finite float, a bool, None, and a `JsonSplice`, whose head it writes in
+    place of its first `covers` items.  Every other value, and a dict with a
+    key that is not a str (on which `encode_basestring_ascii` raises
+    TypeError), goes to `json.dumps(o, indent=2)`.  Depth-0 text is moved to
+    this depth by following each newline with `indent`, which is exact
+    because indent=2 JSON has no newline inside a string."""
     t = type(o)
-    if t is str:
-        return encode_basestring_ascii(o)
-    if t is int or (t is float and -inf < o < inf):
+    if t is dict or t is list or t is tuple:
+        if not o:
+            return "{}" if t is dict else "[]"
+        inner = indent + "  "
+        if t is not dict:
+            enc = encode_basestring_ascii
+            items = [
+                enc(v) if type(v) is str else repr(v) if type(v) is int else json_text(v, inner)
+                for v in o
+            ]
+            return _enclosed("[", items, "]", indent)
+        try:
+            return _enclosed("{", _items(o.items(), inner), "}", indent)
+        except TypeError:  # a key that is not a str; or a value json.dumps refuses too
+            pass
+    elif t is float and -inf < o < inf:
         return repr(o)
-    if t is bool:
+    elif t is bool:
         return "true" if o else "false"
-    if o is None:
+    elif o is None:
         return "null"
-    if t is JsonSplice and o.covers:
-        rest = _items(islice(o.items(), o.covers, None), indent + "  ")
-        return _enclosed("{", [o.head.replace("\n", "\n" + indent), *rest], "}", indent)
-    if t is not dict and t is not list and t is not tuple:
-        if isinstance(o, dict):
-            t = dict
-        elif not isinstance(o, (list, tuple)):
-            return json.dumps(o)
-    if not o:
-        return "{}" if t is dict else "[]"
-    inner = indent + "  "
-    if t is dict:
-        return _enclosed("{", _items(o.items(), inner), "}", indent)
-    enc = encode_basestring_ascii
-    items = [
-        enc(v) if type(v) is str else repr(v) if type(v) is int else json_text(v, inner)
-        for v in o
-    ]
-    return _enclosed("[", items, "]", indent)
+    elif t is JsonSplice and o.covers:
+        try:
+            rest = _items(islice(o.items(), o.covers, None), indent + "  ")
+            return _enclosed("{", [o.head.replace("\n", "\n" + indent), *rest], "}", indent)
+        except TypeError:  # as for a dict
+            pass
+    return json.dumps(o, indent=2).replace("\n", "\n" + indent)
 
 
 def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
@@ -446,25 +450,16 @@ def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
 def json_head(covered: dict) -> str:
     """The items of `covered` as `json_text` writes them inside a dict at
     depth 0, without the braces: the head of a `JsonSplice`."""
-    return ",\n  ".join(_items(covered.items(), "  "))
+    return json_text(covered)[4:-2]
 
 
 def _items(pairs, inner: str) -> list[str]:
-    """Each (key, value) of `pairs` as a dict item at indent `inner`."""
+    """Each (key, value) of `pairs` as a dict item at indent `inner`; a key
+    that is not a str raises TypeError."""
     enc = encode_basestring_ascii
     return [
-        (enc(k) if type(k) is str else _json_key(k))
+        enc(k)
         + ": "
         + (enc(v) if type(v) is str else repr(v) if type(v) is int else json_text(v, inner))
         for k, v in pairs
     ]
-
-
-def _json_key(k) -> str:
-    """A dict key as `json.dumps` writes it: str as is; int, float, bool and
-    None by their JSON text, then quoted."""
-    if not isinstance(k, str):
-        if k is not None and not isinstance(k, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-        k = json.dumps(k)
-    return encode_basestring_ascii(k)

@@ -36,6 +36,7 @@ from .exact_linalg import (
     exact_str,
     json_head,
     matrix_to_json_dict,
+    refuse_past_guard,
     scaled_to_integers,
 )
 from .minor_sums import (
@@ -108,7 +109,8 @@ class Matching:
 
 def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
     """All k-edge matchings of K_{n,n}, each exactly once, in lexicographic
-    (I, J, assignment) order; there are C(n,k)^2 * k! of them."""
+    (I, J, assignment) order; there are C(n,k)^2 * k! of them.  Refuses
+    n > SIZE_GUARD."""
     for edges in _edge_tuples(n, k):
         yield Matching(n, edges)
 
@@ -130,6 +132,7 @@ def _check_k(n: int, k: int) -> int:
 def _edge_tuples(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """The edges of each matching of `enumerate_matchings`, in its order and
     already sorted by left node, from one list of plain k-subsets of 1..n."""
+    refuse_past_guard(n)
     _check_k(n, k)
     subsets = list(combinations(range(1, n + 1), k))
     for I in subsets:
@@ -284,12 +287,13 @@ def _assemble(n: int, clusters) -> Matching:
 @dataclass(frozen=True, slots=True)
 class Orbit:
     """A flip-group orbit: all 2^p reversals-of-subsets of the open clusters,
-    with the `sign` of each member, in member order.  The instance has
+    with p and the `sign` of each member, in member order.  The instance has
     slots, not a __dict__: M_{7,5} alone has 21,420 orbits."""
 
     members: tuple[Matching, ...]
     classification: str  # "interlacing" or "non-interlacing"
     signs: tuple[int, ...]
+    p: int
     _flip_images: tuple[int | None, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -326,7 +330,7 @@ def orbit(m: Matching) -> Orbit:
     single trace.  Classification follows the parity criterion (orbit is
     interlacing iff every cluster separation is even), cross-checked against
     an explicit scan for an interlacing member.  Each member's sign is taken
-    once, here.
+    once, here, and p by `p_of` of m's labels, independent of the trace.
     """
     clusters = decompose_clusters(m)
     closed = [c for c in clusters if c.kind == "closed"]
@@ -346,7 +350,8 @@ def orbit(m: Matching) -> Orbit:
             f"interlacing members={len(interlacing_members)}"
         )
     kind = "interlacing" if all_even else "non-interlacing"
-    return Orbit(tuple(members), kind, tuple(map(sign, members)))
+    p = p_of([i for i, _ in m.edges], [j for _, j in m.edges])
+    return Orbit(tuple(members), kind, tuple(map(sign, members)), p)
 
 
 @dataclass(frozen=True)
@@ -393,8 +398,8 @@ def partition_into_orbits(n: int, k: int) -> tuple[Orbit, ...]:
 
     The partition depends on (n, k) alone, so it is `kept` from the second
     request for an (n, k) on, and every later request returns that same
-    tuple, its members' clusters already traced, each orbit's signs with
-    it and its flip images, once read, kept on it.  A one-shot
+    tuple, its members' clusters already traced, each orbit's signs and p
+    with it and its flip images, once read, kept on it.  A one-shot
     `python -m canadaday` run asks for each (n, k) once and keeps none; a process that asks for
     the same (n, k) again, such as a benchmark worker or a test session,
     builds it twice and then never.
@@ -429,11 +434,11 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
     `scaled_weight` over d**k and every sum below is a sum of ints; only the
     three totals become rationals.  Checks that the orbits partition
     M_{n,k} (distinct members, C(n,k)^2 * k! in total), that each has 2^p
-    members (`p_of` its first member's row and column labels) and constant
-    weight, that interlacing orbits have one sign and that non-interlacing
-    orbits are sign-balanced.  Every orbit is summed member by member, sign
-    times weight.  The grand sum of the orbit sums must equal S and the sum
-    of all k x k minors of X, both 1 at k=0.
+    members (its own `p`) and constant weight, that interlacing orbits have
+    one sign and that non-interlacing orbits are sign-balanced.  Every
+    orbit is summed member by member, sign times weight.  The grand sum of
+    the orbit sums must equal S and the sum of all k x k minors of X, both
+    1 at k=0.
     """
     if not x.is_square():
         raise DimensionError(f"need a square matrix, got {x.rows}x{x.cols}")
@@ -458,11 +463,7 @@ def orbit_sum_identity(x: ExactMatrix, k: int) -> OrbitSumReport:
         "orbits_partition_matchings": len({m.edges for o in orbits for m in o.members})
         == sum(len(o.members) for o in orbits)
         == matching_count(n, k),
-        "orbit_sizes_match_p": all(
-            len(o.members) == 2 ** p_of([i for i, _ in m.edges], [j for _, j in m.edges])
-            for o in orbits
-            for m in o.members[:1]
-        ),
+        "orbit_sizes_match_p": all(len(o.members) == 2**o.p for o in orbits),
         "weight_constant_on_orbits": all(ws.count(ws[0]) == len(ws) for ws in weights),
         "interlacing_orbits_uniform_sign": all(
             len(set(sgs)) == 1 for sgs in compress(signs, interlacing)

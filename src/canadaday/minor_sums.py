@@ -43,6 +43,7 @@ from .exact_linalg import (
     minor_levels,
     random_matrix,
     random_symmetric,
+    refuse_past_guard,
     scaled_to_integers,
 )
 
@@ -102,8 +103,7 @@ def check_size_guard(n: int) -> int:
     n = as_index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > SIZE_GUARD:
-        raise ValueError(f"n={n} exceeds the guard {SIZE_GUARD}")
+    refuse_past_guard(n)
     return n
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -1034,6 +1035,24 @@ def test_main_builds_the_parser_once_and_leaks_no_value(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,library,flags",
+    [
+        (["verify-theorem"], theorem_campaign, {"trials": "trials", "seed": "seed", "bound": "bound"}),
+        (["verify-lemmas"], lemma_report, {"n": "n_max", "seed": "seed", "bound": "bound"}),
+        (["peakon", "--state", "s.json"], peakon.simulate, {"sample_every": "sample_every"}),
+    ],
+    ids=["verify-theorem", "verify-lemmas", "peakon"],
+)
+def test_cli_defaults_are_the_library_defaults(argv, library, flags):
+    # Each default is written twice, as a flag's and as a parameter's.
+    args = vars(cli._build_parser().parse_args(argv))
+    params = inspect.signature(library).parameters
+    assert {dest: args[dest] for dest in flags} == {
+        dest: params[name].default for dest, name in flags.items()
+    }
+
+
+@pytest.mark.parametrize(
     "bad",
     [["orbit-audit", "--n", "3", "--bogus"], ["orbit-audit", "--n", "x", "--k", "2"],
      ["orbit-audit", "--n", "3"], ["no-such-command"]],
@@ -1151,6 +1170,42 @@ def test_main_orbit_audit_matrix_missing_key_is_input_error(tmp_path, capsys, ke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f"missing {key}\n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,doc,message",
+    [
+        (["peakon"], b'{"x": [0.0, 1.0], "m": [1.0]}', "equal length"),
+        (["peakon"], b'{"x": [0.0, 1.0]}', "m must be a list of numbers"),
+        (["peakon"], b'{"x": {"a": 1.0}, "m": [1.0]}', "x must be a list of numbers"),
+        (["peakon"], b'{"t": "0", "x": [0.0, 1.0], "m": [1.0, 1.0]}', "t must be a JSON number"),
+        (["orbit-audit", "--n", "2", "--k", "1"], b'{"rows": 2, "cols": 2, "entries": [["1", "2"], ["2"]]}',
+         "entry grid does not match"),
+        (["orbit-audit", "--n", "1", "--k", "1"], b'{"rows": 1, "cols": 1, "entries": [["\xff"]]}',
+         "can't decode"),
+    ],
+    ids=["m-shorter-than-x", "m-missing", "x-an-object", "t-a-string", "ragged-rows", "bad-utf-8"],
+)
+def test_main_malformed_input_file_is_input_error(tmp_path, capsys, argv, doc, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(doc)
+    flag = "--state" if argv[0] == "peakon" else "--matrix"
+    assert main([*argv, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_main_lets_a_program_key_error_out(monkeypatch):
+    # No input path raises KeyError, so one is a fault of the program, not
+    # bad input: it must not exit 2 as if it were.
+    def faulty(x, k):
+        raise KeyError("weight")
+
+    monkeypatch.setattr(matchings, "orbit_audit", faulty)
+    with pytest.raises(KeyError, match="weight"):
+        main(["orbit-audit", "--n", "3", "--k", "2"])
 
 
 @pytest.mark.parametrize("entry", ["1e100000000", "1e-100000000", "2.5e999999999"])

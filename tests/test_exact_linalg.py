@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from canadaday import exact_linalg
 from canadaday.exact_linalg import (
     DimensionError,
     ExactMatrix,
@@ -200,6 +201,14 @@ def test_the_plan_is_built_once_per_size_and_bounded_like_the_interlacing_pairs(
 def test_minor_levels_rejects_nonsquare():
     with pytest.raises(DimensionError):
         next(minor_levels(ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])))
+
+
+def test_minor_levels_refuses_a_matrix_past_the_size_guard_before_any_work(monkeypatch):
+    assert next(minor_levels(random_matrix(12, 1, 9))).k == 1
+    assert list(minor_levels(ExactMatrix.from_rows([]))) == []  # 0x0: an empty table
+    monkeypatch.setattr(exact_linalg, "scaled_to_integers", lambda m: pytest.fail("scaled"))
+    with pytest.raises(ValueError, match=r"^n=13 exceeds the guard 12$"):
+        next(minor_levels(random_matrix(13, 1, 9)))
 
 
 def _principal_sums_bareiss(m):

@@ -115,6 +115,14 @@ def test_enumeration_count(n, k):
     assert len(set(ms)) == len(ms)
 
 
+def test_enumeration_refuses_n_past_the_size_guard_before_any_work(monkeypatch):
+    assert next(enumerate_matchings(12, 6)) == Matching(12, tuple((i, i) for i in range(1, 7)))
+    assert list(enumerate_matchings(0, 0)) == [Matching(0, ())]  # M_{0,0}: the empty matching
+    monkeypatch.setattr(matchings, "combinations", lambda *args: pytest.fail("enumerated"))
+    with pytest.raises(ValueError, match=r"^n=13 exceeds the guard 12$"):
+        next(enumerate_matchings(13, 6))
+
+
 def test_enumeration_order_is_deterministic():
     assert list(enumerate_matchings(3, 2)) == list(enumerate_matchings(3, 2))
 
@@ -583,7 +591,7 @@ def test_kept_partition_carries_signs_and_flip_images(cold_partitions, monkeypat
     again = partition_into_orbits(4, 2)
     assert [o.signs for o in again] == signs and [list(o.flips()) for o in again] == images
     # the flip images are not a field: an orbit equals one built without them
-    assert kept[0] == Orbit(kept[0].members, kept[0].classification, kept[0].signs)
+    assert kept[0] == Orbit(kept[0].members, kept[0].classification, kept[0].signs, kept[0].p)
 
 
 def test_orbit_audit_takes_no_flip(cold_partitions, monkeypatch):
@@ -825,7 +833,7 @@ def test_orbit_sum_identity_detects_a_repeated_orbit(monkeypatch):
     assert "orbits_partition_matchings" in rep.failed_checks
 
 
-def test_orbit_sum_identity_checks_orbit_sizes(monkeypatch):
+def test_orbit_sum_identity_checks_orbit_sizes(empty_store, monkeypatch):
     monkeypatch.setattr(matchings, "p_of", lambda I, J: p_of(I, J) + 1)
     rep = orbit_sum_identity(random_symmetric(3, 57, 9), 2)
     assert rep.failed_checks == ("orbit_sizes_match_p",)
@@ -847,7 +855,7 @@ def test_orbit_sum_identity_checks_interlacing_orbits_have_one_sign(empty_store,
     # One member of an interlacing orbit gets its sign negated: its weight,
     # size and the partition still hold, so only the one-sign check fails.
     members = (Matching(3, ((1, 1), (2, 3))), Matching(3, ((1, 1), (3, 2))))
-    interlacing = Orbit(members, "interlacing", (1, 1))
+    interlacing = Orbit(members, "interlacing", (1, 1), 1)
     assert interlacing in partition_into_orbits(3, 2)
     flipped = members[1]
     monkeypatch.setattr(matchings, "sign", lambda m: -sign(m) if m == flipped else sign(m))

@@ -87,7 +87,7 @@ def test_store_keeps_nothing_taken_from_x(empty_store):
         if key[0] == "partition":
             for o in value:
                 assert [f.name for f in fields(o)] == [
-                    "members", "classification", "signs", "_flip_images",
+                    "members", "classification", "signs", "p", "_flip_images",
                 ]
                 assert not hasattr(o, "__dict__")
                 assert all(set(vars(m)) == {"n", "edges", "_clusters"} for m in o.members)
