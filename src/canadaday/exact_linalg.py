@@ -4,8 +4,9 @@ of the package), its division-free characteristic polynomial, and the
 structured lower-triangular matrix T with entries 1 + sgn(i - j).  The
 Bareiss determinant that checks the minor table lives with the test oracles.
 Also the JSON side of the package: matrix documents, `read_json`, and
-`json_text`, the renderer of every JSON report, with `JsonSplice` for text
-kept across calls.
+`json_text`, the renderer of every JSON report, with `JsonTemplate`, the
+text of a list of dicts kept across calls, written for a `TemplatedList`
+that still fits it.
 
 All public interfaces are 1-based in row/column indices, so worked examples
 from the literature transcribe directly.  Internal storage is 0-based
@@ -15,12 +16,13 @@ row-major.
 from __future__ import annotations
 
 import json
+import marshal
 import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, islice, repeat
+from itertools import combinations, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf, lcm
 from operator import index, itemgetter, mul, neg
@@ -46,15 +48,15 @@ __all__ = [
     "DimensionError",
     "ExactMatrix",
     "IndexSet",
-    "JsonSplice",
+    "JsonTemplate",
     "MinorLevel",
     "Rational",
+    "TemplatedList",
     "as_index",
     "char_poly",
     "child_seed",
     "exact_str",
     "integer_char_poly",
-    "json_head",
     "json_text",
     "k_subsets",
     "load_matrix",
@@ -361,7 +363,7 @@ def matrix_from_json_dict(d: dict) -> ExactMatrix:
 def read_json(path):
     """The JSON document in the file at path; nesting too deep for the
     parser raises ValueError, not RecursionError."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
@@ -372,24 +374,100 @@ def load_matrix(path) -> ExactMatrix:
     return matrix_from_json_dict(read_json(path))
 
 
-class JsonSplice(dict):
-    """A dict whose first `covers` items `json_text` writes from `head`, the
-    text `json_head` gave for them, so that text kept from an earlier call
-    is written again without rendering its values.  As a dict it is the
-    plain dict of its items: `==` to it, and written as it by `json.dumps`,
-    as `json_text` writes one that covers nothing or has a non-str key.
+class JsonTemplate:
+    """The JSON text of a list of dicts less its slots, for a later list
+    that differs only there.  The slots are the str values under the keys
+    `slots`, each alone or in a list; every other value is fixed.
 
-    The head is text, fixed when the splice is made.  `json_text` of a
-    splice whose covered items were edited since writes them as they were;
-    render `dict(o)` instead."""
+    `pieces` is the fixed text between the slots, as `json_text` writes the
+    list at `indent`: it renders the rows with the sentinel "\\x00" in each
+    slot and splits on the sentinel's text.  `keys` are each row's keys in
+    order, `fixed` each row's fixed values by `marshal` (format 2, which
+    writes no back-references), and `shape` the length of each slot list,
+    -1 for a lone str.  Nothing in it is a slot value.
+    """
 
-    __slots__ = ("head", "covers")
+    __slots__ = ("indent", "keys", "slots", "fixed_of", "fixed", "shape", "pieces")
 
-    def __init__(self, head: str, covered: dict, /, **rest):
-        """The items of `covered`, then those of `rest`; `head` must be
-        `json_head(covered)`."""
-        super().__init__(covered, **rest)
-        self.head, self.covers = head, len(covered)
+    def __init__(self, rows: list[dict], slots: tuple[str, ...], indent: str):
+        """The template of `rows` at `indent`.  Each row must be a dict with
+        the keys of the first, in order, at least one of them not a slot,
+        and a str or a list of str under each slot key; any other rows, and
+        fixed values that `marshal` refuses, raise ValueError."""
+        self.indent = indent
+        self.keys = tuple(rows[0]) if rows else ()
+        self.slots = tuple(key for key in self.keys if key in slots)  # in row order
+        fixed = [key for key in self.keys if key not in slots]
+        if not fixed or len(self.slots) != len(set(slots)):
+            raise ValueError("a template needs rows with every slot key and another key")
+        self.fixed_of = itemgetter(*fixed)
+        shape, values = self._slot_values(rows)
+        if values is None or not all(type(v) is str for v in values):
+            raise ValueError("every row needs the same keys and str slot values")
+        self.fixed = marshal.dumps(list(map(self.fixed_of, rows)), 2)
+        self.shape = tuple(shape)
+        blank = [
+            {key: _blank(v) if key in slots else v for key, v in row.items()} for row in rows
+        ]
+        self.pieces = tuple(json_text(blank, indent).split(encode_basestring_ascii("\x00")))
+        if len(self.pieces) != len(values) + 1:
+            raise ValueError("a fixed value holds the sentinel")
+
+    def _slot_values(self, rows) -> tuple[list[int], list | None]:
+        """(shape, slot values) of `rows`; None for the values if a row is not a
+        dict with `keys` in order."""
+        keys, slots = self.keys, self.slots
+        shape, values = [], []
+        for row in rows:
+            if type(row) is not dict or tuple(row) != keys:
+                return shape, None
+            for key in slots:
+                v = row[key]
+                if type(v) is list:
+                    shape.append(len(v))
+                    values += v
+                else:
+                    shape.append(-1)
+                    values.append(v)
+        return shape, values
+
+    def text(self, rows: list, indent: str) -> str | None:
+        """`json_text(rows, indent)` from the pieces if `rows` fit them: the
+        template's indent, keys, fixed values and shape, and str slot
+        values.  None if they do not."""
+        if indent != self.indent:
+            return None
+        shape, values = self._slot_values(rows)
+        try:
+            if (
+                values is None
+                or tuple(shape) != self.shape
+                or marshal.dumps(list(map(self.fixed_of, rows)), 2) != self.fixed
+            ):
+                return None
+            parts = [""] * (2 * len(values) + 1)
+            parts[1::2] = map(encode_basestring_ascii, values)  # TypeError unless str
+        except (TypeError, ValueError):  # a slot not a str; a value marshal refuses
+            return None
+        parts[::2] = self.pieces
+        return "".join(parts)
+
+
+def _blank(v):
+    """The sentinel in place of a slot value, or of each of a list's."""
+    return ["\x00"] * len(v) if type(v) is list else "\x00"
+
+
+class TemplatedList(list):
+    """A list that `json_text` writes from `template`, a `JsonTemplate`,
+    while the list fits it, and as a plain list otherwise.  As a list it is
+    its plain items: `==` to them, and written as them by `json.dumps`."""
+
+    __slots__ = ("template",)
+
+    def __init__(self, items, template: JsonTemplate, /):
+        super().__init__(items)
+        self.template = template
 
 
 def json_text(o, indent: str = "") -> str:
@@ -398,8 +476,8 @@ def json_text(o, indent: str = "") -> str:
     With `indent` set, `json.dumps` runs the pure-Python encoder.  This
     renderer writes, by exact type, only what reports hold: a dict with str
     keys, a list or tuple (its str and int items inline, without a call), a
-    finite float, a bool, None, and a `JsonSplice`, whose head it writes in
-    place of its first `covers` items.  Every other value, and a dict with a
+    finite float, a bool, None, and a `TemplatedList`, which its template
+    writes if the list still fits it.  Every other value, and a dict with a
     key that is not a str (on which `encode_basestring_ascii` raises
     TypeError), goes to `json.dumps(o, indent=2)`.  Depth-0 text is moved to
     this depth by following each newline with `indent`, which is exact
@@ -426,12 +504,9 @@ def json_text(o, indent: str = "") -> str:
         return "true" if o else "false"
     elif o is None:
         return "null"
-    elif t is JsonSplice and o.covers:
-        try:
-            rest = _items(islice(o.items(), o.covers, None), indent + "  ")
-            return _enclosed("{", [o.head.replace("\n", "\n" + indent), *rest], "}", indent)
-        except TypeError:  # as for a dict
-            pass
+    elif t is TemplatedList:
+        text = o.template.text(o, indent)
+        return json_text(list(o), indent) if text is None else text
     return json.dumps(o, indent=2).replace("\n", "\n" + indent)
 
 
@@ -445,12 +520,6 @@ def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
     items[0] = opening + "\n" + inner + items[0]
     items[-1] += "\n" + indent + closing
     return (",\n" + inner).join(items)
-
-
-def json_head(covered: dict) -> str:
-    """The items of `covered` as `json_text` writes them inside a dict at
-    depth 0, without the braces: the head of a `JsonSplice`."""
-    return json_text(covered)[4:-2]
 
 
 def _items(pairs, inner: str) -> list[str]:

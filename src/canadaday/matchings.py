@@ -30,11 +30,11 @@ from .exact_linalg import (
     DimensionError,
     ExactMatrix,
     IndexSet,
-    JsonSplice,
+    JsonTemplate,
     Rational,
+    TemplatedList,
     as_index,
     exact_str,
-    json_head,
     matrix_to_json_dict,
     refuse_past_guard,
     scaled_to_integers,
@@ -46,6 +46,7 @@ from .minor_sums import (
     check_walk,
     interlaces,
     kept,
+    kept_on_repeat,
     level_sums,
     p_of,
 )
@@ -496,14 +497,17 @@ def orbit_audit(x: ExactMatrix, k: int) -> dict:
     X.  Refuses, before any work, an entry of X whose numerator or
     denominator has more than MAX_ENTRY_BITS bits.
 
-    Each orbit entry is built afresh on every call, and is a `JsonSplice`:
-    its classification, members, signs and separations depend on (n, k)
-    alone, and their JSON text, rendered from this call's entries, is
-    `kept` as a tuple of str, so that from the second request for an
-    (n, k) on the renderer writes only the weights and the orbit sum.
-    Each distinct scaled weight or orbit sum is rendered once per call; a
-    member's edges and an orbit's signs go into the report as the tuples
-    they are, which the JSON renderer writes as lists."""
+    Each orbit entry is built afresh on every call.  Its classification,
+    members, signs and separations depend on (n, k) alone, so from the
+    second request for an (n, k) on, `orbits` is a `TemplatedList` whose
+    `JsonTemplate`, kept per (n, k), holds the text of the entries less
+    their weights and orbit sums.  The renderer checks that every entry
+    still holds the template's X-free values and writes the weights and
+    sums into that text; an edited entry is rendered as it now is.  A first
+    request builds no template.  Each distinct scaled weight or orbit sum
+    is rendered once per call; a member's edges and an orbit's signs go
+    into the report as the tuples they are, which the JSON renderer writes
+    as lists."""
     for v in x.entries:
         check_entry_bits(v.numerator, "a matrix entry's numerator")
         check_entry_bits(v.denominator, "a matrix entry's denominator")
@@ -513,26 +517,28 @@ def orbit_audit(x: ExactMatrix, k: int) -> dict:
         v: exact_str(Fraction(v, scale))
         for v in {w for ws in rep.weights for w in ws}.union(rep.orbit_sums)
     }
-    x_free = [
+    orbits = [
         {
             "classification": o.classification,
             "members": [{"n": m.n, "edges": m.edges} for m in o.members],
             "signs": o.signs,
             "separations": [[c.separation for c in decompose_clusters(m)] for m in o.members],
+            "weights": [text[w] for w in ws],
+            "orbit_sum": text[total],
         }
-        for o in rep.orbits
+        for o, ws, total in zip(rep.orbits, rep.weights, rep.orbit_sums)
     ]
-    heads = kept(("audit_heads", rep.n, rep.k), lambda: tuple(map(json_head, x_free)))
+    # Written at the depth of "orbits" in the report.
+    template = kept_on_repeat(
+        ("audit_text", rep.n, rep.k), lambda: JsonTemplate(orbits, ("weights", "orbit_sum"), "  ")
+    )
     return {
         "command": "orbit-audit",
         "n": rep.n,
         "k": rep.k,
         "matrix": matrix_to_json_dict(x),
         "orbit_count": len(rep.orbits),
-        "orbits": [
-            JsonSplice(head, entry, weights=[text[w] for w in ws], orbit_sum=text[total])
-            for head, entry, ws, total in zip(heads, x_free, rep.weights, rep.orbit_sums)
-        ],
+        "orbits": orbits if template is None else TemplatedList(orbits, template),
         "totals": {
             "matching_sum": exact_str(rep.matching_sum),
             "interlacing_orbit_sum": exact_str(rep.interlacing_orbit_sum),

@@ -156,7 +156,9 @@ def kept(key: Hashable, build: Callable[[], _V]) -> _V:
     repeats a size builds it twice and then never.  Callers check their
     size and walk caps first, so what is kept is bounded by the sizes asked
     for twice.  Two threads may each build the same result; both are equal,
-    and either may be kept.
+    and either may be kept.  `kept_on_repeat` is the same store for a
+    result that only speeds up a repeat, such as the JSON template of the
+    orbit-audit entries: its first request builds nothing.
     """
     value = _STORE.get(key)
     if value is None or value is _ASKED_ONCE:
@@ -164,6 +166,16 @@ def kept(key: Hashable, build: Callable[[], _V]) -> _V:
         _STORE[key] = _ASKED_ONCE if value is None else fresh
         return fresh
     return value
+
+
+def kept_on_repeat(key: Hashable, build: Callable[[], _V]) -> _V | None:
+    """None on the first request for `key`, which builds nothing; from the
+    second on, `kept(key, build)`, built on the second and kept from then
+    on.  A one-shot run, which asks once, pays nothing for it."""
+    if key in _STORE:
+        return kept(key, build)
+    _STORE[key] = _ASKED_ONCE
+    return None
 
 
 def _forget() -> None:

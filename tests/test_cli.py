@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import io
@@ -23,10 +24,10 @@ from canadaday import cli, lemmas, lgv, matchings, minor_sums, peakon
 from canadaday.cli import main
 from canadaday.exact_linalg import (
     ExactMatrix,
-    JsonSplice,
+    JsonTemplate,
     MinorLevel,
+    TemplatedList,
     child_seed,
-    json_head,
     json_text,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -384,13 +385,46 @@ _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), 
 _JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
 
 
-def _spliced(d: dict, covers: int) -> JsonSplice:
-    """`d` as a splice whose head covers its first `covers` items."""
-    items = list(d.items())
-    covered = dict(items[:covers])
-    splice = JsonSplice(json_head(covered), covered)
-    splice.update(items[covers:])
-    return splice
+def _templated(rows: list, slots: tuple, indent: str, edit=None):
+    """`rows` as a `TemplatedList` whose template, made at `indent`, is
+    taken from a copy of `rows` in which `edit`, if given, is undone: the
+    list holds `edit(rows)`.  Rows that a template refuses (a fixed value
+    holding the sentinel's text) stay a plain list."""
+    try:
+        template = JsonTemplate(copy.deepcopy(rows), slots, indent)
+    except ValueError:
+        return rows
+    return TemplatedList(rows if edit is None else edit(rows), template)
+
+
+# Each edit of a row that a template must not write as it was: a slot
+# value, a slot count, key order, a non-str slot, a fixed value and a type.
+_EDITS = [
+    lambda rows: [{**r, k: "new" if type(v) is str else v} for r in rows for k, v in [r.popitem()]],
+    lambda rows: [{**r, k: [*v, "x"] if type(v) is list else [v]} for r in rows for k, v in [r.popitem()]],
+    lambda rows: [dict(reversed(r.items())) for r in rows],
+    lambda rows: [{**r, k: 0} for r in rows for k, v in [r.popitem()]],
+    lambda rows: [{k: [v] if i == 0 else v for i, (k, v) in enumerate(r.items())} for r in rows],
+    lambda rows: [dict(r) for r in rows] + [{}],
+]
+
+
+@st.composite
+def _templated_lists(draw, values):
+    """A list of dicts that share their keys, some of them slots, as a
+    `TemplatedList` at a drawn indent, perhaps with one of `_EDITS`."""
+    keys = draw(st.lists(st.text(), min_size=2, max_size=4, unique=True))
+    slots = tuple(draw(st.permutations(keys))[: draw(st.integers(1, len(keys) - 1))])
+    lengths = {key: draw(st.one_of(st.none(), st.integers(0, 3))) for key in slots}
+    slot = {
+        key: st.text() if size is None else st.lists(st.text(), min_size=size, max_size=size)
+        for key, size in lengths.items()
+    }
+    rows = draw(
+        st.lists(st.fixed_dictionaries({key: slot.get(key, values) for key in keys}), min_size=1)
+    )
+    edit = draw(st.one_of(st.none(), st.sampled_from(_EDITS)))
+    return _templated(rows, slots, "  " * draw(st.integers(0, 3)), edit)
 
 
 _JSON_VALUES = st.recursive(
@@ -399,9 +433,7 @@ _JSON_VALUES = st.recursive(
         st.lists(inner),
         st.lists(inner).map(tuple),
         st.dictionaries(_JSON_KEYS, inner),
-        st.dictionaries(_JSON_KEYS, inner).flatmap(
-            lambda d: st.integers(0, len(d)).map(lambda c: _spliced(d, c))
-        ),
+        _templated_lists(inner),
     ),
     max_leaves=25,
 )
@@ -414,8 +446,8 @@ def _nested(value, depth: int):
     return value
 
 
-# An orbit-audit entry: its X-free items spliced, the rest rendered.
-_ENTRY = _spliced(
+# Orbit-audit entries: the weights and the orbit sum are the slots.
+_ORBITS = [
     {
         "classification": "non-interlacing",
         "members": [{"n": 3, "edges": ((1, 2), (2, 3))}, {"n": 3, "edges": ((1, 2), (3, 2))}],
@@ -424,8 +456,23 @@ _ENTRY = _spliced(
         "weights": ["3/4", "-2"],
         "orbit_sum": "0",
     },
-    4,
-)
+    {
+        "classification": "interlacing",
+        "members": [{"n": 3, "edges": ((1, 1),)}],
+        "signs": (1,),
+        "separations": [[]],
+        "weights": ["5"],
+        "orbit_sum": "5",
+    },
+]
+_SLOTS = ("weights", "orbit_sum")
+
+
+def _orbits_at(depth: int) -> TemplatedList:
+    """`_ORBITS` as a `TemplatedList` made for the indent of `depth`."""
+    return _templated(copy.deepcopy(_ORBITS), _SLOTS, "  " * depth)
+
+
 _DEPTHS = random.Random(30).sample(range(1, 9), 4)
 
 
@@ -453,12 +500,14 @@ _MIXED = [True, False, None, 1, 1.5, "x", _Level.A, _Name("y")]
 @example([])
 @example({})
 @example(OrderedDict(a=Fraction(1, 2).as_integer_ratio(), b=[OrderedDict()]))
-@example(_ENTRY)
-@example(_nested(_ENTRY, _DEPTHS[0]))
-@example(_nested([_ENTRY, _nested(_ENTRY, _DEPTHS[1])], _DEPTHS[2]))
-@example(_nested(_spliced({"a": _nested(_ENTRY, _DEPTHS[3]), "b": _ENTRY, "c": []}, 2), 3))
-@example([_spliced({}, 0), _spliced({"a": {}}, 0), _spliced({"a": [], "b": {}}, 2)])
-@example({"s": _spliced({1: _MIXED, None: {"\n": "\n"}, "t": _nested("\n", 4)}, 2)})
+@example(_orbits_at(0))
+@example(_nested(_orbits_at(_DEPTHS[0]), _DEPTHS[0]))
+@example(_nested([_orbits_at(2), _nested(_orbits_at(_DEPTHS[1]), _DEPTHS[1])], _DEPTHS[2]))
+@example(_nested({"a": _nested(_orbits_at(_DEPTHS[3]), _DEPTHS[3]), "b": _orbits_at(1)}, 3))
+@example([_orbits_at(0), _orbits_at(1), _templated([{"a": {}, "b": []}], ("b",), "  ")])
+@example({"s": _templated([{1: _MIXED, "t": _nested("\n", 4), "u": "\n"}], ("u",), "  ")})
+@example({"s": _templated([{1: [True, 1.5], "t": _nested("\n", 4), "u": "\n"}], ("u",), "  ")})
+@example([_templated([{"a": '"\x00', "b": "\x00"}], ("b",), "  ")])
 def test_json_text_matches_json_dumps_indent_2(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
@@ -470,13 +519,50 @@ def test_json_text_refuses_keys_json_dumps_refuses():
         json_text({(1, 2): 0})
 
 
-def test_a_splice_is_its_plain_dict_and_writes_its_head():
-    plain = dict(_ENTRY)
-    assert _ENTRY == plain and type(plain) is dict and _ENTRY.covers == 4
-    # The head is taken as given: a splice with another head writes that.
-    other = JsonSplice(json_head({"a": 1}), {"classification": "x"}, orbit_sum="0")
-    assert json_text(other) == '{\n  "a": 1,\n  "orbit_sum": "0"\n}'
-    assert json_text(dict(other)) == json.dumps(other, indent=2)
+def test_a_templated_list_is_its_plain_list_and_writes_each_edit():
+    orbits = _orbits_at(0)
+    plain = list(orbits)
+    assert orbits == plain == _ORBITS and type(plain) is list
+    assert json.dumps(orbits) == json.dumps(plain)
+    assert orbits.template.text(orbits, "") == json.dumps(plain, indent=2)
+    assert orbits.template.text(orbits, "  ") is None  # made for another depth
+
+    def edited(change) -> TemplatedList:
+        edited = _orbits_at(0)
+        change(edited[0])
+        return edited
+
+    for change in (
+        lambda e: e.update(classification="interlacing"),  # an X-free value
+        lambda e: e.update(signs=(True, -1)),  # == to (1, -1), written as true
+        lambda e: e["members"][1].update(n=3.0),  # == to 3, written as 3.0
+        lambda e: e["weights"].__setitem__(0, "7"),  # a weight value
+        lambda e: e["weights"].append("7"),  # a weight count
+        lambda e: e.update(signs=e.pop("signs")),  # key order
+        lambda e: e["members"].__setitem__(0, dict(reversed(e["members"][0].items()))),
+        lambda e: e["weights"].__setitem__(1, -2),  # a weight that is not a str
+    ):
+        orbits = edited(change)
+        assert json_text(orbits) == json.dumps(orbits, indent=2)
+    # Only a new slot value keeps the template's text; every other edit is
+    # rendered as a plain list.
+    orbits = edited(lambda e: e["weights"].__setitem__(0, "7"))
+    assert orbits.template.text(orbits, "") is not None
+    orbits = edited(lambda e: e.update(signs=(True, -1)))
+    assert orbits.template.text(orbits, "") is None
+
+
+def test_a_template_refuses_rows_it_cannot_write():
+    for rows, slots in (
+        ([], ("a",)),  # no row
+        ([{"a": "x"}], ("a",)),  # no fixed key
+        ([{"a": 1, "b": "x"}], ("c",)),  # a slot key no row has
+        ([{"a": 1, "b": 2}], ("b",)),  # a slot value that is not a str
+        ([{"a": 1, "b": "x"}, {"b": "y", "a": 1}], ("b",)),  # keys out of order
+        ([{"a": '"\x00', "b": "x"}], ("b",)),  # a fixed value with the sentinel's text
+    ):
+        with pytest.raises(ValueError):
+            JsonTemplate(rows, slots, "")
 
 
 def test_lemma_suite_full_n4():
@@ -1195,6 +1281,27 @@ def test_main_malformed_input_file_is_input_error(tmp_path, capsys, argv, doc, m
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["peakon", "--dt", "1e-2", "--t-end", "0.1", "--state"],
+         {"note": "café", "x": [0.0, 1.0], "m": [1.0, 2.0]}),
+        (["orbit-audit", "--n", "2", "--k", "1", "--matrix"],
+         {"note": "café", "rows": 2, "cols": 2, "entries": [["1", "2"], ["2", "1/3"]]}),
+    ],
+    ids=["state", "matrix"],
+)
+def test_input_files_are_read_as_utf_8_in_any_locale(tmp_path, argv, doc):
+    # JSON is UTF-8 (RFC 8259), whatever encoding the locale would choose.
+    path = tmp_path / "input.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = {**CHILD_ENV, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    cmd = [sys.executable, "-m", "canadaday", *argv, str(path)]
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=60, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
 
 
 def test_main_lets_a_program_key_error_out(monkeypatch):

@@ -351,7 +351,7 @@ def test_verify_theorem_fails_on_a_flipped_sign(flipped_sign, capsys):
 @pytest.fixture
 def shifted_separations(empty_store, fault):
     """Row 8, from an empty store, so that every partition and every kept
-    head is built under it."""
+    template is built under it."""
     real = matchings._trace_clusters
 
     def trace(m):
@@ -372,4 +372,4 @@ def test_the_separation_oracle_sees_shifted_separations(shifted_separations, cap
         assert len(wrong) == 540
         for _, reported, true in wrong:
             assert {r - t for r, t in zip(reported, true)} <= {0, 2}
-    assert minor_sums._STORE[("audit_heads", 5, 3)] is not minor_sums._ASKED_ONCE
+    assert minor_sums._STORE[("audit_text", 5, 3)] is not minor_sums._ASKED_ONCE

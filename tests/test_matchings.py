@@ -601,7 +601,7 @@ def test_orbit_audit_takes_no_flip(cold_partitions, monkeypatch):
     x = random_symmetric(5, 7, 9)
     for _ in range(3):
         assert orbit_audit(x, 3)["passed"]
-    assert _kept_keys() == {("partition", 5, 3), ("audit_heads", 5, 3)}
+    assert _kept_keys() == {("partition", 5, 3), ("audit_text", 5, 3)}
 
 
 def test_orbit_audit_separations_match_their_definition(cold_partitions, capsys):
@@ -613,7 +613,7 @@ def test_orbit_audit_separations_match_their_definition(cold_partitions, capsys)
         doc = json.loads(capsys.readouterr().out)
         assert sum(len(o["members"]) for o in doc["orbits"]) == 600
         assert misreported_separations(doc) == []
-    assert ("audit_heads", 5, 3) in _kept_keys()
+    assert ("audit_text", 5, 3) in _kept_keys()
 
 
 def test_kept_partition_carries_traced_clusters(cold_partitions, monkeypatch):
