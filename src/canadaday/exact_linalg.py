@@ -122,7 +122,8 @@ class IndexSet:
 
 def k_subsets(n: int, k: int) -> Iterator[IndexSet]:
     """Yield all k-element subsets of {1, ..., n} in lexicographic order."""
-    for combo in combinations(range(1, n + 1), k):
+    n = as_index(n)
+    for combo in combinations(range(1, n + 1), as_index(k)):
         yield IndexSet(n, combo)
 
 
@@ -170,6 +171,7 @@ class ExactMatrix:
 def t_matrix(n: int) -> ExactMatrix:
     """The n x n matrix with entries 1 + sgn(i - j): 0 above the diagonal,
     1 on it, 2 below."""
+    n = as_index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return ExactMatrix.from_rows(
@@ -279,15 +281,16 @@ def minor_levels(m: ExactMatrix) -> Iterator[MinorLevel]:
 
 def child_seed(seed: int, *parts: int) -> int:
     """The seed of one campaign matrix, from the run's seed and its coordinates."""
-    out = seed
+    out = as_index(seed)
     for p in parts:
-        out = out * 1_000_003 + p + 1
+        out = out * 1_000_003 + as_index(p) + 1
     return out
 
 
 def random_symmetric(n: int, seed: int, entry_bound: int) -> ExactMatrix:
     """Seeded random symmetric n x n matrix with integer entries in
     [-entry_bound, entry_bound]. Same arguments always give the same matrix."""
+    n, seed, entry_bound = as_index(n), as_index(seed), as_index(entry_bound)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if entry_bound < 0:
@@ -304,6 +307,7 @@ def random_symmetric(n: int, seed: int, entry_bound: int) -> ExactMatrix:
 
 def random_matrix(n: int, seed: int, entry_bound: int) -> ExactMatrix:
     """Seeded random n x n integer matrix, no symmetry imposed."""
+    n, seed, entry_bound = as_index(n), as_index(seed), as_index(entry_bound)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if entry_bound < 0:

@@ -1,5 +1,6 @@
-"""The exhaustive lemma suite of `verify-lemmas`, each lemma a check with
-its first witness.
+"""The exhaustive lemma suite of `verify-lemmas`.  `lemma_report` is its
+one entry point: it checks its inputs once and reports each lemma as a
+`{"name", "passed", "witness"}` dict with its first witness.
 
 The suite splits as the paper's proof does.  The flip orbits of each
 M_{n,k}, every matching's sign and every flip image, the T-minor tables
@@ -17,22 +18,12 @@ sums and every comparison of all six checks run on every call.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .exact_linalg import as_index, child_seed, exact_str, random_symmetric
 from .lgv import audit_table
 from .matchings import enumerate_matchings, matching_count, orbit_sum_identity
 from .minor_sums import check_entry_bits, check_flag, check_size_guard, check_walk, kept
 
-__all__ = ["Check", "lemma_report", "lemma_suite"]
-
-
-class Check(NamedTuple):
-    """One lemma's verdict, with its first witness when it fails."""
-
-    name: str
-    passed: bool
-    witness: dict | None
+__all__ = ["lemma_report"]
 
 
 _CHECKS = (
@@ -98,16 +89,13 @@ def _failures(n_max: int, seed: int, bound: int, corrupt: bool):
         raise ValueError(f"--corrupt-sign has no flipped pair to corrupt at n <= {n_max}")
 
 
-def _inputs(n_max: int, seed: int, bound: int) -> tuple[int, int, int]:
-    """n_max, seed and bound as ints, each refused as the suite refuses it."""
-    return check_size_guard(n_max), as_index(seed), check_entry_bits(bound, "the entry bound")
-
-
-def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[Check]:
-    """Every lemma checked exhaustively up to n_max, in report order, each
-    with its first witness.  corrupt_sign falsifies one sign-law result, to
-    show a failing witness."""
-    n_max, seed, bound = _inputs(n_max, seed, bound)
+def lemma_report(n_max: int = 4, seed: int = 42, bound: int = 9, corrupt_sign: bool = False) -> dict:
+    """The verify-lemmas report: every lemma checked exhaustively up to
+    n_max, in `_CHECKS` order, each with its first witness, passing when all
+    do.  corrupt_sign falsifies one sign-law result, to show a failing
+    witness."""
+    n_max, seed = check_size_guard(n_max), as_index(seed)
+    bound = check_entry_bits(bound, "the entry bound")
     corrupt_sign = check_flag(corrupt_sign, "corrupt_sign")
     # Each M_{n,k} and T-minor table walked below is part of this walk, so
     # no inner walk is refused half done.
@@ -118,16 +106,10 @@ def lemma_suite(n_max: int, seed: int, bound: int, corrupt_sign: bool) -> list[C
     first: dict[str, dict] = {}
     for name, witness in _failures(n_max, seed, bound, corrupt_sign):
         first.setdefault(name, witness)
-    return [Check(name, name not in first, first.get(name)) for name in _CHECKS]
-
-
-def lemma_report(n_max: int = 4, seed: int = 42, bound: int = 9, corrupt_sign: bool = False) -> dict:
-    """The verify-lemmas report: `lemma_suite`'s checks, passing when all do."""
-    n_max, seed, bound = _inputs(n_max, seed, bound)
-    checks = lemma_suite(n_max, seed, bound, corrupt_sign)
+    checks = [{"name": c, "passed": c not in first, "witness": first.get(c)} for c in _CHECKS]
     return {
         "command": "verify-lemmas",
         "config": {"n_max": n_max, "seed": seed, "bound": bound, "corrupt_sign": corrupt_sign},
-        "passed": all(c.passed for c in checks),
-        "checks": [c._asdict() for c in checks],
+        "passed": all(c["passed"] for c in checks),
+        "checks": checks,
     }

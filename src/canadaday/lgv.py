@@ -91,6 +91,7 @@ def build_network(n: int) -> LayeredNetwork:
     path matrix, counted from the paths that `count_disjoint_families` uses,
     is checked against t_matrix(n) at construction.
     """
+    n = as_index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     bidiag = {(i, i) for i in range(1, n + 1)} | {(i, i - 1) for i in range(2, n + 1)}
@@ -214,6 +215,7 @@ def _t_minors(n: int) -> tuple[tuple, ...]:
 
 def audit(n: int) -> dict:
     """The lgv-audit report: `audit_table(n)`, passing when every row agrees."""
+    n = check_size_guard(n)
     table = audit_table(n)
     return {
         "command": "lgv-audit",

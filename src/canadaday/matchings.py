@@ -118,7 +118,8 @@ def enumerate_matchings(n: int, k: int) -> Iterator[Matching]:
 
 def matching_count(n: int, k: int) -> int:
     """|M_{n,k}| = C(n,k)^2 * k!, the number of k-edge matchings of K_{n,n}."""
-    _check_k(n, k)
+    n = as_index(n)
+    k = _check_k(n, k)
     return comb(n, k) ** 2 * factorial(k)
 
 
@@ -133,8 +134,9 @@ def _check_k(n: int, k: int) -> int:
 def _edge_tuples(n: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """The edges of each matching of `enumerate_matchings`, in its order and
     already sorted by left node, from one list of plain k-subsets of 1..n."""
+    n = as_index(n)
     refuse_past_guard(n)
-    _check_k(n, k)
+    k = _check_k(n, k)
     subsets = list(combinations(range(1, n + 1), k))
     for I in subsets:
         for J in subsets:
@@ -239,6 +241,7 @@ def flip(m: Matching, i: int, j: int) -> Matching:
     i -> j or j -> i, reverse every edge of that cluster; otherwise return m
     unchanged.  The cluster is picked by identity, so no two clusters are
     compared."""
+    i, j = as_index(i), as_index(j)
     if not 1 <= i < j <= m.n:
         raise ValueError(f"flip generators need 1 <= i < j <= n, got ({i}, {j})")
     clusters = decompose_clusters(m)

@@ -252,6 +252,7 @@ def char_poly_coefficients(s: PeakonState) -> np.ndarray:
 def wave_grid(lo: float, hi: float, points: int) -> np.ndarray:
     """`points` evenly spaced grid points from lo to hi, refused past
     MAX_WAVE_POINTS or with non-finite bounds."""
+    points = as_index(points)
     if not 1 <= points <= MAX_WAVE_POINTS:
         raise ValueError(f"the wave grid needs 1 to {MAX_WAVE_POINTS} points, got {points}")
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canadaday import cli, lemmas, lgv, matchings, minor_sums, peakon
+from canadaday import cli, exact_linalg, lemmas, lgv, matchings, minor_sums, peakon
 from canadaday.cli import main
 from canadaday.exact_linalg import (
     ExactMatrix,
@@ -29,8 +29,11 @@ from canadaday.exact_linalg import (
     TemplatedList,
     child_seed,
     json_text,
+    k_subsets,
+    load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
+    random_matrix,
     random_symmetric,
 )
 from canadaday.lemmas import lemma_report
@@ -82,10 +85,8 @@ def test_lemma_suite_passes():
         "orbit_structure",
         "grand_matching_sum",
     ]
-    # the report renders the suite's Check records, in order
-    checks = lemmas.lemma_suite(3, 42, 9, False)
-    assert all(type(c) is lemmas.Check for c in checks)
-    assert [c._asdict() for c in checks] == doc["checks"]
+    assert all(c == {"name": c["name"], "passed": True, "witness": None} for c in doc["checks"])
+    assert lemmas.__all__ == ["lemma_report"]
 
 
 def test_lemma_suite_corrupt_sign_hook():
@@ -669,11 +670,11 @@ def test_main_size_gate_refuses_before_any_work(monkeypatch, capsys, command, n,
     "route",
     [
         lambda n: theorem_campaign(n, trials=1),
-        lambda n: lemmas.lemma_suite(n, 42, 9, False),
+        lemma_report,
         lambda n: matchings.partition_into_orbits(n, 1),
         lgv.audit_table,
     ],
-    ids=["theorem_campaign", "lemma_suite", "partition_into_orbits", "audit_table"],
+    ids=["theorem_campaign", "lemma_report", "partition_into_orbits", "audit_table"],
 )
 @pytest.mark.parametrize(
     "n,message",
@@ -713,8 +714,9 @@ _CAMPAIGN_WORK = [
         lambda v: theorem_campaign(2, trials=1, bound=v),
         lambda v: lemma_report(2, seed=v),
         lambda v: lemma_report(2, bound=v),
-        lambda v: lemmas.lemma_suite(2, v, 9, False),
-        lambda v: lemmas.lemma_suite(2, 42, v, False),
+        # the suite called positionally, as `cli._lemmas` calls it
+        lambda v: lemma_report(2, v, 9, False),
+        lambda v: lemma_report(2, 42, v, False),
         lambda v: minor_sums.check_entry_bits(v, "the entry bound"),
     ],
     ids=[
@@ -741,7 +743,7 @@ def test_integer_arguments_refuse_a_bool_or_float_before_any_work(monkeypatch, r
     [
         (lambda v: theorem_campaign(2, trials=1, asymmetric=v), "asymmetric"),
         (lambda v: lemma_report(2, corrupt_sign=v), "corrupt_sign"),
-        (lambda v: lemmas.lemma_suite(2, 42, 9, v), "corrupt_sign"),
+        (lambda v: lemma_report(2, 42, 9, v), "corrupt_sign"),  # positionally
         (lambda v: minor_sums.verify_canada_day(
             random_symmetric(2, 1, 9), 1, allow_asymmetric=v), "allow_asymmetric"),
     ],
@@ -768,6 +770,70 @@ def test_integer_arguments_take_the_int_of_a_numpy_int():
     rep = lemma_report(np.int64(2), seed=np.int64(42), bound=np.int64(9))
     assert [type(rep["config"][key]) for key in ("n_max", "seed", "bound")] == [int] * 3
     assert rep == lemma_report(2)
+
+
+def test_lemma_report_checks_each_input_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(lemmas, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lemmas, name, wrapper)
+
+    for name in ("check_size_guard", "check_entry_bits", "check_flag"):
+        counting(name)
+    for corrupt_sign in (False, True):
+        calls.clear()
+        lemma_report(2, 42, 9, corrupt_sign)
+        assert calls == {"check_size_guard": 1, "check_entry_bits": 1, "check_flag": 1}
+
+
+_M2 = matchings.Matching(2, ((1, 2),))
+_M3 = matchings.Matching(3, ((1, 2),))
+
+
+@pytest.mark.parametrize("value", [True, 2.0, np.int64(2)], ids=["True", "2.0", "numpy-2"])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda v: list(peakon.wave_grid(-1.0, 1.0, v)),
+        lambda v: matchings.flip(_M2, 1, v),
+        lambda v: matchings.flip(_M3, v, 3),
+        exact_linalg.t_matrix,
+        lambda v: child_seed(v, 1),
+        lambda v: child_seed(1, v),
+        lambda v: random_symmetric(v, 1, 9),
+        lambda v: random_symmetric(2, v, 9),
+        lambda v: random_symmetric(2, 1, v),
+        lambda v: random_matrix(v, 1, 9),
+        lambda v: list(k_subsets(v, 1)),
+        lambda v: list(k_subsets(3, v)),
+        lambda v: matchings.matching_count(v, 1),
+        lambda v: matchings.matching_count(3, v),
+        lambda v: list(matchings.enumerate_matchings(v, 1)),
+        lgv.build_network,
+        lgv.audit,
+    ],
+    ids=[
+        "wave_grid", "flip-j", "flip-i", "t_matrix", "child_seed-seed", "child_seed-part",
+        "random_symmetric-n", "random_symmetric-seed",
+        "random_symmetric-bound", "random_matrix", "k_subsets-n", "k_subsets-k",
+        "matching_count-n", "matching_count-k", "enumerate_matchings", "build_network", "audit",
+    ],
+)
+def test_library_integers_go_through_as_index(route, value):
+    # Unchecked, True would run as 1 and 2.0 would fail inside range.
+    if isinstance(value, np.integer):
+        # the repr of a result that holds a numpy int shows it
+        assert repr(route(value)) == repr(route(2))
+        return
+    with pytest.raises(ValueError) as refused:
+        route(value)
+    assert str(refused.value) == f"an index must be an integer, got {value!r}"
 
 
 @pytest.mark.parametrize(
@@ -1177,6 +1243,30 @@ def test_main_wave_csv(tmp_path):
     mid = lines[3].split(",")
     assert float(mid[0]) == 0.0
     assert float(mid[1]) == 2.0
+
+
+@pytest.mark.parametrize(
+    "argv,build",
+    [
+        (["verify-theorem", "--n", "3", "--trials", "2"],
+         lambda tmp: theorem_campaign(3, trials=2)),
+        (["verify-lemmas", "--n", "3"], lambda tmp: lemma_report(3)),
+        (["orbit-audit", "--n", "3", "--k", "2", "--matrix", "MATRIX"],
+         lambda tmp: orbit_audit(load_matrix(tmp / "x.json"), 2)),
+        (["lgv-audit", "--n", "3"], lambda tmp: lgv.audit(3)),
+        (["peakon", "--state", "STATE", "--dt", "1e-2", "--t-end", "0.5"],
+         lambda tmp: peakon.simulate(load_state(tmp / "state.json"), 1e-2, 0.5).to_json_dict()),
+    ],
+    ids=["theorem_campaign", "lemma_report", "orbit_audit", "lgv.audit", "simulate"],
+)
+def test_library_and_cli_write_one_report(tmp_path, argv, build):
+    (tmp_path / "x.json").write_text(json.dumps(matrix_to_json_dict(random_symmetric(3, 5, 9))))
+    (tmp_path / "state.json").write_text(json.dumps({"x": [-1.0, 1.0], "m": [1.0, 2.0]}))
+    paths = {"MATRIX": str(tmp_path / "x.json"), "STATE": str(tmp_path / "state.json")}
+    out = tmp_path / "r.json"
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert out.read_text() == json_text(build(tmp_path)) + "\n"
 
 
 def test_main_orbit_audit_with_matrix_file(tmp_path):

@@ -373,3 +373,24 @@ def test_the_separation_oracle_sees_shifted_separations(shifted_separations, cap
         for _, reported, true in wrong:
             assert {r - t for r, t in zip(reported, true)} <= {0, 2}
     assert minor_sums._STORE[("audit_text", 5, 3)] is not minor_sums._ASKED_ONCE
+
+
+# Row 9: `matchings.flip` returns its argument unchanged, so each flip image
+# the lemma suite reads is the member itself.  Weights stay invariant, and
+# the sign law still holds at every even separation; at n <= 3 no open
+# cluster has an odd separation, so the suite passes there.  orbit-audit and
+# verify-theorem take no flip, so this row pins that the lemma suite's flip
+# images really come from `flip`.
+
+
+def test_verify_lemmas_fails_when_flip_moves_nothing(empty_store, fault, capsys):
+    fault("flip", lambda m, i, j: m, matchings)
+    assert _run(capsys, ["verify-lemmas", "--n", "3"])[0] == 0
+    code, doc = _run(capsys, ["verify-lemmas", "--n", "4"])
+    assert code == 1
+    assert {c["name"]: c["witness"] for c in doc["checks"] if not c["passed"]} == {
+        "sign_flip_law": {
+            "n": 4, "matching": {"n": 4, "edges": [[1, 3], [2, 4]]}, "i": 1, "j": 3,
+            "separation": 1,
+        },
+    }

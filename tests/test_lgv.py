@@ -33,6 +33,11 @@ def test_build_network_n1():
     assert path_matrix(net).to_rows() == [[1]]
 
 
+def test_build_network_refuses_n_below_1():
+    with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+        build_network(0)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_build_network_path_matrix_examples(n):
     assert path_matrix(build_network(n)) == t_matrix(n)
